@@ -12,11 +12,11 @@ from __future__ import annotations
 
 
 from repro.gpu.device import ExecTask
-from repro.models.costs import DECODE_LAYER_OVERHEAD, PhaseCost, PrefillItem
-from repro.serving.base import RequestState, build_instance
+from repro.models.costs import PhaseCost, PrefillItem
+from repro.serving.base import Instance, RequestState, build_instance
 from repro.serving.batching import DecodeBatchMixin
 from repro.serving.config import ServingConfig
-from repro.sim import Simulator, fastpath
+from repro.sim import Simulator
 
 
 class ChunkedPrefillServer(DecodeBatchMixin):
@@ -34,12 +34,6 @@ class ChunkedPrefillServer(DecodeBatchMixin):
         self.running: list[RequestState] = []
         self._current_prefill: RequestState | None = None
         self._step_in_flight = False
-        # Lower bound on any decode chain's completion delta (comm_time >=
-        # num_layers * DECODE_LAYER_OVERHEAD plus the launch overhead);
-        # used to skip the fast path outright when a queued event is near.
-        self._fastpath_min_delta = (
-            cfg.model.num_layers * DECODE_LAYER_OVERHEAD + cfg.launch.decode_launch()
-        )
 
     # ------------------------------------------------------------------ #
     # Admission
@@ -84,17 +78,11 @@ class ChunkedPrefillServer(DecodeBatchMixin):
         self._step_in_flight = True
         decode_batch = [s for s in self.running if not s.finished]
         decode_batch = decode_batch[: self.cfg.max_decode_batch]
-        if (
-            decode_batch
-            and self.spec_decode is None
-            and fastpath.decode_fastpath_active(self.sim)
-            and self.sim._fastpath_head_time(self.instance.device)
-            > self.sim.now + self._fastpath_min_delta
-        ):
+        if decode_batch:
             # Elide runs of decode-only iterations; falls through to the
             # scalar body with the then-current batch when anything other
             # than a steady decode chain is due (see _decode_fast_loop).
-            decode_batch = self._decode_fast_loop(decode_batch)
+            decode_batch = self._decode_fast_loop(self.instance, decode_batch)
 
         chunk_tokens = 0
         prefill_state = None
@@ -126,69 +114,11 @@ class ChunkedPrefillServer(DecodeBatchMixin):
         )
         self.instance.device.submit(task)
 
-    def _decode_fast_loop(self, decode_batch: list[RequestState]) -> list[RequestState]:
-        """Vectorized decode: elide device event chains for steady batches.
-
-        Runs as many decode-only iterations as can be proven equivalent to
-        the scalar path (no prefill admissible this step, device idle, the
-        chain's completion strictly before the next queued event), calling
-        the *real* emission/finish/requeue code between elided chains.
-        Returns the current decode batch for the scalar body to continue
-        with — byte-identical state to the scalar path having just entered
-        ``_step`` at this simulation time.
-        """
-        sim = self.sim
-        inst = self.instance
-        device = inst.device
-        model = inst.cost_model
-        launch_time = self.cfg.launch.decode_launch()
-        max_batch = self.cfg.max_decode_batch
-        budget = self.token_budget
-        # Every chain completion lands strictly after now + min_delta:
-        # completion = retire + comm_time + launch with retire > now and
-        # comm_time >= num_layers * DECODE_LAYER_OVERHEAD.  A queued event
-        # at or before that bound defeats any plan, so bail before touching
-        # the cost model — this keeps the fast path near-free on busy
-        # multi-replica simulations where elision rarely engages.
-        min_delta = self._fastpath_min_delta
-        total_ctx = 0
-        for s in decode_batch:
-            total_ctx += s._input_tokens + s.generated
-        while True:
-            if budget - len(decode_batch) > 0 and (
-                self._current_prefill is not None or self.waiting
-            ):
-                # The scalar step would try to fuse a prefill chunk.
-                return decode_batch
-            if device._active or device._stalled:
-                return decode_batch
-            if sim._fastpath_head_time(device) <= sim.now + min_delta:
-                return decode_batch
-            cost = model.decode_iter_totals(len(decode_batch), total_ctx)
-            plan = fastpath.plan_chain(
-                device, cost.flops, cost.bytes, cost.comm_time + launch_time, sim.now
-            )
-            if plan is None or not fastpath.chain_allowed(sim, plan, device):
-                return decode_batch
-            fastpath.commit_chain(sim, device, plan)
-            finished, preempted = self.emit_decode_iteration(inst, decode_batch)
-            for state in finished:
-                self.running.remove(state)
-                self.finish_request(inst, state)
-            for state in preempted:
-                self.running.remove(state)
-                self._requeue_for_recompute(state)
-            if finished or preempted:
-                decode_batch = [s for s in self.running if not s.finished]
-                decode_batch = decode_batch[:max_batch]
-                if not decode_batch:
-                    return decode_batch
-                total_ctx = 0
-                for s in decode_batch:
-                    total_ctx += s._input_tokens + s.generated
-            else:
-                # Every batch member grew by exactly one token.
-                total_ctx += len(decode_batch)
+    def _fastpath_prefill_admissible(self, batch_len: int) -> bool:
+        # The scalar step would try to fuse a prefill chunk.
+        return self.token_budget - batch_len > 0 and (
+            self._current_prefill is not None or bool(self.waiting)
+        )
 
     def _launch_overhead(self, chunk_tokens: int) -> float:
         launch = self.cfg.launch
@@ -229,12 +159,7 @@ class ChunkedPrefillServer(DecodeBatchMixin):
         completes_prefill: bool,
     ) -> None:
         finished, preempted = self.emit_decode_iteration(self.instance, decode_batch)
-        for state in finished:
-            self.running.remove(state)
-            self.finish_request(self.instance, state)
-        for state in preempted:
-            self.running.remove(state)
-            self._requeue_for_recompute(state)
+        self._retire_decoded(self.instance, finished, preempted)
 
         if prefill_state is not None and chunk_tokens > 0:
             prefill_state.chunk_tokens_done += chunk_tokens
@@ -252,6 +177,19 @@ class ChunkedPrefillServer(DecodeBatchMixin):
 
         self._step_in_flight = False
         self._maybe_step()
+
+    def _retire_decoded(
+        self,
+        instance: Instance,
+        finished: list[RequestState],
+        preempted: list[RequestState],
+    ) -> None:
+        for state in finished:
+            self.running.remove(state)
+            self.finish_request(instance, state)
+        for state in preempted:
+            self.running.remove(state)
+            self._requeue_for_recompute(state)
 
     def _requeue_for_recompute(self, state: RequestState) -> None:
         """Recompute-preempted request goes back to the prefill queue."""

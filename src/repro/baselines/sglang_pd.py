@@ -21,12 +21,11 @@ from collections import deque
 
 from repro.gpu.device import ExecTask
 from repro.kvcache.radix import Segment
-from repro.models.costs import DECODE_LAYER_OVERHEAD
 from repro.kvcache.transfer import TransferEngine
-from repro.serving.base import RequestState, build_instance
+from repro.serving.base import Instance, RequestState, build_instance
 from repro.serving.batching import DecodeBatchMixin
 from repro.serving.config import ServingConfig
-from repro.sim import Simulator, fastpath
+from repro.sim import Simulator
 
 
 class SGLangPDServer(DecodeBatchMixin):
@@ -59,11 +58,6 @@ class SGLangPDServer(DecodeBatchMixin):
         self._prefill_busy = False
         self._decode_inflight = False
         self._stalled_migrations: deque[RequestState] = deque()
-        # Lower bound on any decode chain's completion delta; see the
-        # chunked server for the derivation.
-        self._fastpath_min_delta = (
-            cfg.model.num_layers * DECODE_LAYER_OVERHEAD + cfg.launch.decode_launch()
-        )
 
     # ------------------------------------------------------------------ #
     # Admission / prefill instance
@@ -160,15 +154,12 @@ class SGLangPDServer(DecodeBatchMixin):
         batch = [s for s in self.running if not s.finished][: self.cfg.max_decode_batch]
         if not batch:
             return
-        if (
-            self.spec_decode is None
-            and fastpath.decode_fastpath_active(self.sim)
-            and self.sim._fastpath_head_time(self.decode_inst.device)
-            > self.sim.now + self._fastpath_min_delta
-        ):
-            batch = self._decode_fast_loop(batch)
-            if not batch:
-                return
+        # The decode device is never multiplexed, so between queued events
+        # (prefill completions, migrations, arrivals) its batch produces
+        # pure solo chains — ideal fast-path territory.
+        batch = self._decode_fast_loop(self.decode_inst, batch)
+        if not batch:
+            return
         self._decode_inflight = True
         cost = self.decode_step_cost(self.decode_inst, batch)
         task = ExecTask(
@@ -181,73 +172,21 @@ class SGLangPDServer(DecodeBatchMixin):
         )
         self.decode_inst.device.submit(task)
 
-    def _decode_fast_loop(self, batch: list[RequestState]) -> list[RequestState]:
-        """Vectorized decode on the dedicated decode instance.
-
-        The decode device is never multiplexed, so between queued events
-        (prefill completions, migrations, arrivals) its batch produces
-        pure solo chains — ideal fast-path territory.  Real emission,
-        finish, migration-retry and prefill-pump code runs between elided
-        chains; any event due before a chain's completion flushes back to
-        the scalar submit path.  Returns the current batch (possibly
-        empty) for the scalar path to continue with.
-        """
-        sim = self.sim
-        inst = self.decode_inst
-        device = inst.device
-        model = inst.cost_model
-        launch_time = self.cfg.launch.decode_launch()
-        max_batch = self.cfg.max_decode_batch
-        # Chain completions land strictly after now + min_delta (see the
-        # chunked loop for the derivation); a queued event at or before
-        # that bound defeats any plan, so bail before costing anything.
-        min_delta = self._fastpath_min_delta
-        total_ctx = 0
-        for s in batch:
-            total_ctx += s._input_tokens + s.generated
-        while True:
-            if device._active or device._stalled:
-                return batch
-            if sim._fastpath_head_time(device) <= sim.now + min_delta:
-                return batch
-            cost = model.decode_iter_totals(len(batch), total_ctx)
-            plan = fastpath.plan_chain(
-                device, cost.flops, cost.bytes, cost.comm_time + launch_time, sim.now
-            )
-            if plan is None or not fastpath.chain_allowed(sim, plan, device):
-                return batch
-            # Mirror the scalar inflight window: set while the (elided)
-            # step runs, cleared before the completion handling — exactly
-            # the flag states _maybe_decode/_on_decode_done would leave.
-            self._decode_inflight = True
-            fastpath.commit_chain(sim, device, plan)
-            self._decode_inflight = False
-            finished, preempted = self.emit_decode_iteration(inst, batch)
-            for state in finished:
-                self.running.remove(state)
-                self.finish_request(inst, state, keep_cached=False)
-            for state in preempted:
-                self.running.remove(state)
-                state.lease = None
-                self.waiting.appendleft(state)
-            if finished or preempted:
-                self._retry_migrations()
-                self._pump_prefill()
-                batch = [s for s in self.running if not s.finished][:max_batch]
-                if not batch:
-                    return batch
-                total_ctx = 0
-                for s in batch:
-                    total_ctx += s._input_tokens + s.generated
-            else:
-                total_ctx += len(batch)
-
     def _on_decode_done(self, batch: list[RequestState]) -> None:
         self._decode_inflight = False
         finished, preempted = self.emit_decode_iteration(self.decode_inst, batch)
+        self._retire_decoded(self.decode_inst, finished, preempted)
+        self._maybe_decode()
+
+    def _retire_decoded(
+        self,
+        instance: Instance,
+        finished: list[RequestState],
+        preempted: list[RequestState],
+    ) -> None:
         for state in finished:
             self.running.remove(state)
-            self.finish_request(self.decode_inst, state, keep_cached=False)
+            self.finish_request(instance, state, keep_cached=False)
         for state in preempted:
             self.running.remove(state)
             state.lease = None
@@ -255,4 +194,3 @@ class SGLangPDServer(DecodeBatchMixin):
         if finished or preempted:
             self._retry_migrations()
             self._pump_prefill()
-        self._maybe_decode()

@@ -22,9 +22,7 @@ from repro.cluster import Fleet, FleetConfig, HealthConfig
 from repro.faults import FaultInjector, FaultPlan, default_chaos_plan
 from repro.serving.config import ServingConfig
 from repro.serving.metrics import Summary
-from typing import Callable
-
-from repro.sim import Simulator, make_sim
+from repro.sim import make_sim
 from repro.trace import Tracer
 from repro.workloads.request import Workload
 
@@ -112,7 +110,6 @@ def run_chaos(
     drain_horizon: float = DRAIN_HORIZON,
     tracer: Tracer | None = None,
     stability_ttft: float = STABILITY_TTFT,
-    sim_factory: Callable[[], Simulator] | None = None,
 ) -> ChaosResult:
     """Run ``workload`` through a fleet while ``plan``'s faults fire.
 
@@ -129,7 +126,7 @@ def run_chaos(
     last_arrival = workload.requests[-1].arrival_time if len(workload) else 0.0
     if plan is None:
         plan = default_chaos_plan(max(1.0, last_arrival))
-    sim = sim_factory() if sim_factory is not None else make_sim()
+    sim = make_sim()
     if tracer is not None:
         sim.attach_tracer(tracer)
     cluster = Fleet(sim, factory, cfg, fleet)

@@ -13,14 +13,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Callable
 
 from repro.bench.goodput import GoodputResult, RatePoint, WorkloadFactory
 from repro.bench.runner import DRAIN_HORIZON, MAX_EVENTS, STABILITY_TTFT, SystemFactory
 from repro.cluster import Fleet, FleetConfig
 from repro.serving.config import ServingConfig
 from repro.serving.metrics import Summary
-from repro.sim import Simulator, make_sim
+from repro.sim import make_sim
 from repro.trace import Tracer
 from repro.workloads.request import Workload
 
@@ -65,14 +64,9 @@ def run_fleet(
     drain_horizon: float = DRAIN_HORIZON,
     tracer: Tracer | None = None,
     stability_ttft: float = STABILITY_TTFT,
-    sim_factory: Callable[[], Simulator] | None = None,
 ) -> FleetRunResult:
-    """Run ``workload`` through a freshly built fleet and summarise.
-
-    ``sim_factory`` overrides :func:`repro.sim.make_sim` (equivalence and
-    shard-determinism tests pin the simulator flavour through it).
-    """
-    sim = sim_factory() if sim_factory is not None else make_sim()
+    """Run ``workload`` through a freshly built fleet and summarise."""
+    sim = make_sim()
     if tracer is not None:
         sim.attach_tracer(tracer)
     cluster = Fleet(sim, factory, cfg, fleet)

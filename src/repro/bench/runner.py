@@ -65,7 +65,6 @@ def run_system(
     drain_horizon: float = DRAIN_HORIZON,
     tracer: Tracer | None = None,
     stability_ttft: float = STABILITY_TTFT,
-    sim_factory: Callable[[], Simulator] | None = None,
 ) -> RunResult:
     """Run ``workload`` through a freshly built system and summarise.
 
@@ -73,11 +72,8 @@ def run_system(
     attached before the system is built so every layer's hooks see it.
     ``drain_horizon`` and ``stability_ttft`` override the module defaults
     for long-tail workloads or fleet runs with their own stability criteria.
-    ``sim_factory`` overrides the default :func:`repro.sim.make_sim`
-    construction (used by the fast-path equivalence and shard determinism
-    suites to pin a specific simulator flavour).
     """
-    sim = sim_factory() if sim_factory is not None else make_sim()
+    sim = make_sim()
     if tracer is not None:
         sim.attach_tracer(tracer)
     system = factory(sim, cfg)

@@ -176,10 +176,9 @@ def run_tenancy_mode(
     fleet: FleetConfig,
     mode: str,
     drain_horizon: float = 3600.0,
-    sim_factory: Callable[[], Simulator] | None = None,
 ) -> TenancyRunResult:
     """Run one configuration and slice the results by tier."""
-    sim = sim_factory() if sim_factory is not None else make_sim()
+    sim = make_sim()
     cluster = Fleet(sim, factory, cfg, fleet)
     cluster.submit(workload)
     last_arrival = workload.requests[-1].arrival_time if len(workload) else 0.0

@@ -258,13 +258,6 @@ class Device:
         self._bw_capacity_seconds = 0.0
         self._accounting_start = sim.now
 
-        # Sharded-simulator hooks (None on the flat simulator): each live
-        # task registers a lower bound on its completion instant so the
-        # decode fast path never elides a chain past another device's
-        # in-flight work (see repro.sim.shard).
-        self._fp_note_submit = getattr(sim, "fastpath_note_submit", None)
-        self._fp_note_retire = getattr(sim, "fastpath_note_retire", None)
-
     # ------------------------------------------------------------------ #
     # Rates
     # ------------------------------------------------------------------ #
@@ -380,21 +373,6 @@ class Device:
             self._finish_task(task)
             return task
         self._active.append(task)
-        if self._fp_note_submit is not None:
-            # Lower-bound the completion instant: duration at nominal
-            # full-device rates plus the fixed epilogue.  Multiplexing,
-            # stalls and degradation only slow a task down, so the bound
-            # holds for the task's whole lifetime.
-            duration = 0.0
-            rate = self._nominal_flops_per_sm * self.total_sms
-            if task.flops > _EPS and rate > _EPS:
-                duration = task.flops / rate
-            bw = self._nominal_bandwidth
-            if task.bytes > _EPS and bw > _EPS:
-                t = task.bytes / bw
-                if t > duration:
-                    duration = t
-            self._fp_note_submit(self, task, self.sim.now + duration + task.fixed_time)
         self._reschedule()
         return task
 
@@ -600,9 +578,7 @@ class Device:
         self._reallocate()
         horizon = self._next_phase_change()
         if math.isfinite(horizon):
-            # Phase-change updates touch only this device's state: on a
-            # sharded simulator they live in the device's own sub-heap.
-            self._update_event = self.sim.schedule(horizon, self._on_update, shard=self)
+            self._update_event = self.sim.schedule(horizon, self._on_update)
 
     def _on_update(self) -> None:
         self._update_event = None
@@ -625,8 +601,6 @@ class Device:
             if task.on_complete is not None:
                 task.on_complete(self.sim.now)
 
-        if self._fp_note_retire is not None:
-            self._fp_note_retire(self, task)
         if task.fixed_time > 0:
             self.sim.schedule(task.fixed_time, complete)
         else:

@@ -15,17 +15,110 @@ accepted prefix plus one bonus token.  :meth:`DecodeBatchMixin.decode_step_cost`
 prices the step and :meth:`DecodeBatchMixin.emit_decode_iteration` samples
 the accepted counts — both collapse to the historical single-token path
 when speculation is off.
+
+:meth:`DecodeBatchMixin._decode_fast_loop` is the one decode fast loop: it
+elides the device event chains of steady decode-only iterations (see
+:mod:`repro.sim.fastpath`) for every server that calls it.
 """
 
 from __future__ import annotations
 
+from functools import cached_property
+
 from repro.kvcache.pool import PoolExhaustedError
-from repro.models.costs import PhaseCost, phase_latency
+from repro.models.costs import DECODE_LAYER_OVERHEAD, PhaseCost, phase_latency
 from repro.serving.base import Instance, RequestState, ServingSystem
+from repro.sim import fastpath
 
 
 class DecodeBatchMixin(ServingSystem):
     """Token accounting for decode batches, with pool-pressure handling."""
+
+    @cached_property
+    def _fastpath_min_delta(self) -> float:
+        """Lower bound on any decode chain's completion delta.
+
+        completion = retire + comm_time + launch with retire > now and
+        comm_time >= num_layers * DECODE_LAYER_OVERHEAD, so a queued event
+        at or before ``now`` plus this bound defeats any plan.
+        """
+        cfg = self.cfg
+        return cfg.model.num_layers * DECODE_LAYER_OVERHEAD + cfg.launch.decode_launch()
+
+    def _fastpath_prefill_admissible(self, batch_len: int) -> bool:
+        """Would the scalar step fuse prefill work with a batch this size?"""
+        return False
+
+    def _retire_decoded(
+        self,
+        instance: Instance,
+        finished: list[RequestState],
+        preempted: list[RequestState],
+    ) -> None:
+        """Retire one decode iteration's finished and preempted requests.
+
+        Called by :meth:`_decode_fast_loop` and by the server's scalar
+        completion handler, so each server states this policy once.
+        """
+        raise NotImplementedError
+
+    def _decode_fast_loop(
+        self, instance: Instance, batch: list[RequestState]
+    ) -> list[RequestState]:
+        """Vectorized decode: elide device event chains for steady batches.
+
+        Runs as many decode-only iterations as can be proven equivalent to
+        the scalar path (plain decode, no prefill admissible, device idle,
+        the chain's completion strictly before the next queued event),
+        calling the *real* emission and :meth:`_retire_decoded` code
+        between elided chains.  Returns the current batch (possibly empty)
+        for the scalar path to continue with — byte-identical state to the
+        scalar path having just reached this simulation time.
+        """
+        sim = self.sim
+        # Bail before touching the cost model when a queued event is near:
+        # this keeps the fast path near-free on busy multi-replica runs
+        # where elision rarely engages.
+        min_delta = self._fastpath_min_delta
+        if (
+            self.spec_decode is not None
+            or not fastpath.decode_fastpath_active(sim)
+            or sim._fastpath_head_time() <= sim.now + min_delta
+        ):
+            return batch
+        device = instance.device
+        model = instance.cost_model
+        launch_time = self.cfg.launch.decode_launch()
+        max_batch = self.cfg.max_decode_batch
+        total_ctx = 0
+        for s in batch:
+            total_ctx += s._input_tokens + s.generated
+        while True:
+            if self._fastpath_prefill_admissible(len(batch)):
+                return batch
+            if device._active or device._stalled:
+                return batch
+            if sim._fastpath_head_time() <= sim.now + min_delta:
+                return batch
+            cost = model.decode_iter_totals(len(batch), total_ctx)
+            plan = fastpath.plan_chain(
+                device, cost.flops, cost.bytes, cost.comm_time + launch_time, sim.now
+            )
+            if plan is None or not fastpath.chain_allowed(sim, plan):
+                return batch
+            fastpath.commit_chain(sim, device, plan)
+            finished, preempted = self.emit_decode_iteration(instance, batch)
+            if finished or preempted:
+                self._retire_decoded(instance, finished, preempted)
+                batch = [s for s in self.running if not s.finished][:max_batch]
+                if not batch:
+                    return batch
+                total_ctx = 0
+                for s in batch:
+                    total_ctx += s._input_tokens + s.generated
+            else:
+                # Every batch member grew by exactly one token.
+                total_ctx += len(batch)
 
     def decode_context_lens(self, batch: list[RequestState]) -> list[int]:
         """Current context length of each running request."""

@@ -1,23 +1,11 @@
 """Discrete-event simulation engine underlying the GPU and serving models."""
 
 from repro.sim.events import PRIORITY_EARLY, PRIORITY_LATE, PRIORITY_NORMAL, Event
-from repro.sim.shard import ShardedSimulator, sharding_enabled
 from repro.sim.simulator import INHERIT_SCOPE, SimulationError, Simulator
 
 
 def make_sim(start_time: float = 0.0) -> Simulator:
-    """Construct the simulator the benchmarks should run on.
-
-    Returns the flat :class:`Simulator` by default; set ``REPRO_SHARDED=1``
-    (with the fast path enabled) for a :class:`ShardedSimulator`.  Both
-    produce byte-identical results — the sharded queue widens the fast
-    path's elision window but pays a merged-pop tax that outweighs it on
-    the committed scenarios (see :func:`repro.sim.shard.sharding_enabled`).
-    """
-    from repro.sim import fastpath
-
-    if fastpath.is_enabled() and sharding_enabled():
-        return ShardedSimulator(start_time)
+    """Construct the simulator the benchmarks should run on."""
     return Simulator(start_time)
 
 
@@ -27,9 +15,7 @@ __all__ = [
     "PRIORITY_EARLY",
     "PRIORITY_LATE",
     "PRIORITY_NORMAL",
-    "ShardedSimulator",
     "SimulationError",
     "Simulator",
     "make_sim",
-    "sharding_enabled",
 ]

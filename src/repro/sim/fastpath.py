@@ -239,17 +239,15 @@ def plan_chain(
     return ChainPlan(completion, cur, events + 1, idle_delta, steps)
 
 
-def chain_allowed(sim: "Simulator", plan: ChainPlan, shard: object = None) -> bool:
+def chain_allowed(sim: "Simulator", plan: ChainPlan) -> bool:
     """May ``plan`` be elided without reordering against the event queue?
 
     Strict inequality against the *raw* head (cancelled entries included):
     a tie would need the scalar heap's (priority, seq) order, and a
     cancelled head must be dropped by the run loop itself to keep the
-    cancellation counters and queue depth byte-identical.  ``shard`` is
-    the device the chain runs on; a sharded simulator relaxes the bound
-    past other shards' internal events (see :mod:`repro.sim.shard`).
+    cancellation counters and queue depth byte-identical.
     """
-    if not plan.completion < sim._fastpath_head_time(shard):
+    if not plan.completion < sim._fastpath_head_time():
         return False
     if plan.completion > sim._run_until:
         return False
@@ -275,7 +273,9 @@ def commit_chain(sim: "Simulator", device: "Device", plan: ChainPlan) -> None:
     device._last_advance = plan.retire_time
     sim._event_count += plan.events
     sim._fired_in_run += plan.events
-    queue_len = sim._fastpath_queue_len() + 1
+    # The scalar chain keeps at most one event queued at any instant
+    # (update XOR completion), so ``len + 1`` is the depth it reached.
+    queue_len = len(sim._heap) + 1
     if queue_len > sim._max_queue:
         sim._max_queue = queue_len
     sim.now = plan.completion

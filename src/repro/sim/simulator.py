@@ -159,15 +159,10 @@ class Simulator:
         priority: int = PRIORITY_NORMAL,
         daemon: bool = False,
         scope: str | None | Any = INHERIT_SCOPE,
-        shard: Any = None,
     ) -> Event:
         """Schedule ``callback`` to fire ``delay`` seconds from now.
 
         Returns the :class:`Event`, which the caller may ``cancel()``.
-        ``shard`` is a queue-placement hint for
-        :class:`repro.sim.shard.ShardedSimulator` (an event whose callback
-        touches only that shard's private state); the flat simulator
-        ignores it.
         """
         return self.schedule_at(self.now + delay, callback, priority, daemon, scope)
 
@@ -178,7 +173,6 @@ class Simulator:
         priority: int = PRIORITY_NORMAL,
         daemon: bool = False,
         scope: str | None | Any = INHERIT_SCOPE,
-        shard: Any = None,
     ) -> Event:
         """Schedule ``callback`` at absolute simulation ``time``."""
         now = self.now
@@ -329,7 +323,7 @@ class Simulator:
         if stopped_at_until and self.now < until:
             self.now = until
 
-    def _fastpath_head_time(self, shard: Any = None) -> float:
+    def _fastpath_head_time(self) -> float:
         """Raw time of the queue head (cancelled entries included), or +inf.
 
         Used by the decode fast path as the conservative bound on how far a
@@ -337,21 +331,10 @@ class Simulator:
         skipped: doing so would pop them earlier than the scalar run loop
         does and change the queue-depth high-water mark.  A cancelled head
         simply forces a flush back to the scalar path, which drops it with
-        exact fidelity.  Subclasses with a different queue layout (e.g.
-        :class:`repro.sim.shard.ShardedSimulator`) override this.
+        exact fidelity.
         """
         heap = self._heap
         return heap[0][0] if heap else math.inf
-
-    def _fastpath_queue_len(self) -> int:
-        """Current queue length (cancelled entries included).
-
-        The fast path uses ``len + 1`` as its high-water-mark candidate:
-        the scalar chain keeps at most one in-flight event queued at any
-        instant (update XOR completion), so one candidate per elided
-        iteration reproduces ``max_event_queue`` exactly.
-        """
-        return len(self._heap)
 
     def _drop_cancelled_head(self) -> None:
         while self._heap and self._heap[0][3].cancelled:

@@ -1,10 +1,10 @@
-"""Streaming sinks: flat memory over million-event streams, exact output.
+"""Streaming sinks: flat memory over growing event streams, exact output.
 
 The scaled perf tiers only work if output cost is O(batch), not O(trace):
 a 10x run's trace no longer fits comfortably in memory.  The tracemalloc
-test below pins that contract on a 10^6-event stream; the remaining tests
-pin that streaming produces byte-for-byte the same files and records the
-batch paths do.
+test below pins that contract by streaming 10^4 and then 10^5 events and
+requiring the same peak; the remaining tests pin that streaming produces
+byte-for-byte the same files and records the batch paths do.
 """
 
 import io
@@ -20,14 +20,17 @@ from repro.serving.slo import SLO
 from repro.trace import StreamingTraceWriter, Tracer, write_jsonl
 from repro.workloads.request import Request
 
-#: One million events — the scale-tier trace volume the sinks must absorb
-#: without accumulating.
-STREAM_EVENTS = 1_000_000
+#: Stream lengths of the flat-memory test: a 10x longer stream must not
+#: raise the peak, so the sinks absorb any scale-tier trace volume.
+STREAM_EVENTS = (10_000, 100_000)
 
 #: Peak traced allocation allowed while streaming.  The buffer holds at
-#: most ``batch`` serialized lines (~100 bytes each); one million
-#: *accumulated* TraceEvents would be well over 100 MB.
+#: most ``batch`` serialized lines (~100 bytes each); 10^5 *accumulated*
+#: TraceEvents would already be well over 10 MB.
 PEAK_BUDGET = 32 * 1024 * 1024
+
+#: Largest allowed growth of the peak from the short to the long stream.
+PEAK_GROWTH = 1.25
 
 
 class TestJsonlSink:
@@ -83,24 +86,29 @@ class TestStreamingTracer:
         assert len(stream_tracer) == 3
 
     def test_million_event_stream_keeps_flat_memory(self, tmp_path):
-        path = tmp_path / "big.jsonl"
-        writer = StreamingTraceWriter(str(path), batch=4096)
-        tracer = Tracer(sink=writer)
-        emit = tracer.instant
-        tracemalloc.start()
-        for i in range(STREAM_EVENTS):
-            emit("gpu/dev", "tick", "kernel", i * 1e-6)
-        _, peak = tracemalloc.get_traced_memory()
-        tracemalloc.stop()
-        writer.close()
-        assert writer.events_written == STREAM_EVENTS
-        assert tracer.events == []
-        # Peak is O(batch), not O(trace).
-        assert peak < PEAK_BUDGET, f"peak {peak / 1e6:.1f} MB"
-        # Spot-check the file without loading it whole.
-        with open(path, encoding="utf-8") as fh:
-            count = sum(1 for _ in fh)
-        assert count == STREAM_EVENTS
+        peaks = []
+        for events in STREAM_EVENTS:
+            path = tmp_path / f"stream-{events}.jsonl"
+            writer = StreamingTraceWriter(str(path), batch=4096)
+            tracer = Tracer(sink=writer)
+            emit = tracer.instant
+            tracemalloc.start()
+            for i in range(events):
+                emit("gpu/dev", "tick", "kernel", i * 1e-6)
+            _, peak = tracemalloc.get_traced_memory()
+            tracemalloc.stop()
+            writer.close()
+            assert writer.events_written == events
+            assert tracer.events == []
+            assert peak < PEAK_BUDGET, f"peak {peak / 1e6:.1f} MB"
+            # Count the file's lines without loading it whole.
+            with open(path, encoding="utf-8") as fh:
+                count = sum(1 for _ in fh)
+            assert count == events
+            peaks.append(peak)
+        # Peak is O(batch), not O(trace): 10x the events, same peak.
+        short, long = peaks
+        assert long <= PEAK_GROWTH * short, f"peaks {short / 1e6:.2f} -> {long / 1e6:.2f} MB"
 
 
 def _request(session_id=0):

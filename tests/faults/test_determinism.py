@@ -1,17 +1,14 @@
 """Replay contract: same (plan, seed, workload) → byte-identical report."""
 
-import math
-
 from repro.bench import run_chaos
 from repro.cluster import FleetConfig, HealthConfig
 from repro.faults import FaultKind, FaultPlan, default_chaos_plan
-from repro.sim import ShardedSimulator, fastpath
 from repro.workloads import sharegpt_workload
 
 from tests.faults.conftest import chunked_factory
 
 
-def one_run(cfg, plan, sim_factory=None):
+def one_run(cfg, plan):
     workload = sharegpt_workload(24, rate=12.0, seed=31)
     return run_chaos(
         chunked_factory,
@@ -19,7 +16,6 @@ def one_run(cfg, plan, sim_factory=None):
         workload,
         fleet=FleetConfig(replicas=3, health=HealthConfig()),
         plan=plan,
-        sim_factory=sim_factory,
     )
 
 
@@ -57,66 +53,3 @@ class TestDeterminism:
         payload = json.loads(result.to_json(), parse_constant=lambda _: 1 / 0)
         assert payload["drained"] is True
         assert "request_id" not in result.to_json()
-
-
-class TestShardedMergeDeterminism:
-    """The sharded queue's merge is invariant under everything it may vary.
-
-    Rollback-free optimism means: permuting shard registration order,
-    shrinking or widening the lookahead window, or swapping the sharded
-    simulator for the flat one must not change a single byte of a chaos
-    report — faults and all.
-    """
-
-    def test_sharded_matches_flat_under_chaos(self, cfg_8b_single):
-        plan = random_plan()
-        with fastpath.enabled():
-            flat = one_run(cfg_8b_single, plan)
-            sharded = one_run(cfg_8b_single, plan, sim_factory=ShardedSimulator)
-        assert sharded.to_json() == flat.to_json()
-        assert sharded.drained and sharded.conserved()
-
-    def test_lookahead_window_is_invariant(self, cfg_8b_single):
-        plan = random_plan()
-        with fastpath.enabled():
-            reports = [
-                one_run(
-                    cfg_8b_single,
-                    plan,
-                    sim_factory=lambda la=la: ShardedSimulator(lookahead=la),
-                ).to_json()
-                for la in (0.0, 1e-3, 0.05, math.inf)
-            ]
-        assert len(set(reports)) == 1
-
-    def test_shard_registration_order_is_invariant(self):
-        """Permuted shard execution order yields the same merged pop order."""
-
-        def drive(order):
-            sim = ShardedSimulator()
-            for key in order:
-                sim._ensure_shard(key)
-            fired = []
-            # Interleave main-heap and shard events, including exact time
-            # ties across shards (broken by priority then seq — seq is
-            # assigned by schedule order, which is identical across
-            # permutations because we schedule in one fixed order).
-            for i, (delay, shard) in enumerate(
-                [
-                    (0.3, "a"),
-                    (0.3, "b"),
-                    (0.1, None),
-                    (0.2, "c"),
-                    (0.2, None),
-                    (0.05, "b"),
-                    (0.4, "a"),
-                ]
-            ):
-                sim.schedule(delay, lambda i=i: fired.append((i, sim.now)), shard=shard)
-            sim.run()
-            return fired
-
-        reference = drive(["a", "b", "c"])
-        assert [i for i, _ in reference] == [5, 2, 3, 4, 0, 1, 6]
-        for order in (["c", "b", "a"], ["b", "a", "c"], ["c", "a", "b"]):
-            assert drive(order) == reference

@@ -9,23 +9,20 @@ optimisation, never a model change.
 
 A second layer diffs the per-request metric streams (every token gap, in
 emission order, tapped through a metrics sink) so a compensating error —
-two deviations cancelling in an aggregate — cannot hide.
-
-A third layer runs the sharded simulator against the flat one: the merged
-pop order is the same total order, so results must again match byte for
-byte.
+two deviations cancelling in an aggregate — cannot hide.  It runs once
+per caller of the shared decode fast loop: chunked prefill and SGLang-PD.
 """
 
 import pytest
 
-from repro.baselines import ChunkedPrefillServer
+from repro.baselines import ChunkedPrefillServer, SGLangPDServer
 from repro.bench.perf import SCENARIOS, _digest
 from repro.bench.runner import run_system
 from repro.bench.sinks import ListSink
 from repro.gpu.specs import A100
 from repro.models.config import LLAMA_8B
 from repro.serving.config import ServingConfig
-from repro.sim import ShardedSimulator, fastpath
+from repro.sim import fastpath
 from repro.workloads import sharegpt_workload
 
 #: Same scale as the golden fingerprints: small enough to run every
@@ -53,28 +50,52 @@ def test_scenario_fastpath_equivalence(name):
     assert fast == scalar
 
 
+def _chunked(sim, cfg):
+    return ChunkedPrefillServer(sim, cfg, token_budget=256)
+
+
+#: Every caller of ``DecodeBatchMixin._decode_fast_loop``, with its GPU count.
+STREAMED_SERVERS = {
+    "chunked": (_chunked, 1),
+    "sglang_pd": (SGLangPDServer, 2),
+}
+
+
 class _StreamedRun:
     """One single-system run with the per-token metric stream tapped."""
 
-    def __init__(self, sim_factory=None):
+    def __init__(self, make_server=_chunked, n_gpus=1):
         self.sink = ListSink()
 
         def factory(sim, cfg):
-            server = ChunkedPrefillServer(sim, cfg, token_budget=256)
+            server = make_server(sim, cfg)
             server.metrics.sink = self.sink
             return server
 
-        cfg = ServingConfig(model=LLAMA_8B, spec=A100, n_gpus=1)
+        cfg = ServingConfig(model=LLAMA_8B, spec=A100, n_gpus=n_gpus)
         workload = sharegpt_workload(40, rate=6.0, seed=13)
-        self.result = run_system(factory, cfg, workload, sim_factory=sim_factory)
+        self.result = run_system(factory, cfg, workload)
 
 
 class TestMetricStreamEquivalence:
-    def test_per_request_token_streams_identical(self):
+    @pytest.mark.parametrize("server", sorted(STREAMED_SERVERS))
+    def test_per_request_token_streams_identical(self, server, monkeypatch):
+        make_server, n_gpus = STREAMED_SERVERS[server]
+        commits = 0
+        commit_chain = fastpath.commit_chain
+
+        def counting_commit(*args):
+            nonlocal commits
+            commits += 1
+            return commit_chain(*args)
+
+        monkeypatch.setattr(fastpath, "commit_chain", counting_commit)
         with fastpath.enabled():
-            fast = _StreamedRun()
+            fast = _StreamedRun(make_server, n_gpus)
+        # Non-vacuous: this server really elided chains through the loop.
+        assert commits > 0
         with fastpath.disabled():
-            scalar = _StreamedRun()
+            scalar = _StreamedRun(make_server, n_gpus)
         assert len(fast.sink.records) > 100
         # The full stream — request identity, emission time, exact gap
         # floats, emission order — not just aggregates.
@@ -84,36 +105,7 @@ class TestMetricStreamEquivalence:
     def test_streaming_tap_does_not_perturb_results(self):
         with fastpath.enabled():
             tapped = _StreamedRun()
-
-            def factory(sim, cfg):
-                return ChunkedPrefillServer(sim, cfg, token_budget=256)
-
             cfg = ServingConfig(model=LLAMA_8B, spec=A100, n_gpus=1)
             workload = sharegpt_workload(40, rate=6.0, seed=13)
-            untapped = run_system(factory, cfg, workload)
+            untapped = run_system(_chunked, cfg, workload)
         assert tapped.result.summary.as_dict() == untapped.summary.as_dict()
-
-
-class TestShardedEquivalence:
-    #: Scenarios the sharded merge is exercised against end to end; chaos
-    #: covers scope cancellation (replica kills) against the sub-heaps.
-    NAMES = ("single_goodput", "fleet_4_replicas", "chaos_4_replicas")
-
-    @pytest.mark.parametrize("name", NAMES)
-    def test_sharded_matches_flat(self, name):
-        import repro.sim.shard as shard
-
-        with fastpath.enabled():
-            flat = _run_scenario(name)
-            previous = shard.set_sharding_enabled(True)
-            try:
-                sharded = _run_scenario(name)
-            finally:
-                shard.set_sharding_enabled(previous)
-        assert sharded == flat
-
-    def test_sharded_metric_streams_identical(self):
-        with fastpath.enabled():
-            flat = _StreamedRun()
-            sharded = _StreamedRun(sim_factory=ShardedSimulator)
-        assert sharded.sink.records == flat.sink.records
