@@ -17,7 +17,7 @@ import json
 import math
 from dataclasses import dataclass, field, replace
 
-from repro.bench.runner import DRAIN_HORIZON, MAX_EVENTS, STABILITY_TTFT, SystemFactory
+from repro.bench.runner import DRAIN_HORIZON, STABILITY_TTFT, SystemFactory, run_capped
 from repro.cluster import Fleet, FleetConfig, HealthConfig
 from repro.faults import FaultInjector, FaultPlan, default_chaos_plan
 from repro.serving.config import ServingConfig
@@ -134,7 +134,7 @@ def run_chaos(
     injector.arm()
     cluster.submit(workload)
     plan_end = max((spec.at for spec in plan), default=0.0)
-    sim.run(until=max(last_arrival, plan_end) + drain_horizon, max_events=MAX_EVENTS)
+    run_capped(sim, max(last_arrival, plan_end) + drain_horizon)
     extras: dict[str, float] = {
         "requests_queued": float(cluster.router.requests_queued),
         "events_processed": float(sim.processed_events),

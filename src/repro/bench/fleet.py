@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass, field, replace
 
 from repro.bench.goodput import GoodputResult, RatePoint, WorkloadFactory
-from repro.bench.runner import DRAIN_HORIZON, MAX_EVENTS, STABILITY_TTFT, SystemFactory
+from repro.bench.runner import DRAIN_HORIZON, STABILITY_TTFT, SystemFactory, run_capped
 from repro.cluster import Fleet, FleetConfig
 from repro.serving.config import ServingConfig
 from repro.serving.metrics import Summary
@@ -72,7 +72,7 @@ def run_fleet(
     cluster = Fleet(sim, factory, cfg, fleet)
     cluster.submit(workload)
     last_arrival = workload.requests[-1].arrival_time if len(workload) else 0.0
-    sim.run(until=last_arrival + drain_horizon, max_events=MAX_EVENTS)
+    run_capped(sim, last_arrival + drain_horizon)
     extras: dict[str, float] = {
         "requests_queued": float(cluster.router.requests_queued),
         "events_processed": float(sim.processed_events),

@@ -52,7 +52,7 @@ import random
 from dataclasses import dataclass, field
 
 from repro.baselines import ChunkedPrefillServer
-from repro.bench.runner import DRAIN_HORIZON, MAX_EVENTS
+from repro.bench.runner import DRAIN_HORIZON, run_capped
 from repro.cluster import CostAwareRoutingPolicy, Fleet, FleetConfig
 from repro.gpu.specs import A100, H100, H200, L40S, GPUSpec
 from repro.models.config import LLAMA_8B
@@ -310,7 +310,7 @@ def _run_plan(plan: FleetPlan, scale: float, seed: int, tenancy: TenancyConfig) 
     workload = hetero_workload(scale, seed)
     fleet.submit(workload)
     last_arrival = workload.requests[-1].arrival_time
-    sim.run(until=last_arrival + DRAIN_HORIZON, max_events=MAX_EVENTS)
+    run_capped(sim, last_arrival + DRAIN_HORIZON)
     merged = merge_collectors(
         [r.system.metrics for r in fleet.replicas], cfg.slo, name=plan.name
     )

@@ -9,7 +9,7 @@ from typing import Callable
 from repro.serving.base import ServingSystem, iter_instances
 from repro.serving.config import ServingConfig
 from repro.serving.metrics import Summary
-from repro.sim import Simulator, make_sim
+from repro.sim import Simulator, SimulationError, make_sim
 from repro.trace import Tracer
 from repro.workloads.request import Workload
 
@@ -58,6 +58,29 @@ class RunResult:
 SystemFactory = Callable[[Simulator, ServingConfig], ServingSystem]
 
 
+def run_capped(sim: Simulator, until: float | None) -> None:
+    """``sim.run(until)`` under the :data:`MAX_EVENTS` cap, failing loudly.
+
+    Every harness runs its simulation through here.  A run that stops on
+    the cap while productive work is still pending is a scheduling bug (a
+    livelock or runaway re-scheduling), and its truncated results must not
+    pass for a finished run: raise :class:`SimulationError` naming the
+    event count, the simulated time and the head event's callback.
+    """
+    fired_before = sim.processed_events
+    sim.run(until=until, max_events=MAX_EVENTS)
+    fired = sim.processed_events - fired_before
+    if fired < MAX_EVENTS or sim.pending_productive == 0:
+        return
+    head = sim.peek_event()
+    callback = getattr(head.callback, "__qualname__", repr(head.callback))
+    raise SimulationError(
+        f"simulation hit the {MAX_EVENTS}-event cap with work pending: "
+        f"{fired} events fired, stopped at t={sim.now!r}, "
+        f"head event at t={head.time!r} runs {callback}"
+    )
+
+
 def run_system(
     factory: SystemFactory,
     cfg: ServingConfig,
@@ -79,7 +102,7 @@ def run_system(
     system = factory(sim, cfg)
     system.submit(workload)
     last_arrival = workload.requests[-1].arrival_time if len(workload) else 0.0
-    sim.run(until=last_arrival + drain_horizon, max_events=MAX_EVENTS)
+    run_capped(sim, last_arrival + drain_horizon)
     summary = system.metrics.summarize()
     extras = _extras(system)
     extras["events_processed"] = float(sim.processed_events)

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from repro.baselines import ChunkedPrefillServer
-from repro.bench.runner import MAX_EVENTS, SystemFactory
+from repro.bench.runner import SystemFactory, run_capped
 from repro.cluster import Fleet, FleetConfig
 from repro.cluster.admission import AdmissionConfig
 from repro.gpu.specs import A100
@@ -182,7 +182,7 @@ def run_tenancy_mode(
     cluster = Fleet(sim, factory, cfg, fleet)
     cluster.submit(workload)
     last_arrival = workload.requests[-1].arrival_time if len(workload) else 0.0
-    sim.run(until=last_arrival + drain_horizon, max_events=MAX_EVENTS)
+    run_capped(sim, last_arrival + drain_horizon)
     merged = merge_collectors(
         [
             *cluster._retired_collectors,

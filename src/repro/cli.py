@@ -177,12 +177,13 @@ def cmd_run(args: argparse.Namespace) -> int:
     if args.output:
         # Re-run is avoided: run_system does not expose records, so reuse
         # the summary path only when dumping is requested.
+        from repro.bench.runner import run_capped
         from repro.sim import Simulator
 
         sim = Simulator()
         system = factory(sim, cfg)
         system.submit(workload)
-        sim.run(max_events=20_000_000)
+        run_capped(sim, None)
         save_records(system.metrics.records.values(), args.output)
         print(f"\nper-request records written to {args.output}")
     if tracer is not None:
@@ -386,6 +387,7 @@ def cmd_perf(args: argparse.Namespace) -> int:
                     file=sys.stderr,
                 )
                 return 1
+        baseline = _measured_part(baseline, names, tiers)
         problems = report.compare_results(baseline)
         problems += report.compare_timings(baseline, args.max_regression)
         for problem in problems:
@@ -395,6 +397,27 @@ def cmd_perf(args: argparse.Namespace) -> int:
         print(f"ok: results match {args.baseline}, wall-clock within "
               f"{args.max_regression:.1f}x", file=sys.stderr)
     return 0
+
+
+def _measured_part(baseline: dict, names: list[str] | None, tiers: list[str] | None) -> dict:
+    """The part of a perf baseline this run measured.
+
+    ``BENCH_perf.json`` commits every scenario and several tiers; a run
+    restricted by ``--scenarios`` / ``--tiers`` is compared only on what
+    it ran.
+    """
+
+    def ran(rows: dict) -> dict:
+        return {name: row for name, row in rows.items() if names is None or name in names}
+
+    return {
+        **baseline,
+        "results": ran(baseline.get("results", {})),
+        "timings": ran(baseline.get("timings", {})),
+        "tiers": {
+            name: tier for name, tier in baseline.get("tiers", {}).items() if name in (tiers or ())
+        },
+    }
 
 
 def cmd_tenancy(args: argparse.Namespace) -> int:

@@ -583,6 +583,18 @@ class Device:
     def _on_update(self) -> None:
         self._update_event = None
         self._advance_to_now()
+        # Sub-ulp snap: a residue above its floor whose finish time
+        # ``now + rem / rate`` rounds back to ``now`` can never be advanced
+        # (every re-fire lands at the same instant, so dt == 0) and would
+        # re-fire this update forever, so it counts as finished.
+        now = self.sim.now
+        for task in self._active:
+            rate = task.compute_rate
+            if task.rem_flops > 0.0 and rate > _EPS and now + task.rem_flops / rate <= now:
+                task.rem_flops = 0.0
+            rate = task.bw_rate
+            if task.rem_bytes > 0.0 and rate > _EPS and now + task.rem_bytes / rate <= now:
+                task.rem_bytes = 0.0
         self._reschedule()
 
     def _finish_task(self, task: ExecTask) -> None:

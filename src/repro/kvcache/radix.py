@@ -13,14 +13,26 @@ The cache supports:
 * ``extend`` — grow the tail segment as decode generates tokens;
 * LRU eviction of unpinned subtrees when the pool runs out of pages.
 
+Eviction never walks the tree.  Two incrementally maintained structures
+answer its questions in O(log N) / O(1):
+
+* a lazy-invalidation min-heap of victim candidates (unpinned leaves)
+  keyed ``(last_access, -seq)`` — the least recently used leaf goes
+  first and, among equal ``last_access``, the most recently inserted
+  node (largest per-cache insertion sequence number) goes first;
+* each node's ``subtree_refs`` (references held anywhere in its subtree)
+  plus a running total of the pages of nodes whose subtree holds none —
+  exactly the pages eviction could reclaim leaf-first.
+
 Hit statistics feed the paper's Fig. 5 (hit rate vs. pool capacity).
 """
 
 from __future__ import annotations
 
+import heapq
 import itertools
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Iterable
+from typing import TYPE_CHECKING, Callable
 
 from repro.kvcache.pool import KVCachePool, PoolExhaustedError
 from repro.trace.tracer import CAT_CACHE
@@ -29,6 +41,12 @@ if TYPE_CHECKING:
     from repro.trace.tracer import Tracer
 
 _segment_uids = itertools.count()
+
+#: The victim heap is compacted (stale entries filtered out) once it holds
+#: more than ``HEAP_FACTOR * resident nodes + HEAP_SLACK`` entries, so runs
+#: that release often but rarely evict keep it O(resident nodes).
+HEAP_FACTOR = 2
+HEAP_SLACK = 64
 
 
 @dataclass(frozen=True)
@@ -51,16 +69,46 @@ def new_segment(tokens: int) -> Segment:
 class _Node:
     """One cached segment in the radix tree."""
 
-    __slots__ = ("segment_uid", "tokens", "pages", "parent", "children", "ref_count", "last_access")
+    __slots__ = (
+        "segment_uid",
+        "tokens",
+        "pages",
+        "parent",
+        "children",
+        "ref_count",
+        "last_access",
+        "seq",
+        "subtree_refs",
+    )
 
-    def __init__(self, segment_uid: int, tokens: int, pages: int, parent: "_Node | None") -> None:
+    def __init__(
+        self, segment_uid: int, tokens: int, pages: int, parent: "_Node | None", seq: int
+    ) -> None:
         self.segment_uid = segment_uid
         self.tokens = tokens
         self.pages = pages
+        #: None for the root and for dropped nodes (the victim heap's
+        #: liveness test).
         self.parent = parent
         self.children: dict[int, _Node] = {}
         self.ref_count = 0
         self.last_access = 0.0
+        #: Per-cache insertion sequence number (the LRU tie-break).
+        self.seq = seq
+        #: Sum of ``ref_count`` over this node's subtree, itself included;
+        #: zero iff the whole subtree is reclaimable by eviction.
+        self.subtree_refs = 0
+
+
+def _is_candidate(node: _Node, last_access: float) -> bool:
+    """True if a victim-heap entry stamped ``last_access`` is still live:
+    its node is resident, unpinned, childless and not touched since."""
+    return (
+        node.ref_count == 0
+        and not node.children
+        and node.parent is not None
+        and node.last_access == last_access
+    )
 
 
 class Lease:
@@ -116,8 +164,18 @@ class RadixCache:
     ) -> None:
         self.pool = pool
         self.enable_prefix_sharing = enable_prefix_sharing
-        self._root = _Node(segment_uid=-1, tokens=0, pages=0, parent=None)
+        self._root = _Node(segment_uid=-1, tokens=0, pages=0, parent=None, seq=0)
         self._clock = 0.0
+        self._next_seq = 1
+        #: Resident nodes (root excluded); sizes the victim-heap bound.
+        self._node_count = 0
+        #: Pages of nodes with ``subtree_refs == 0`` (see module docstring).
+        self._evictable = 0
+        #: ``(last_access, -seq, node)`` entries.  Every victim candidate
+        #: (live, unpinned, childless, non-root node) has an entry carrying
+        #: its current ``last_access``; entries that no longer describe a
+        #: candidate are discarded when they reach the head.
+        self._victims: list[tuple[float, int, _Node]] = []
         self.stats = CacheStats()
         #: Optional tracing sink (timestamps come from the LRU clock, which
         #: callers advance with :meth:`touch` before mutating the cache).
@@ -205,9 +263,11 @@ class RadixCache:
                     break
                 nodes.append(child)
                 node = child
-        for node in nodes:
-            node.ref_count += 1
-            node.last_access = self._clock
+        if nodes:
+            clock = self._clock
+            for node in nodes:
+                node.last_access = clock
+            self._pin(nodes[-1], len(nodes))
         lease = Lease(self, nodes)
         self.stats.lookups += 1
         self.stats.tokens_requested += requested
@@ -238,20 +298,15 @@ class RadixCache:
             raise ValueError("lease already released")
         parent = lease._nodes[-1] if lease._nodes else self._root
         for segment in segments:
-            existing = parent.children.get(segment.uid)
-            if existing is not None:
-                existing.ref_count += 1
-                existing.last_access = self._clock
-                lease._nodes.append(existing)
-                parent = existing
-                continue
-            pages = self.pool.pages_for(segment.tokens)
-            self._ensure_free_pages(pages)
-            self.pool.allocate(segment.tokens)
-            node = _Node(segment.uid, segment.tokens, pages, parent)
-            node.ref_count = 1
+            node = parent.children.get(segment.uid)
+            if node is None:
+                pages = self.pool.pages_for(segment.tokens)
+                self._ensure_free_pages(pages)
+                self.pool.allocate(segment.tokens)
+                node = self._attach(parent, segment, pages)
             node.last_access = self._clock
-            parent.children[segment.uid] = node
+            # Pinned before the next segment's eviction can run.
+            self._pin(node, 1)
             lease._nodes.append(node)
             parent = node
 
@@ -263,6 +318,8 @@ class RadixCache:
             raise ValueError("cannot extend an empty lease; insert first")
         if tokens < 0:
             raise ValueError("tokens must be non-negative")
+        # The lease pins its tail, so growing it touches neither eviction
+        # index (pinned pages are not evictable; pinned nodes not victims).
         tail = lease._nodes[-1]
         new_total = tail.tokens + tokens
         # Most decode steps stay within the tail's last page:
@@ -285,9 +342,12 @@ class RadixCache:
         if lease.released:
             return
         lease.released = True
-        for node in lease._nodes:
-            node.ref_count -= 1
-            node.last_access = self._clock
+        nodes = lease._nodes
+        if nodes:
+            clock = self._clock
+            for node in nodes:
+                node.last_access = clock
+            self._unpin(nodes[-1], len(nodes))
         if not keep_cached:
             for node in reversed(lease._nodes):
                 if node.ref_count == 0 and not node.children:
@@ -299,16 +359,12 @@ class RadixCache:
 
     def evictable_pages(self) -> int:
         """Pages reclaimable by eviction (whole subtrees with no pins)."""
-        return self._evictable_leaf_pages()
+        return self._evictable
 
     def can_fit(self, tokens: int) -> bool:
         """True if ``tokens`` can be stored, evicting unpinned data if needed."""
         needed = self.pool.pages_for(tokens)
-        if needed <= self.pool.free_pages:
-            # Fits without evicting — skip the tree walk (the admission
-            # path asks this on every step, usually with plenty of room).
-            return True
-        return needed <= self.pool.free_pages + self._evictable_leaf_pages()
+        return needed <= self.pool.free_pages + self._evictable
 
     def can_fit_path(self, segments: list[Segment]) -> bool:
         """True if inserting ``segments`` (full context path) cannot fail.
@@ -320,19 +376,20 @@ class RadixCache:
         per-segment ceilings, not one ceiling over the total).
         """
         node = self._root
-        chain: list[_Node] = []
+        # The cached prefix chain (root-down, so each node's subtree holds
+        # the rest of the chain) stops being reclaimable once pinned.
+        chain_evictable = 0
         index = 0
         for segment in segments:
             child = node.children.get(segment.uid)
             if child is None:
                 break
-            chain.append(child)
+            if child.subtree_refs == 0:
+                chain_evictable += child.pages
             node = child
             index += 1
         needed = sum(self.pool.pages_for(s.tokens) for s in segments[index:])
-        if needed <= self.pool.free_pages:
-            return True
-        return needed <= self.pool.free_pages + self._evictable_leaf_pages(chain)
+        return needed <= self.pool.free_pages + self._evictable - chain_evictable
 
     def seed(self, segments: list[Segment], require_cached: int = 0) -> int:
         """Insert ``segments`` without a lease, pinning nothing.
@@ -352,6 +409,8 @@ class RadixCache:
             child = node.children.get(segment.uid)
             if child is not None:
                 child.last_access = self._clock
+                if child.ref_count == 0 and not child.children:
+                    self._push_victim(child)
                 node = child
                 continue
             if index < require_cached:
@@ -360,18 +419,17 @@ class RadixCache:
             # Guard-pin the attach parent: eviction inside
             # _ensure_free_pages must not pick a just-seeded, still
             # unpinned ancestor while making room for its child.
-            node.ref_count += 1
+            self._pin(node, 1)
             try:
                 self._ensure_free_pages(pages)
             except PoolExhaustedError:
                 return added
             finally:
-                node.ref_count -= 1
+                self._unpin(node, 1)
             self.pool.allocate(segment.tokens)
-            new_node = _Node(segment.uid, segment.tokens, pages, node)
-            new_node.last_access = self._clock
-            node.children[segment.uid] = new_node
-            node = new_node
+            node = self._attach(node, segment, pages)
+            node.last_access = self._clock
+            self._push_victim(node)
             added += segment.tokens
         return added
 
@@ -429,18 +487,95 @@ class RadixCache:
                 )
 
     def _pick_victim(self) -> _Node | None:
-        best: _Node | None = None
-        for node in self._iter_nodes():
-            if node.ref_count > 0 or node.children:
-                continue
-            if best is None or node.last_access < best.last_access:
-                best = node
-        return best
+        """The next eviction victim (peek; the caller drops it), or None.
+
+        The least recently used unpinned leaf; among equal
+        ``last_access`` the most recently inserted one.
+        """
+        heap = self._victims
+        while heap:
+            last_access, _, node = heap[0]
+            if _is_candidate(node, last_access):
+                return node
+            heapq.heappop(heap)
+        return None
+
+    def _push_victim(self, node: _Node) -> None:
+        """Record that ``node`` is a candidate with its current ``last_access``."""
+        if node.parent is None:
+            return  # the root is never evicted
+        heapq.heappush(self._victims, (node.last_access, -node.seq, node))
+        self._bound_victims()
+
+    def _bound_victims(self) -> None:
+        """Keep one entry per candidate once the heap outgrows its bound."""
+        heap = self._victims
+        if len(heap) <= HEAP_FACTOR * self._node_count + HEAP_SLACK:
+            return
+        seen: set[int] = set()
+        live = []
+        for entry in heap:
+            last_access, _, node = entry
+            if _is_candidate(node, last_access) and node.seq not in seen:
+                seen.add(node.seq)
+                live.append(entry)
+        heapq.heapify(live)
+        heap[:] = live
+
+    def _attach(self, parent: _Node, segment: Segment, pages: int) -> _Node:
+        """Create an unreferenced node for ``segment`` below ``parent``."""
+        node = _Node(segment.uid, segment.tokens, pages, parent, self._next_seq)
+        self._next_seq += 1
+        parent.children[segment.uid] = node
+        self._node_count += 1
+        self._evictable += pages
+        return node
+
+    def _pin(self, tail: _Node, count: int) -> None:
+        """Add a reference to ``tail`` and its ``count - 1`` nearest ancestors.
+
+        One tail-to-root pass: each node's ``subtree_refs`` grows by the
+        number of new references at or below it, and a node whose subtree
+        becomes referenced leaves the evictable total.
+        """
+        node: _Node | None = tail
+        carry = 0
+        while node is not None:
+            if carry < count:
+                node.ref_count += 1
+                carry += 1
+            if node.subtree_refs == 0:
+                self._evictable -= node.pages
+            node.subtree_refs += carry
+            node = node.parent
+
+    def _unpin(self, tail: _Node, count: int) -> None:
+        """Inverse of :meth:`_pin`; unreferenced leaves become candidates."""
+        node: _Node | None = tail
+        carry = 0
+        while node is not None:
+            if carry < count:
+                node.ref_count -= 1
+                carry += 1
+                if node.ref_count == 0 and not node.children:
+                    self._push_victim(node)
+            node.subtree_refs -= carry
+            if node.subtree_refs == 0:
+                self._evictable += node.pages
+            node = node.parent
 
     def _drop(self, node: _Node) -> None:
-        if node.parent is not None:
-            node.parent.children.pop(node.segment_uid, None)
+        """Free an unreferenced leaf (always in the evictable total)."""
+        parent = node.parent
+        del parent.children[node.segment_uid]
+        node.parent = None
         self.pool.release_pages(node.pages)
+        self._node_count -= 1
+        self._evictable -= node.pages
+        if parent.ref_count == 0 and not parent.children:
+            self._push_victim(parent)
+        else:
+            self._bound_victims()  # the bound shrank with the node count
 
     # ------------------------------------------------------------------ #
     # Introspection
@@ -456,33 +591,3 @@ class RadixCache:
             node = stack.pop()
             yield node
             stack.extend(node.children.values())
-
-    def _evictable_leaf_pages(self, extra_pinned: Iterable[_Node] = ()) -> int:
-        """Pages in subtrees containing no pinned node (freeable leaf-first).
-
-        Nodes in ``extra_pinned`` are treated as if they held a reference:
-        :meth:`can_fit_path` passes the existing prefix chain a pending
-        insert is about to pin, so its pages are not double-counted as
-        reclaimable.
-        """
-        total = 0
-        pinned: set[int] | None = (
-            {id(node) for node in extra_pinned} if extra_pinned else None
-        )
-
-        def walk(node: _Node) -> bool:
-            nonlocal total
-            fully_unpinned = node.ref_count == 0 and (
-                pinned is None or id(node) not in pinned
-            )
-            subtree_pages = node.pages
-            for child in node.children.values():
-                child_unpinned = walk(child)
-                fully_unpinned = fully_unpinned and child_unpinned
-            if fully_unpinned:
-                total += subtree_pages
-            return fully_unpinned
-
-        for child in self._root.children.values():
-            walk(child)
-        return total

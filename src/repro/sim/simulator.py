@@ -220,8 +220,13 @@ class Simulator:
 
     def peek_time(self) -> float | None:
         """Time of the next non-cancelled event, or None if the queue is empty."""
+        event = self.peek_event()
+        return None if event is None else event.time
+
+    def peek_event(self) -> Event | None:
+        """The next non-cancelled event (left queued), or None if empty."""
         self._drop_cancelled_head()
-        return self._heap[0][0] if self._heap else None
+        return self._heap[0][3] if self._heap else None
 
     def step(self) -> bool:
         """Fire the next event.  Returns False if no events remain."""

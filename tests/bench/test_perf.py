@@ -19,6 +19,7 @@ from repro.bench.perf import (
     ScenarioTiming,
     run_perf,
 )
+from repro.cli import _measured_part
 
 #: Scale used for the golden run; small enough for a unit test, large
 #: enough that every scenario exercises batching, caching and faults.
@@ -276,3 +277,30 @@ class TestHarnessMechanics:
             name="s", fingerprint="f", events=500, peak_event_queue=1, wall_s=0.0
         )
         assert zero.events_per_sec == 0.0
+
+
+class TestBaselineRestriction:
+    """``repro perf --scenarios/--tiers --baseline`` compares what it ran."""
+
+    BASELINE = {
+        "scale": 1.0,
+        "results": {"a": {"fingerprint": "1"}, "b": {"fingerprint": "2"}},
+        "timings": {"a": {"wall_s": 1.0}, "b": {"wall_s": 2.0}},
+        "tiers": {"10": {"scale": 10.0}, "100": {"scale": 100.0}},
+    }
+
+    def test_scenarios_and_tiers_filtered(self):
+        part = _measured_part(self.BASELINE, ["a"], ["10"])
+        assert part["results"] == {"a": {"fingerprint": "1"}}
+        assert part["timings"] == {"a": {"wall_s": 1.0}}
+        assert list(part["tiers"]) == ["10"]
+        assert part["scale"] == 1.0
+
+    def test_unrestricted_run_keeps_scenarios_drops_unrequested_tiers(self):
+        part = _measured_part(self.BASELINE, None, None)
+        assert part["results"] == self.BASELINE["results"]
+        assert part["tiers"] == {}
+
+    def test_tier_baseline_without_tiers_key(self):
+        tier = {"scale": 100.0, "results": {"a": {}, "b": {}}, "timings": {}}
+        assert list(_measured_part(tier, ["a"], None)["results"]) == ["a"]

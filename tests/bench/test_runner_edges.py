@@ -2,9 +2,19 @@
 
 import math
 
+import pytest
+
 from repro.baselines import ChunkedPrefillServer
+from repro.bench import runner
+from repro.bench.fleet import run_fleet
 from repro.bench.runner import STABILITY_TTFT, RunResult, run_system
+from repro.cluster import FleetConfig
+from repro.gpu.specs import A100
+from repro.models.config import LLAMA_8B
+from repro.serving.config import ServingConfig
 from repro.serving.metrics import Summary
+from repro.sim import SimulationError, Simulator
+from repro.workloads import sharegpt_workload
 from repro.workloads.request import Workload
 
 
@@ -108,3 +118,41 @@ class TestEmptyWorkloadRun:
         relaxed = run_system(factory, cfg_8b_single, workload, stability_ttft=1e9)
         assert not strict.stable
         assert relaxed.stable
+
+
+class TestEventCap:
+    """A run that stops on MAX_EVENTS with work pending must fail loudly."""
+
+    @staticmethod
+    def _setup():
+        cfg = ServingConfig(model=LLAMA_8B, spec=A100, n_gpus=1)
+        return cfg, sharegpt_workload(8, rate=6.0, seed=13)
+
+    def test_run_system_raises_on_cap(self, monkeypatch):
+        cfg, workload = self._setup()
+        monkeypatch.setattr(runner, "MAX_EVENTS", 50)
+        with pytest.raises(SimulationError) as excinfo:
+            run_system(lambda sim, c: ChunkedPrefillServer(sim, c), cfg, workload)
+        message = str(excinfo.value)
+        assert "50-event cap" in message
+        assert "50 events fired" in message
+        assert "head event at t=" in message and " runs " in message
+
+    def test_run_fleet_raises_on_cap(self, monkeypatch):
+        cfg, workload = self._setup()
+        monkeypatch.setattr(runner, "MAX_EVENTS", 50)
+        with pytest.raises(SimulationError, match="50-event cap"):
+            run_fleet(
+                lambda sim, c: ChunkedPrefillServer(sim, c),
+                cfg,
+                workload,
+                FleetConfig(replicas=2),
+            )
+
+    def test_drained_run_at_exact_cap_does_not_raise(self, monkeypatch):
+        sim = Simulator()
+        for delay in (1.0, 2.0, 3.0):
+            sim.schedule(delay, lambda: None)
+        monkeypatch.setattr(runner, "MAX_EVENTS", 3)
+        runner.run_capped(sim, None)
+        assert sim.processed_events == 3

@@ -294,3 +294,40 @@ class TestUtilization:
         sim.run()
         assert done["t"] == pytest.approx(1.0, rel=1e-6)
         assert device.bandwidth_utilization() == pytest.approx(1.0, rel=1e-6)
+
+
+class TestSubUlpResidue:
+    """Late in a run the clock's ulp outgrows a task's last few FLOPs.
+
+    At t≈1e3 an ulp is ~1e-13 s.  A residue just above its completion floor
+    whose remaining time is below half of that schedules the device update
+    at ``now + horizon == now``; the update then advances by dt == 0 and
+    re-fires at the same instant forever unless the residue is snapped.
+    """
+
+    def test_residue_completes_within_a_few_events(self):
+        sim = Simulator(start_time=1327.0)
+        device = Device(sim, A100)
+        done = []
+        task = ExecTask(
+            flops=1.6e10, bytes=0.0, sm_count=device.total_sms, on_complete=done.append
+        )
+        device.submit(task)
+        # Leave a residue just above the 1e-9 relative floor (16 FLOPs):
+        # at ~1.3e14 FLOP/s it needs ~1.3e-13 s, under half an ulp of 1327.
+        task.rem_flops = task._flops_floor * 1.002
+        assert sim.now + task.rem_flops / device.compute_rate(device.total_sms) == sim.now
+        device._reschedule()
+        sim.run(max_events=10)
+        assert done == [1327.0]
+        assert sim.pending_productive == 0
+
+    def test_tiny_task_late_in_run_completes(self):
+        sim = Simulator(start_time=1000.0)
+        device = Device(sim, A100)
+        done = []
+        device.submit(
+            ExecTask(flops=4.0, bytes=0.0, sm_count=device.total_sms, on_complete=done.append)
+        )
+        sim.run(max_events=10)
+        assert done == [1000.0]
