@@ -16,6 +16,7 @@ The engine also exposes stream bubble ratios (Fig. 19's evaluation metric).
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Callable
 
 from repro.gpu.launch import DECODE_LAUNCH_LABEL, prefill_launch_label
@@ -23,6 +24,11 @@ from repro.gpu.stream import Stream, Work
 from repro.serving.base import Instance
 from repro.serving.config import ServingConfig
 from repro.sim import Simulator
+
+
+def _submit(stream: Stream, work: Work, on_done: Callable[[float], None]) -> None:
+    """A launch's host time elapsed: the work reaches its stream."""
+    stream.submit(work).on_complete(on_done)
 
 
 class MultiplexEngine:
@@ -88,13 +94,11 @@ class MultiplexEngine:
 
     def launch_decode(self, work: Work, on_done: Callable[[float], None]) -> None:
         """Launch one decode iteration (captured graph) via the host."""
-        launch_time = self.cfg.launch.decode_launch()
-
-        def do_submit() -> None:
-            handle = self.decode_stream.submit(work)
-            handle.on_complete(on_done)
-
-        self.instance.host.enqueue(launch_time, do_submit, label=DECODE_LAUNCH_LABEL)
+        self.instance.host.enqueue(
+            self.cfg.launch.decode_launch(),
+            partial(_submit, self.decode_stream, work, on_done),
+            label=DECODE_LAUNCH_LABEL,
+        )
 
     def launch_prefill_group(
         self,
@@ -114,13 +118,11 @@ class MultiplexEngine:
         else:
             layers = whole_phase_layers if whole_phase_layers is not None else layer_count
             launch_time = self.cfg.launch.full_prefill_launch(layers)
-        label = prefill_launch_label(self.layerwise)
-
-        def do_submit() -> None:
-            handle = self.prefill_stream.submit(work)
-            handle.on_complete(on_done)
-
-        self.instance.host.enqueue(launch_time, do_submit, label=label)
+        self.instance.host.enqueue(
+            launch_time,
+            partial(_submit, self.prefill_stream, work, on_done),
+            label=prefill_launch_label(self.layerwise),
+        )
 
     # ------------------------------------------------------------------ #
     # Diagnostics

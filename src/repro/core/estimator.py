@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -97,6 +98,13 @@ class SoloRunPredictor:
     def __init__(self) -> None:
         self._prefill_theta: dict[int, np.ndarray] = {}
         self._decode_theta: dict[int, np.ndarray] = {}
+        # Per table: queried sm_count -> (fitted sm_count, theta); a fit
+        # clears its table's entries.
+        self._prefill_nearest: dict[float, tuple[int, np.ndarray]] = {}
+        self._decode_nearest: dict[float, tuple[int, np.ndarray]] = {}
+        #: Bumped by every fit, so caches of predictions can tell they are stale.
+        self.generation = 0
+        self._decode_row = np.array([0.0, 0.0, 1.0])  # reused feature row
 
     # ------------------------------------------------------------------ #
     # Fitting
@@ -112,6 +120,8 @@ class SoloRunPredictor:
             target = np.array([s.latency for s in group])
             theta, *_ = np.linalg.lstsq(features, target, rcond=None)
             self._prefill_theta[sm_count] = theta
+        self._prefill_nearest.clear()
+        self.generation += 1
 
     def fit_decode(self, samples: list[DecodeSample]) -> None:
         """Fit Eq. (2) coefficients for every partition seen in ``samples``."""
@@ -123,6 +133,8 @@ class SoloRunPredictor:
             target = np.array([s.latency for s in group])
             theta, *_ = np.linalg.lstsq(features, target, rcond=None)
             self._decode_theta[sm_count] = theta
+        self._decode_nearest.clear()
+        self.generation += 1
 
     @property
     def fitted(self) -> bool:
@@ -133,11 +145,16 @@ class SoloRunPredictor:
     # Prediction
     # ------------------------------------------------------------------ #
 
-    def _nearest(self, table: dict[int, np.ndarray], sm_count: int) -> tuple[int, np.ndarray]:
-        if not table:
-            raise RuntimeError("predictor is not fitted")
-        best = min(table, key=lambda sm: abs(sm - sm_count))
-        return best, table[best]
+    @staticmethod
+    def _nearest(table: dict, resolved: dict, sm_count: float) -> tuple[int, np.ndarray]:
+        """The first fitted configuration closest to ``sm_count``, memoised."""
+        hit = resolved.get(sm_count)
+        if hit is None:
+            if not table:
+                raise RuntimeError("predictor is not fitted")
+            best = min(table, key=lambda sm: abs(sm - sm_count))
+            hit = resolved[sm_count] = (best, table[best])
+        return hit
 
     def predict_prefill(self, items: list[PrefillItem], sm_count: int) -> float:
         """Solo-run latency of a full prefill of ``items`` on ``sm_count`` SMs.
@@ -145,18 +162,21 @@ class SoloRunPredictor:
         Compute-bound prefill scales ~1/SMs, so predictions for partitions
         between profiled configurations are rescaled from the nearest one.
         """
-        fitted_sm, theta = self._nearest(self._prefill_theta, sm_count)
+        fitted_sm, theta = self._nearest(self._prefill_theta, self._prefill_nearest, sm_count)
         base = float(_prefill_features(items) @ theta)
         return max(1e-6, base * fitted_sm / sm_count)
 
     def predict_decode(self, batch_size: int, sum_reused: float, sm_count: int) -> float:
         """Solo-run latency of one decode iteration on ``sm_count`` SMs."""
-        _, theta = self._nearest(self._decode_theta, sm_count)
-        return max(1e-6, float(_decode_features(batch_size, sum_reused) @ theta))
+        _, theta = self._nearest(self._decode_theta, self._decode_nearest, sm_count)
+        # _decode_features() in a reused row: same values, same bits from ``@``.
+        row = self._decode_row
+        row[0] = float(sum_reused)
+        row[1] = float(batch_size)
+        return max(1e-6, float(row @ theta))
 
 
-@dataclass(frozen=True)
-class GuardKey:
+class GuardKey(NamedTuple):
     """Grid cell identity for the contention guard."""
 
     prefill_new: int
@@ -183,11 +203,11 @@ class ContentionGuard:
     ) -> GuardKey:
         """Bucket raw features into a grid cell."""
         return GuardKey(
-            prefill_new=token_bucket(prefill_new),
-            prefill_reused=token_bucket(prefill_reused),
-            decode_batch=batch_bucket(decode_batch),
-            decode_tokens=token_bucket(decode_tokens),
-            decode_sms=decode_sms,
+            token_bucket(prefill_new),
+            token_bucket(prefill_reused),
+            batch_bucket(decode_batch),
+            token_bucket(decode_tokens),
+            decode_sms,
         )
 
     def lookup(self, key: GuardKey) -> float:
@@ -218,10 +238,24 @@ class ContentionTolerantEstimator:
     def __init__(self, predictor: SoloRunPredictor, guard: ContentionGuard | None = None) -> None:
         self.predictor = predictor
         self.guard = guard if guard is not None else ContentionGuard()
+        # One decode iteration's predictions, sm_count -> solo latency, for
+        # its (batch_size, sum_reused) and the predictor's generation: a new
+        # iteration or a refit starts a fresh table.
+        self._solo_features: tuple[int, float, int] | None = None
+        self._solo_by_sms: dict[int, float] = {}
 
     def solo_decode(self, batch_size: int, sum_reused: float, sm_count: int) -> float:
         """Predicted contention-free decode iteration latency."""
-        return self.predictor.predict_decode(batch_size, sum_reused, sm_count)
+        predictor = self.predictor
+        features = (batch_size, sum_reused, predictor.generation)
+        if features != self._solo_features:
+            self._solo_features = features
+            self._solo_by_sms = {}
+        by_sms = self._solo_by_sms
+        solo = by_sms.get(sm_count)
+        if solo is None:
+            solo = by_sms[sm_count] = predictor.predict_decode(batch_size, sum_reused, sm_count)
+        return solo
 
     def solo_prefill(self, items: list[PrefillItem], sm_count: int) -> float:
         """Predicted contention-free full-prefill latency."""

@@ -44,21 +44,19 @@ class PrefillJob:
     is_preemptor: bool = False
     preempt_requested: bool = False
     started_at: float = field(default=math.nan)
+    #: Total new / reused tokens across the batch (``items`` is fixed once
+    #: the job is built, so they are summed once).
+    new_tokens: int = field(init=False)
+    reused_tokens: int = field(init=False)
+
+    def __post_init__(self) -> None:
+        self.new_tokens = sum(item.new for item in self.items)
+        self.reused_tokens = sum(item.reused for item in self.items)
 
     @property
     def remaining_layers(self) -> int:
         """Layers not yet completed or in flight."""
         return self.total_layers - self.layers_done - self.group_in_flight
-
-    @property
-    def new_tokens(self) -> int:
-        """Total new tokens across the batch."""
-        return sum(item.new for item in self.items)
-
-    @property
-    def reused_tokens(self) -> int:
-        """Total reused tokens across the batch."""
-        return sum(item.reused for item in self.items)
 
 
 class MuxWiseServer(DecodeBatchMixin):
@@ -98,6 +96,8 @@ class MuxWiseServer(DecodeBatchMixin):
         self.preempted_job: PrefillJob | None = None
         self._preemptor_state: RequestState | None = None
         self._decode_inflight = False
+        # In-flight decode iteration: (batch, context sum, co-running job, submit time).
+        self._inflight: tuple | None = None
         #: (time, decode_sms, prefill_sms) history for Fig. 18.
         self.partition_log: list[tuple[float, int, int]] = []
 
@@ -379,12 +379,13 @@ class MuxWiseServer(DecodeBatchMixin):
         batch = [s for s in self.running if not s.finished][: self.cfg.max_decode_batch]
         if not batch:
             return
-        lens = self.decode_context_lens(batch)
         if self.spec_decode is None:
+            lens = self.decode_context_lens(batch)
             sum_context = float(sum(lens))
             decode_sms = self._choose_decode_partition(len(batch), sum_context)
             cost = self.instance.cost_model.decode_iter(lens)
         else:
+            sum_context = math.nan  # never observed (see _on_decode_done)
             cost = self.decode_step_cost(self.instance, batch)
             decode_sms = self._choose_spec_partition(cost)
         if decode_sms != self.engine.decode_sms:
@@ -392,21 +393,12 @@ class MuxWiseServer(DecodeBatchMixin):
             self._log_partition()
         work = cost.work(tag="decode-iter")
         self._decode_inflight = True
-        submit_time = self.sim.now
-        job = self.active_job
+        self._inflight = (batch, sum_context, self.active_job, self.sim.now)
+        self.engine.launch_decode(work, self._on_decode_done)
 
-        def on_done(_t: float, batch=batch, lens=lens, job=job, submit_time=submit_time) -> None:
-            self._on_decode_done(batch, lens, job, submit_time)
-
-        self.engine.launch_decode(work, on_done)
-
-    def _on_decode_done(
-        self,
-        batch: list[RequestState],
-        lens: list[int],
-        job: PrefillJob | None,
-        submit_time: float,
-    ) -> None:
+    def _on_decode_done(self, _time: float) -> None:
+        batch, sum_context, job, submit_time = self._inflight
+        self._inflight = None
         self._decode_inflight = False
         observed = self.sim.now - submit_time - self.cfg.launch.decode_launch()
         # The estimator's decode predictor models the plain iteration;
@@ -414,7 +406,7 @@ class MuxWiseServer(DecodeBatchMixin):
         if job is not None and job.new_tokens > 0 and self.spec_decode is None:
             self.estimator.observe_decode(
                 len(batch),
-                float(sum(lens)),
+                sum_context,
                 self.engine.decode_sms,
                 observed,
                 float(job.new_tokens),

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable
 
 from repro.gpu.specs import GPUSpec
@@ -70,9 +70,10 @@ def _config_ripple(own_sms: float, other_sms: float) -> float:
     return result
 
 
-@dataclass
 class ExecTask:
     """One unit of GPU work (e.g. a prefill layer or a decode iteration).
+
+    A ``__slots__`` class rather than a dataclass: one is built per launch.
 
     Attributes:
         flops: Total floating-point work.
@@ -92,33 +93,49 @@ class ExecTask:
             it to their own track, direct device submissions leave it None
             (the device then uses its generic exec row).
         on_complete: Called with the completion timestamp.
+
+    The device manages the runtime state: ``rem_flops``, ``rem_bytes``,
+    ``compute_rate``, ``bw_rate``, ``start_time`` and ``finish_time``.
     """
 
-    flops: float
-    bytes: float
-    sm_count: float
-    fixed_time: float = 0.0
-    max_bandwidth: float = math.inf
-    tag: str = ""
-    trace_track: str | None = None
-    on_complete: Callable[[float], None] | None = None
+    __slots__ = (
+        "flops", "bytes", "sm_count", "fixed_time", "max_bandwidth", "tag",
+        "trace_track", "on_complete", "task_id", "rem_flops", "rem_bytes",
+        "bw_rate", "compute_rate", "start_time", "finish_time",
+        "_flops_floor", "_bytes_floor",
+    )
 
-    # Runtime state, managed by the device.
-    task_id: int = field(default_factory=lambda: next(_task_ids))
-    rem_flops: float = field(init=False, default=0.0)
-    rem_bytes: float = field(init=False, default=0.0)
-    bw_rate: float = field(init=False, default=0.0)
-    compute_rate: float = field(init=False, default=0.0)
-    start_time: float = field(init=False, default=math.nan)
-    finish_time: float = field(init=False, default=math.nan)
-
-    def __post_init__(self) -> None:
-        self.rem_flops = float(self.flops)
-        self.rem_bytes = float(self.bytes)
+    def __init__(
+        self,
+        flops: float,
+        bytes: float,
+        sm_count: float,
+        fixed_time: float = 0.0,
+        max_bandwidth: float = math.inf,
+        tag: str = "",
+        trace_track: str | None = None,
+        on_complete: Callable[[float], None] | None = None,
+        task_id: int | None = None,
+    ) -> None:
+        self.flops = flops
+        self.bytes = bytes
+        self.sm_count = sm_count
+        self.fixed_time = fixed_time
+        self.max_bandwidth = max_bandwidth
+        self.tag = tag
+        self.trace_track = trace_track
+        self.on_complete = on_complete
+        self.task_id = next(_task_ids) if task_id is None else task_id
+        self.rem_flops = float(flops)
+        self.rem_bytes = float(bytes)
+        self.bw_rate = 0.0
+        self.compute_rate = 0.0
+        self.start_time = math.nan
+        self.finish_time = math.nan
         # Relative thresholds below which a dimension counts as finished;
         # guards against float round-off residue stalling the fluid loop.
-        self._flops_floor = max(_EPS, 1e-9 * float(self.flops))
-        self._bytes_floor = max(_EPS, 1e-9 * float(self.bytes))
+        self._flops_floor = max(_EPS, 1e-9 * self.rem_flops)
+        self._bytes_floor = max(_EPS, 1e-9 * self.rem_bytes)
 
     @property
     def flops_done(self) -> bool:
@@ -139,12 +156,7 @@ class ExecTask:
 
     def bandwidth_demand(self, base_compute_rate: float) -> float:
         """Bandwidth this task can usefully absorb right now (bytes/s)."""
-        if self.bytes_done:
-            return 0.0
-        if self.flops_done:
-            return self.max_bandwidth
-        remaining_compute_time = self.rem_flops / base_compute_rate
-        return min(self.rem_bytes / remaining_compute_time, self.max_bandwidth)
+        return _over_request(self, base_compute_rate, 0.0)
 
 
 def waterfill(demands: list[float], capacity: float) -> list[float]:
@@ -201,6 +213,66 @@ def waterfill(demands: list[float], capacity: float) -> list[float]:
     return alloc
 
 
+
+
+def _waterfill2(d0: float, d1: float, capacity: float) -> tuple[float, float]:
+    """``waterfill([d0, d1], capacity)`` bit for bit: the rounds' comparisons
+    and their one subtraction, ``capacity - capped demand``, with no lists."""
+    if capacity <= _EPS:
+        return 0.0, 0.0
+    if 0.0 + d0 + d1 <= capacity - 1.0:
+        return (d0 if d0 > _EPS else 0.0), (d1 if d1 > _EPS else 0.0)
+    if d0 > _EPS and d1 > _EPS:
+        share = capacity / 2
+        capped0 = d0 <= share + _EPS
+        if capped0 == (d1 <= share + _EPS):
+            return (d0, d1) if capped0 else (share, share)
+        if capped0:
+            return d0, _waterfill_last(d1, capacity - d0)
+        return _waterfill_last(d0, capacity - d1), d1
+    if d0 > _EPS:
+        return _waterfill_last(d0, capacity), 0.0
+    return 0.0, (_waterfill_last(d1, capacity) if d1 > _EPS else 0.0)
+
+
+def _waterfill_last(demand: float, remaining: float) -> float:
+    """The round over one unsatisfied demand (``share = remaining / 1``)."""
+    if remaining <= _EPS:
+        return 0.0
+    return demand if demand <= remaining + _EPS else remaining
+
+
+def _over_request(task: ExecTask, rate: float, factor: float) -> float:
+    """``task.bandwidth_demand(rate)``; compute-bound tasks over-request by
+    ``1 / factor`` to absorb interference (``factor <= 0``: plain demand)."""
+    max_bandwidth = task.max_bandwidth
+    if task.rem_bytes <= task._bytes_floor:
+        demand = 0.0
+    elif task.rem_flops <= task._flops_floor:
+        demand = max_bandwidth
+    else:
+        demand = task.rem_bytes / (task.rem_flops / rate)
+        if max_bandwidth < demand:
+            demand = max_bandwidth
+    if factor > 0 and math.isfinite(demand):
+        demand = demand / factor
+        if max_bandwidth < demand:  # min(demand / factor, max_bandwidth)
+            demand = max_bandwidth
+    return demand
+
+
+def _task_horizon(task: ExecTask, horizon: float) -> float:
+    """``horizon``, or sooner if ``task`` finishes a dimension first."""
+    if task.rem_flops > task._flops_floor and task.compute_rate > _EPS:
+        t = task.rem_flops / task.compute_rate
+        if t < horizon:
+            horizon = t
+    if task.rem_bytes > task._bytes_floor and task.bw_rate > _EPS:
+        t = task.rem_bytes / task.bw_rate
+        if t < horizon:
+            horizon = t
+    return horizon
+
 class Device:
     """A simulated GPU or tensor-parallel group of identical GPUs.
 
@@ -242,6 +314,9 @@ class Device:
         # skip the O(n^2) ripple recompute.
         self._factors_key: tuple[int, ...] = ()
         self._factors: list[float] = []
+        # The two-task path's factors are a pure function of the two SM
+        # counts, so its single entry (sa, sb, factor_a, factor_b) is keyed on them.
+        self._pair_factors = (math.nan, math.nan, 1.0, 1.0)
 
         # Memory accounting (one shared space across the group).
         self.mem_capacity = spec.mem_bytes * n_gpus
@@ -408,48 +483,91 @@ class Device:
             loss += kappa * frac * _config_ripple(task.sm_count, other.sm_count)
         return max(0.3, 1.0 - loss)
 
-    def _reallocate(self) -> None:
-        if len(self._active) == 1 and not self._stalled:
-            # Fast path for the dominant case (one fused step in flight):
-            # the interference factor of a lone task is exactly 1.0 and
-            # waterfill of one demand is min(demand, capacity), so this is
-            # a bit-exact shortcut of the general path below.
-            task = self._active[0]
+    def _reallocate(self) -> float:
+        """Re-plan the rates; returns seconds to the next phase change.
+
+        One and two unstalled tasks take bit-exact shortcuts of the general
+        path: the same float operations in the same order.
+        """
+        active = self._active
+        n = len(active)
+        if n == 1 and not self._stalled:
+            # A lone task's interference factor is exactly 1.0 and the
+            # water-fill of one demand is min(demand, capacity).
+            task = active[0]
             sm = task.sm_count
             scale = 1.0 if sm <= self.total_sms else self.total_sms / sm
-            self._sm_occupancy = (
-                sm * scale if task.rem_flops > task._flops_floor else 0.0
+            self._sm_occupancy = sm * scale if task.rem_flops > task._flops_floor else 0.0
+            rate = task.compute_rate = self.compute_rate(sm) * scale
+            demand = _over_request(task, rate, 1.0)
+            task.bw_rate = 0.0 if demand <= _EPS else _waterfill_last(
+                demand, self.effective_bandwidth
             )
-            rate = self.compute_rate(sm) * scale
-            task.compute_rate = rate
-            demand = task.bandwidth_demand(rate)
-            if math.isfinite(demand) and demand > task.max_bandwidth:
-                demand = task.max_bandwidth
-            cap = self.effective_bandwidth
-            if demand <= _EPS or cap <= _EPS:
-                task.bw_rate = 0.0
-            elif demand <= cap + _EPS:
-                task.bw_rate = demand
-            else:
-                task.bw_rate = cap
-            tracer = self.sim.tracer
-            if tracer is None or not tracer.enabled:
-                return
+            horizon = _task_horizon(task, math.inf)
+        elif n == 2 and not self._stalled:
+            horizon = self._reallocate_pair(active[0], active[1])
+        else:
+            horizon = self._reallocate_general()
+            if self._stalled:
+                return horizon
+        tracer = self.sim.tracer
+        if tracer is not None and tracer.enabled:
             self._trace_bandwidth()
-            return
+        return horizon
+
+    def _reallocate_pair(self, a: ExecTask, b: ExecTask) -> float:
+        """:meth:`_reallocate_general` for exactly two unstalled tasks."""
+        total_sms = self.total_sms
+        sa = a.sm_count
+        sb = b.sm_count
+        demanded = sa + sb  # sum() starts from int 0, and 0 + x == x
+        scale = 1.0 if demanded <= total_sms else total_sms / demanded
+        if a.rem_flops > a._flops_floor:
+            occupied = sa + sb if b.rem_flops > b._flops_floor else sa
+        else:
+            occupied = sb if b.rem_flops > b._flops_floor else 0
+        self._sm_occupancy = occupied * scale
+        if not (0 < sa <= total_sms and 0 < sb <= total_sms):
+            self.compute_rate(sa)
+            self.compute_rate(sb)  # one of the two raises the range error
+        flops_per_sm = self._flops_per_sm
+        rate_a = a.compute_rate = flops_per_sm * sa * scale
+        rate_b = b.compute_rate = flops_per_sm * sb * scale
+        pair = self._pair_factors
+        if pair[0] == sa and pair[1] == sb:
+            factor_a = pair[2]
+            factor_b = pair[3]
+        else:
+            # _interference_factor with one co-runner: loss = 0.0 + x == x.
+            kappa = self.spec.contention_kappa
+            factor_a = max(0.3, 1.0 - kappa * min(1.0, sb / total_sms) * _config_ripple(sa, sb))
+            factor_b = max(0.3, 1.0 - kappa * min(1.0, sa / total_sms) * _config_ripple(sb, sa))
+            self._pair_factors = (sa, sb, factor_a, factor_b)
+        alloc_a, alloc_b = _waterfill2(
+            _over_request(a, rate_a, factor_a),
+            _over_request(b, rate_b, factor_b),
+            self.effective_bandwidth,
+        )
+        a.bw_rate = alloc_a * factor_a
+        b.bw_rate = alloc_b * factor_b
+        return _task_horizon(b, _task_horizon(a, math.inf))
+
+    def _reallocate_general(self) -> float:
+        """Any active set, stalled or not: scale, occupancy, factors,
+        over-requesting demands and a max-min water-fill."""
         scale = self._compute_scale()
         self._sm_occupancy = (
             sum(t.sm_count for t in self._active if not t.flops_done) * scale
         )
         if self._stalled:
             # A hung device makes no progress on any dimension; with all
-            # rates zero _next_phase_change returns inf and no update event
-            # is scheduled, so the device goes silent until unstalled.
+            # rates zero the horizon is inf and no update event is
+            # scheduled, so the device goes silent until unstalled.
             # (Hung tasks still *hold* their SMs — occupancy stays up.)
             for task in self._active:
                 task.compute_rate = 0.0
                 task.bw_rate = 0.0
-            return
+            return math.inf
         for task in self._active:
             task.compute_rate = self.compute_rate(task.sm_count) * scale
         key = tuple(t.task_id for t in self._active)
@@ -459,19 +577,14 @@ class Device:
             factors = [self._interference_factor(t) for t in self._active]
             self._factors_key = key
             self._factors = factors
-        demands = []
-        for task, factor in zip(self._active, factors):
-            demand = task.bandwidth_demand(task.compute_rate)
-            if math.isfinite(demand) and factor > 0:
-                # Compute-bound tasks over-request to absorb interference.
-                demand = min(demand / factor, task.max_bandwidth)
-            demands.append(demand)
+        demands = [_over_request(t, t.compute_rate, f) for t, f in zip(self._active, factors)]
         allocs = waterfill(demands, self.effective_bandwidth)
         for task, alloc, factor in zip(self._active, allocs, factors):
             task.bw_rate = alloc * factor
-        tracer = self.sim.tracer
-        if tracer is not None and tracer.enabled:
-            self._trace_bandwidth()
+        horizon = math.inf
+        for task in self._active:
+            horizon = _task_horizon(task, horizon)
+        return horizon
 
     def _trace_bandwidth(self) -> None:
         used = sum(t.bw_rate for t in self._active)
@@ -486,65 +599,74 @@ class Device:
             cat=CAT_BANDWIDTH,
         )
 
-    def _next_phase_change(self) -> float:
-        """Seconds until any active task finishes a dimension."""
-        horizon = math.inf
-        for task in self._active:
-            if task.rem_flops > task._flops_floor and task.compute_rate > _EPS:
-                t = task.rem_flops / task.compute_rate
-                if t < horizon:
-                    horizon = t
-            if task.rem_bytes > task._bytes_floor and task.bw_rate > _EPS:
-                t = task.rem_bytes / task.bw_rate
-                if t < horizon:
-                    horizon = t
-        return horizon
-
-    def _advance_to_now(self) -> None:
+    def _advance_to_now(self, phase_change: bool = False) -> None:
+        """Integrate progress over ``[last_advance, now)``; on a
+        ``phase_change`` also snap sub-ulp residues (a re-plan follows)."""
         now = self.sim.now
         dt = now - self._last_advance
-        if dt <= 0:
-            self._last_advance = now
-            return
-        # Rates and occupancy are constant over [last_advance, now): every
-        # mutation (submit, stall, degradation, phase change) advances the
-        # clock first, so integrating with the *start-of-interval* state is
-        # exact.  Tasks whose compute dimension already finished stream
-        # their memory tail without holding SMs; ``_sm_occupancy`` carries
-        # that occupied-SMs-x-scale product between reallocations.
-        self._bw_capacity_seconds += self.effective_bandwidth * dt
-        if self._active:
-            self._sm_seconds += self._sm_occupancy * dt
-            served = self._bw_bytes_served
-            compute_transition = False
-            for task in self._active:
-                done_flops = task.compute_rate * dt
-                if done_flops > task.rem_flops:
-                    done_flops = task.rem_flops
-                done_bytes = task.bw_rate * dt
-                if done_bytes > task.rem_bytes:
-                    done_bytes = task.rem_bytes
-                floor = task._flops_floor
-                was_running = task.rem_flops > floor
-                task.rem_flops -= done_flops
-                task.rem_bytes -= done_bytes
-                if task.rem_flops <= floor:
-                    task.rem_flops = 0.0
-                    if was_running:
-                        compute_transition = True
-                if task.rem_bytes <= task._bytes_floor:
-                    task.rem_bytes = 0.0
-                served += done_bytes
-            self._bw_bytes_served = served
-            if compute_transition:
-                # A compute dimension crossed its floor mid-advance (the
-                # caller may not reallocate, e.g. a utilisation probe):
-                # refresh the occupancy rate for the next interval.
-                self._sm_occupancy = (
-                    sum(t.sm_count for t in self._active if not t.flops_done)
-                    * self._compute_scale()
-                )
         self._last_advance = now
+        progress = dt > 0
+        if progress:
+            # Rates and occupancy are constant over [last_advance, now):
+            # every mutation (submit, stall, degradation, phase change)
+            # advances the clock first, so integrating with the
+            # *start-of-interval* state is exact.  Tasks whose compute
+            # dimension already finished stream their memory tail without
+            # holding SMs; ``_sm_occupancy`` carries that
+            # occupied-SMs-x-scale product between reallocations.
+            self._bw_capacity_seconds += self.effective_bandwidth * dt
+        elif not phase_change:
+            return
+        active = self._active
+        if not active:
+            return
+        if progress:
+            self._sm_seconds += self._sm_occupancy * dt
+        served = self._bw_bytes_served
+        compute_transition = False
+        for task in active:
+            rem_flops = task.rem_flops
+            rem_bytes = task.rem_bytes
+            compute_rate = task.compute_rate
+            bw_rate = task.bw_rate
+            if progress:
+                done_flops = compute_rate * dt
+                if done_flops > rem_flops:
+                    done_flops = rem_flops
+                done_bytes = bw_rate * dt
+                if done_bytes > rem_bytes:
+                    done_bytes = rem_bytes
+                rem_flops -= done_flops
+                rem_bytes -= done_bytes
+                if rem_flops <= task._flops_floor:
+                    if task.rem_flops > task._flops_floor:
+                        compute_transition = True
+                    rem_flops = 0.0
+                if rem_bytes <= task._bytes_floor:
+                    rem_bytes = 0.0
+                served += done_bytes
+            if phase_change:
+                # Sub-ulp snap: a residue above its floor whose finish time
+                # ``now + rem / rate`` rounds back to ``now`` can never be
+                # advanced (every re-fire lands at the same instant, so
+                # dt == 0) and would re-fire the update forever, so it
+                # counts as finished.
+                if rem_flops > 0.0 and compute_rate > _EPS and now + rem_flops / compute_rate <= now:
+                    rem_flops = 0.0
+                if rem_bytes > 0.0 and bw_rate > _EPS and now + rem_bytes / bw_rate <= now:
+                    rem_bytes = 0.0
+            task.rem_flops = rem_flops
+            task.rem_bytes = rem_bytes
+        if progress:
+            self._bw_bytes_served = served
+        if compute_transition and not phase_change:
+            # A compute dimension crossed its floor mid-advance (the caller
+            # may not reallocate, e.g. a utilisation probe): refresh the
+            # occupancy rate for the next interval.
+            self._sm_occupancy = (
+                sum(t.sm_count for t in self._active if not t.flops_done)
+                * self._compute_scale()
+            )
 
     def _reschedule(self) -> None:
         if self._update_event is not None:
@@ -575,48 +697,37 @@ class Device:
         if not self._active:
             self._sm_occupancy = 0.0
             return
-        self._reallocate()
-        horizon = self._next_phase_change()
-        if math.isfinite(horizon):
-            self._update_event = self.sim.schedule(horizon, self._on_update)
+        horizon = self._reallocate()
+        if horizon < math.inf:
+            sim = self.sim
+            self._update_event = sim.schedule_at(sim.now + horizon, self._on_update)
 
     def _on_update(self) -> None:
+        """A phase change: advance and snap in one pass, retire, re-plan."""
         self._update_event = None
-        self._advance_to_now()
-        # Sub-ulp snap: a residue above its floor whose finish time
-        # ``now + rem / rate`` rounds back to ``now`` can never be advanced
-        # (every re-fire lands at the same instant, so dt == 0) and would
-        # re-fire this update forever, so it counts as finished.
-        now = self.sim.now
-        for task in self._active:
-            rate = task.compute_rate
-            if task.rem_flops > 0.0 and rate > _EPS and now + task.rem_flops / rate <= now:
-                task.rem_flops = 0.0
-            rate = task.bw_rate
-            if task.rem_bytes > 0.0 and rate > _EPS and now + task.rem_bytes / rate <= now:
-                task.rem_bytes = 0.0
+        self._advance_to_now(phase_change=True)
         self._reschedule()
 
     def _finish_task(self, task: ExecTask) -> None:
-        def complete() -> None:
-            task.finish_time = self.sim.now
-            tracer = self.sim.tracer
-            if tracer is not None and tracer.enabled:
-                tracer.complete(
-                    task.trace_track or f"gpu/{self.name}/exec",
-                    task.tag or "exec",
-                    CAT_KERNEL,
-                    task.start_time,
-                    task.finish_time,
-                    {"sms": task.sm_count, "flops": task.flops, "bytes": task.bytes},
-                )
-            if task.on_complete is not None:
-                task.on_complete(self.sim.now)
+        sim = self.sim
+        fixed_time = task.fixed_time
+        now = sim.now
+        sim.schedule_at(now + fixed_time if fixed_time > 0 else now, partial(self._complete, task))
 
-        if task.fixed_time > 0:
-            self.sim.schedule(task.fixed_time, complete)
-        else:
-            self.sim.schedule(0.0, complete)
+    def _complete(self, task: ExecTask) -> None:
+        task.finish_time = now = self.sim.now
+        tracer = self.sim.tracer
+        if tracer is not None and tracer.enabled:
+            tracer.complete(
+                task.trace_track or f"gpu/{self.name}/exec",
+                task.tag or "exec",
+                CAT_KERNEL,
+                task.start_time,
+                task.finish_time,
+                {"sms": task.sm_count, "flops": task.flops, "bytes": task.bytes},
+            )
+        if task.on_complete is not None:
+            task.on_complete(now)
 
     # ------------------------------------------------------------------ #
     # Utilisation metrics

@@ -33,6 +33,8 @@ class HostThread:
         self._queue: deque[tuple[float, Callable[[], None], str]] = deque()
         self._busy = False
         self._busy_seconds = 0.0
+        # The operation in flight: its action, trace label and start time.
+        self._current: tuple[Callable[[], None], str, float] | None = None
 
     @property
     def busy(self) -> bool:
@@ -68,16 +70,17 @@ class HostThread:
         duration, action, label = self._queue.popleft()
         self._busy = True
         self._busy_seconds += duration
-        started = self.sim.now
+        now = self.sim.now
+        self._current = (action, label, now)
+        self.sim.schedule_at(now + duration, self._finish)
 
-        def finish() -> None:
-            self._busy = False
-            tracer = self.sim.tracer
-            if tracer is not None and tracer.enabled:
-                tracer.complete(
-                    self.trace_track, label, CAT_LAUNCH, started, self.sim.now
-                )
-            action()
-            self._pump()
-
-        self.sim.schedule(duration, finish)
+    def _finish(self) -> None:
+        """The in-flight operation's host time elapsed: run its action."""
+        self._busy = False
+        action, label, started = self._current
+        self._current = None
+        tracer = self.sim.tracer
+        if tracer is not None and tracer.enabled:
+            tracer.complete(self.trace_track, label, CAT_LAUNCH, started, self.sim.now)
+        action()
+        self._pump()

@@ -14,23 +14,32 @@ MuxWise's query-based synchronisation (§3.2.3) does.
 
 from __future__ import annotations
 
+import math
 from collections import deque
-from dataclasses import dataclass
 from typing import Callable
 
 from repro.gpu.device import Device, ExecTask
 from repro.trace.tracer import CAT_GREENCTX
 
 
-@dataclass
 class Work:
     """A work item described in resource terms (resolved to an ExecTask)."""
 
-    flops: float
-    bytes: float
-    fixed_time: float = 0.0
-    max_bandwidth: float = float("inf")
-    tag: str = ""
+    __slots__ = ("flops", "bytes", "fixed_time", "max_bandwidth", "tag")
+
+    def __init__(
+        self,
+        flops: float,
+        bytes: float,
+        fixed_time: float = 0.0,
+        max_bandwidth: float = math.inf,
+        tag: str = "",
+    ) -> None:
+        self.flops = flops
+        self.bytes = bytes
+        self.fixed_time = fixed_time
+        self.max_bandwidth = max_bandwidth
+        self.tag = tag
 
 
 class OpHandle:
@@ -75,6 +84,8 @@ class Stream:
         self._sm_count = sm_count
         self._queue: deque[tuple[str, object, OpHandle]] = deque()
         self._running: OpHandle | None = None
+        #: SM count the in-flight resize (if any) re-binds to.
+        self._resize_to = sm_count
         # Busy-time accounting for the bubble-ratio metric (§4.4.2).
         self._busy_seconds = 0.0
         self._window_start = device.sim.now
@@ -155,52 +166,41 @@ class Stream:
         if self._running is not None or not self._queue:
             return
         kind, payload, handle = self._queue.popleft()
-        now = self.device.sim.now
+        sim = self.device.sim
+        now = sim.now
         if kind == "barrier":
             handle._mark_done(now)
             self._pump()
             return
         self._running = handle
+        handle.start_time = now
+        # Kernels and resizes (a stream synchronisation while it re-binds)
+        # both occupy the stream, so neither counts as bubble time.
+        self._current_op_start = now
         if kind == "resize":
-            new_sms: int = payload  # type: ignore[assignment]
-            delay = self.device.spec.greenctx_reconfig_time
-            handle.start_time = now
-            # A resize is a stream-occupying synchronisation: the stream is
-            # busy while it re-binds, so it must not count as bubble time.
-            self._current_op_start = now
-
-            def finish_resize() -> None:
-                old_sms, self._sm_count = self._sm_count, new_sms
-                tracer = self.device.sim.tracer
-                if tracer is not None and tracer.enabled:
-                    tracer.complete(
-                        self.trace_track,
-                        "resize",
-                        CAT_GREENCTX,
-                        handle.start_time or now,
-                        self.device.sim.now,
-                        {"from_sms": old_sms, "to_sms": new_sms},
-                    )
-                self._op_done(handle)
-
-            self.device.sim.schedule(delay, finish_resize)
+            self._resize_to = payload
+            sim.schedule_at(now + self.device.spec.greenctx_reconfig_time, self._finish_resize)
             return
         work: Work = payload  # type: ignore[assignment]
-        handle.start_time = now
-        self._current_op_start = now
         task = ExecTask(
-            flops=work.flops,
-            bytes=work.bytes,
-            sm_count=self._sm_count,
-            fixed_time=work.fixed_time,
-            max_bandwidth=work.max_bandwidth,
-            tag=work.tag or self.name,
-            trace_track=self.trace_track,
-            on_complete=lambda _t, h=handle: self._op_done(h),
+            work.flops, work.bytes, self._sm_count, work.fixed_time, work.max_bandwidth,
+            work.tag or self.name, self.trace_track, self._op_done,
         )
         self.device.submit(task)
 
-    def _op_done(self, handle: OpHandle) -> None:
+    def _finish_resize(self) -> None:
+        handle = self._running
+        old_sms, self._sm_count = self._sm_count, self._resize_to
+        tracer = self.device.sim.tracer
+        if tracer is not None and tracer.enabled:
+            args = {"from_sms": old_sms, "to_sms": self._sm_count}
+            now = self.device.sim.now
+            tracer.complete(self.trace_track, "resize", CAT_GREENCTX, handle.start_time, now, args)
+        self._op_done()
+
+    def _op_done(self, _time: float = 0.0) -> None:
+        """The running op (kernel or resize) finished: release the stream."""
+        handle = self._running
         now = self.device.sim.now
         if self._current_op_start is not None:
             self._busy_seconds += now - self._current_op_start

@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from repro.gpu.device import Device
 from repro.gpu.stream import Work
@@ -60,9 +61,11 @@ ALLREDUCE_LATENCY = 10e-6
 ALLREDUCES_PER_LAYER = 2
 
 
-@dataclass(frozen=True)
-class PhaseCost:
+class PhaseCost(NamedTuple):
     """Resource demands of one unit of model execution.
+
+    An immutable named tuple (cheaper to build than a frozen dataclass),
+    so cached instances are shared; ``+`` adds field by field.
 
     Attributes:
         flops: Efficiency-adjusted FLOPs — divide by the device's effective

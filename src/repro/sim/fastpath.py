@@ -14,7 +14,7 @@ Byte-identity contract (enforced by ``tests/sim/test_fastpath_equivalence``
 and the golden fingerprints in ``tests/bench/test_perf.py``):
 
 * The planner replicates ``Device._reallocate`` / ``_advance_to_now`` /
-  ``_next_phase_change`` for the single-task case *operation for
+  ``_task_horizon`` for the single-task case *operation for
   operation* — same divisions, same comparison epsilons, same clamp and
   floor order — so every float it produces is bit-equal to the scalar
   chain's.  Accounting deltas are replayed as individual ``+=`` in scalar
@@ -197,7 +197,7 @@ def plan_chain(
             bw_rate = demand
         else:
             bw_rate = eff_bw
-        # _next_phase_change.
+        # _task_horizon.
         horizon = math.inf
         if rem_flops > flops_floor and rate > _EPS:
             horizon = rem_flops / rate

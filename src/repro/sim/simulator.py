@@ -33,7 +33,9 @@ import math
 from contextlib import contextmanager
 from typing import TYPE_CHECKING, Any, Callable, Iterator
 
-from repro.sim.events import PRIORITY_NORMAL, Event
+from repro.sim.events import PRIORITY_NORMAL, Event, _sequence
+
+_heappush = heapq.heappush
 
 if TYPE_CHECKING:
     from repro.trace.tracer import Tracer
@@ -174,24 +176,27 @@ class Simulator:
         daemon: bool = False,
         scope: str | None | Any = INHERIT_SCOPE,
     ) -> Event:
-        """Schedule ``callback`` at absolute simulation ``time``."""
+        """Schedule ``callback`` at absolute simulation ``time`` (hot paths
+        call this directly with ``sim.now + delay``)."""
         now = self.now
-        if time < now - self.TIME_EPSILON:
-            raise SimulationError(
-                f"cannot schedule at {time:.9f}; clock is at {now:.9f}"
-            )
         if time <= now:
+            if time < now - self.TIME_EPSILON:
+                raise SimulationError(
+                    f"cannot schedule at {time:.9f}; clock is at {now:.9f}"
+                )
             time = now
-        event_scope = self._current_scope if scope is INHERIT_SCOPE else scope
+        if scope is INHERIT_SCOPE:
+            scope = self._current_scope
+        seq = next(_sequence)
         # Positional construction (see Event.__init__ for the slot order):
         # this runs once per scheduled event.
-        event = Event(time, priority, None, callback, False, self, daemon, event_scope)
+        event = Event(time, priority, seq, callback, False, self, daemon, scope)
         heap = self._heap
-        heapq.heappush(heap, (time, priority, event.seq, event))
-        if event_scope is not None:
-            bucket = self._scope_index.get(event_scope)
+        _heappush(heap, (time, priority, seq, event))
+        if scope is not None:
+            bucket = self._scope_index.get(scope)
             if bucket is None:
-                bucket = self._scope_index[event_scope] = set()
+                bucket = self._scope_index[scope] = set()
             bucket.add(event)
         if daemon:
             self._daemon_count += 1
@@ -288,20 +293,19 @@ class Simulator:
         self._run_until = until_cap
         self._run_cap = fired_cap
         self._fired_in_run = 0
+        # The finally below restores this after every callback.
+        outer_scope = self._current_scope
         try:
-            while True:
-                if self._fired_in_run >= fired_cap:
-                    break
+            while self._fired_in_run < fired_cap:
                 while heap and heap[0][3].cancelled:
                     heappop(heap)[3].owner = None
                     self._cancelled_count -= 1
                 if len(heap) - self._cancelled_count - self._daemon_count <= 0:
                     break
-                head = heap[0]
-                if head[0] > until_cap:
+                time, _, _, event = heap[0]
+                if time > until_cap:
                     stopped_at_until = True
                     break
-                event = head[3]
                 heappop(heap)
                 event.owner = None
                 scope = event.scope
@@ -311,16 +315,16 @@ class Simulator:
                         bucket.discard(event)
                 if event.daemon:
                     self._daemon_count -= 1
-                self.now = event.time
+                self.now = time
                 self._event_count += 1
                 self._fired_in_run += 1
-                previous_scope = self._current_scope
                 self._current_scope = scope
                 try:
-                    if not event.cancelled and event.callback is not None:
-                        event.callback()
+                    callback = event.callback
+                    if callback is not None and not event.cancelled:
+                        callback()
                 finally:
-                    self._current_scope = previous_scope
+                    self._current_scope = outer_scope
         finally:
             self._running = False
             self._run_until = math.inf

@@ -10,7 +10,7 @@ from repro.core import (
     calibrated_predictor,
     token_bucket,
 )
-from repro.core.estimator import DecodeSample
+from repro.core.estimator import DecodeSample, PrefillSample
 from repro.gpu import Device
 from repro.models import CostModel, PrefillItem, phase_latency
 from repro.sim import Simulator
@@ -138,3 +138,96 @@ class TestWorstCase:
         assert slowdown == pytest.approx(1.5, rel=0.01)
         worst = estimator.worst_case_decode(32, 32 * 1024.0, 48, prefill_new=4096)
         assert worst == pytest.approx(solo * 1.5, rel=0.01)
+
+
+def _decode_samples(sm_counts, slope):
+    """Exact-fit decode samples: latency = slope * sum_reused + 1e-4 * bs + 5e-3."""
+    return [
+        DecodeSample(bs, float(bs * ctx), sm, slope * bs * ctx + 1e-4 * bs + 5e-3)
+        for sm in sm_counts
+        for bs in (1, 8, 32)
+        for ctx in (512, 4096)
+    ]
+
+
+def _prefill_samples(sm_counts, scale):
+    return [
+        PrefillSample(
+            [PrefillItem(new=n, reused=r)], sm, scale * (n * n * 1e-9 + n * 1e-6) + 1e-3
+        )
+        for sm in sm_counts
+        for n in (256, 1024, 4096)
+        for r in (0, 2048)
+    ]
+
+
+class TestPredictionCaches:
+    def test_refit_after_predictions_serves_the_new_theta(self):
+        predictor = SoloRunPredictor()
+        predictor.fit_decode(_decode_samples((40, 60), 1e-7))
+        predictor.fit_prefill(_prefill_samples((40, 60), 1.0))
+        estimator = ContentionTolerantEstimator(predictor)
+        items = [PrefillItem(new=2000, reused=500)]
+        before = estimator.solo_decode(16, 16 * 3000.0, 50)
+        before_prefill = predictor.predict_prefill(items, 50)
+
+        fresh = SoloRunPredictor()
+        fresh.fit_decode(_decode_samples((40, 60), 3e-7))
+        fresh.fit_prefill(_prefill_samples((40, 60), 2.0))
+
+        predictor.fit_decode(_decode_samples((40, 60), 3e-7))
+        after = estimator.solo_decode(16, 16 * 3000.0, 50)
+        assert after != before
+        assert after == fresh.predict_decode(16, 16 * 3000.0, 50)
+        assert predictor.predict_decode(16, 16 * 3000.0, 50) == after
+
+        predictor.fit_prefill(_prefill_samples((40, 60), 2.0))
+        after_prefill = predictor.predict_prefill(items, 50)
+        assert after_prefill != before_prefill
+        assert after_prefill == fresh.predict_prefill(items, 50)
+
+    def test_refit_with_a_new_partition_changes_the_nearest(self):
+        predictor = SoloRunPredictor()
+        predictor.fit_decode(_decode_samples((40,), 1e-7))
+        coarse = predictor.predict_decode(8, 8 * 1000.0, 70)
+        predictor.fit_decode(_decode_samples((72,), 9e-7))
+        assert predictor.predict_decode(8, 8 * 1000.0, 70) != coarse
+
+    @pytest.mark.parametrize("order", [(40, 60), (60, 40)])
+    def test_equidistant_query_takes_the_first_fitted(self, order):
+        predictor = SoloRunPredictor()
+        predictor.fit_decode(_decode_samples(order, 1e-7))
+        table = predictor._decode_theta
+        expected = min(table, key=lambda sm: abs(sm - 50))
+        assert expected == order[0]
+        for _ in range(2):  # the miss, then the memoised hit
+            fitted, theta = predictor._nearest(table, predictor._decode_nearest, 50)
+            assert fitted == expected
+            assert theta is table[expected]
+
+    def test_repeated_decode_iterations_do_not_grow_the_caches(self):
+        predictor = SoloRunPredictor()
+        predictor.fit_decode(_decode_samples((24, 48, 96), 1e-7))
+        estimator = ContentionTolerantEstimator(predictor)
+        partitions = (24, 36, 48, 72, 96)
+        sizes = []
+        for iteration in range(500):
+            batch, context = 1 + iteration % 64, 1000.0 * (iteration + 1)
+            for sm in partitions:
+                estimator.worst_case_decode(batch, context, sm, 4096.0, 0.0)
+            estimator.observe_decode(batch, context, 48, 0.02, 4096.0, 0.0)
+            sizes.append((len(estimator._solo_by_sms), len(predictor._decode_nearest)))
+        assert max(sizes) == (len(partitions), len(partitions))
+        assert sizes[-1] == sizes[10]
+
+    def test_cached_solo_decode_equals_a_fresh_prediction(self):
+        predictor = SoloRunPredictor()
+        predictor.fit_decode(_decode_samples((24, 48, 96), 1e-7))
+        estimator = ContentionTolerantEstimator(predictor)
+        queries = [(8, 9000.0, 48), (8, 9000.0, 48), (8, 9000, 30), (9, 9000.0, 48)]
+        for batch, context, sm in queries:
+            fresh = SoloRunPredictor()
+            fresh.fit_decode(_decode_samples((24, 48, 96), 1e-7))
+            assert estimator.solo_decode(batch, context, sm) == fresh.predict_decode(
+                batch, context, sm
+            )
