@@ -3,7 +3,7 @@
 
 Three demonstrations of the ``repro.spec`` execution mode:
 
-1. The acceptance × draft-length sweep (`python -m repro spec` under the
+1. The acceptance × draft-length sweep (`python -m repro study spec` under the
    hood): plain decode is memory-bound and MuxWise leads static
    disaggregation, but verification — priced as a micro-prefill — spends
    the disaggregated decode instance's idle compute, so the goodput gap

@@ -17,12 +17,11 @@ import json
 import math
 from dataclasses import dataclass, field, replace
 
-from repro.bench.runner import DRAIN_HORIZON, STABILITY_TTFT, SystemFactory, run_capped
+from repro.bench.runner import DRAIN_HORIZON, STABILITY_TTFT, RunStats, SystemFactory, simulate
 from repro.cluster import Fleet, FleetConfig, HealthConfig
 from repro.faults import FaultInjector, FaultPlan, default_chaos_plan
 from repro.serving.config import ServingConfig
 from repro.serving.metrics import Summary
-from repro.sim import make_sim
 from repro.trace import Tracer
 from repro.workloads.request import Workload
 
@@ -48,6 +47,7 @@ class ChaosResult:
     #: the fleet ran with KV tiers or cross-replica transfer — the payload
     #: must not grow keys on the byte-identical untiered path.
     kv: dict[str, int] | None = None
+    stats: RunStats = RunStats()
 
     def conserved(self) -> bool:
         """Every arrival is in exactly one terminal bucket, none in flight."""
@@ -126,19 +126,25 @@ def run_chaos(
     last_arrival = workload.requests[-1].arrival_time if len(workload) else 0.0
     if plan is None:
         plan = default_chaos_plan(max(1.0, last_arrival))
-    sim = make_sim()
-    if tracer is not None:
-        sim.attach_tracer(tracer)
-    cluster = Fleet(sim, factory, cfg, fleet)
-    injector = FaultInjector(sim, cluster, plan)
-    injector.arm()
-    cluster.submit(workload)
-    plan_end = max((spec.at for spec in plan), default=0.0)
-    run_capped(sim, max(last_arrival, plan_end) + drain_horizon)
+
+    def build(sim):
+        cluster = Fleet(sim, factory, cfg, fleet)
+        # Armed before the workload is submitted: fault events take the
+        # earlier sequence numbers at equal timestamps.
+        FaultInjector(sim, cluster, plan).arm()
+        return cluster
+
+    cluster, stats = simulate(
+        build,
+        workload,
+        tracer=tracer,
+        drain_horizon=drain_horizon,
+        not_before=max((spec.at for spec in plan), default=0.0),
+    )
+    injector = cluster.router.network  # arm() installed it there
     extras: dict[str, float] = {
         "requests_queued": float(cluster.router.requests_queued),
-        "events_processed": float(sim.processed_events),
-        "peak_event_queue": float(sim.max_event_queue),
+        **stats.as_extras(),
     }
     if cluster.autoscaler is not None:
         extras["scale_ups"] = float(cluster.autoscaler.scale_ups)
@@ -156,8 +162,9 @@ def run_chaos(
         fleet_restarts=cluster.restarts,
         replicas_total=len(cluster.replicas),
         replicas_routable=len(cluster.routable_replicas()),
-        drained=sim.pending_productive == 0,
+        drained=stats.drained,
         extras=extras,
         stability_ttft=stability_ttft,
         kv=cluster.kv_ledger(),
+        stats=stats,
     )

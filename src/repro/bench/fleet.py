@@ -11,21 +11,26 @@ policy-vs-policy comparisons at a fixed deployment
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, replace
 
-from repro.bench.goodput import GoodputResult, RatePoint, WorkloadFactory
-from repro.bench.runner import DRAIN_HORIZON, STABILITY_TTFT, SystemFactory, run_capped
+from repro.bench.goodput import GoodputResult, WorkloadFactory, _sweep
+from repro.bench.runner import (
+    DRAIN_HORIZON,
+    STABILITY_TTFT,
+    RunStats,
+    StabilityVerdict,
+    SystemFactory,
+    simulate,
+)
 from repro.cluster import Fleet, FleetConfig
 from repro.serving.config import ServingConfig
 from repro.serving.metrics import Summary
-from repro.sim import make_sim
 from repro.trace import Tracer
 from repro.workloads.request import Workload
 
 
 @dataclass
-class FleetRunResult:
+class FleetRunResult(StabilityVerdict):
     """Outcome of one fleet run (fleet-merged plus per-replica views)."""
 
     summary: Summary
@@ -39,21 +44,7 @@ class FleetRunResult:
     router_decisions: int
     extras: dict[str, float] = field(default_factory=dict)
     stability_ttft: float = STABILITY_TTFT
-
-    @property
-    def stable(self) -> bool:
-        """All admitted requests done and fleet tail TTFT not diverging."""
-        s = self.summary
-        if s.requests_total == 0:
-            return True
-        done = s.requests_finished >= s.requests_total * 0.99
-        ttft_ok = not math.isnan(s.ttft_p99) and s.ttft_p99 <= self.stability_ttft
-        return done and ttft_ok
-
-    @property
-    def meets_slo(self) -> bool:
-        """Stable AND fleet P99 TBT within the SLO (goodput criterion)."""
-        return self.stable and self.summary.slo_met
+    stats: RunStats = RunStats()
 
 
 def run_fleet(
@@ -66,17 +57,15 @@ def run_fleet(
     stability_ttft: float = STABILITY_TTFT,
 ) -> FleetRunResult:
     """Run ``workload`` through a freshly built fleet and summarise."""
-    sim = make_sim()
-    if tracer is not None:
-        sim.attach_tracer(tracer)
-    cluster = Fleet(sim, factory, cfg, fleet)
-    cluster.submit(workload)
-    last_arrival = workload.requests[-1].arrival_time if len(workload) else 0.0
-    run_capped(sim, last_arrival + drain_horizon)
+    cluster, stats = simulate(
+        lambda sim: Fleet(sim, factory, cfg, fleet),
+        workload,
+        tracer=tracer,
+        drain_horizon=drain_horizon,
+    )
     extras: dict[str, float] = {
         "requests_queued": float(cluster.router.requests_queued),
-        "events_processed": float(sim.processed_events),
-        "peak_event_queue": float(sim.max_event_queue),
+        **stats.as_extras(),
     }
     if cluster.autoscaler is not None:
         extras["scale_ups"] = float(cluster.autoscaler.scale_ups)
@@ -105,6 +94,7 @@ def run_fleet(
         router_decisions=cluster.router.decisions,
         extras=extras,
         stability_ttft=stability_ttft,
+        stats=stats,
     )
 
 
@@ -124,20 +114,10 @@ def fleet_goodput_sweep(
     whole fleet as the system under test; the returned points carry
     :class:`FleetRunResult` objects.
     """
-    points: list[RatePoint] = []
-    failures = 0
-    for rate in sorted(rates):
-        workload = workload_factory(rate)
-        result = run_fleet(factory, cfg, workload, fleet, stability_ttft=stability_ttft)
-        point = RatePoint(rate=rate, result=result)
-        points.append(point)
-        if point.meets_slo:
-            failures = 0
-        else:
-            failures += 1
-            if failures >= stop_after_failures:
-                break
-    return GoodputResult(system=name, points=points)
+    run_at = lambda rate: run_fleet(
+        factory, cfg, workload_factory(rate), fleet, stability_ttft=stability_ttft
+    )
+    return _sweep(name, run_at, rates, stop_after_failures)
 
 
 def compare_policies(

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-from repro.bench.runner import RunResult, SystemFactory, run_system
+from repro.bench.runner import RunResult, StabilityVerdict, SystemFactory, run_system
 from repro.serving.config import ServingConfig
 from repro.workloads.request import Workload
 
@@ -65,12 +65,21 @@ def goodput_sweep(
     Mirrors the paper's methodology: "we stop testing once the serving
     system becomes unstable or fails to meet the TBT SLO target."
     """
+    run_at = lambda rate: run_system(factory, cfg, workload_factory(rate))
+    return _sweep(name, run_at, rates, stop_after_failures)
+
+
+def _sweep(
+    name: str,
+    run_at: Callable[[float], StabilityVerdict],
+    rates: list[float],
+    stop_after_failures: int,
+) -> GoodputResult:
+    """The ascending-rate loop shared by the single-system and fleet sweeps."""
     points: list[RatePoint] = []
     failures = 0
     for rate in sorted(rates):
-        workload = workload_factory(rate)
-        result = run_system(factory, cfg, workload)
-        point = RatePoint(rate=rate, result=result)
+        point = RatePoint(rate=rate, result=run_at(rate))
         points.append(point)
         if point.meets_slo:
             failures = 0

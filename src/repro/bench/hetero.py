@@ -43,7 +43,7 @@ is what ``tests/bench/test_hetero.py`` asserts as
 
 The study is deterministic: same (scale, seed) → identical
 :meth:`HeteroStudy.as_dict` payload.  The perf harness fingerprints it and
-the CI ``hetero-smoke`` job diffs two back-to-back runs byte-for-byte.
+the CI ``study-smoke`` job diffs two back-to-back runs byte-for-byte.
 """
 
 from __future__ import annotations
@@ -52,13 +52,11 @@ import random
 from dataclasses import dataclass, field
 
 from repro.baselines import ChunkedPrefillServer
-from repro.bench.runner import DRAIN_HORIZON, run_capped
+from repro.bench.runner import RunStats, simulate
 from repro.cluster import CostAwareRoutingPolicy, Fleet, FleetConfig
 from repro.gpu.specs import A100, H100, H200, L40S, GPUSpec
 from repro.models.config import LLAMA_8B
 from repro.serving.config import ServingConfig
-from repro.serving.metrics import merge_collectors
-from repro.sim import make_sim
 from repro.tenancy.accounting import tier_reports
 from repro.tenancy.model import TenancyConfig, TenantClass
 from repro.workloads.arrival import poisson_arrivals
@@ -289,11 +287,7 @@ class HeteroStudy:
         }
 
 
-def _factory(sim, cfg):
-    return ChunkedPrefillServer(sim, cfg, token_budget=256)
-
-
-def _run_plan(plan: FleetPlan, scale: float, seed: int, tenancy: TenancyConfig) -> tuple[HeteroPoint, dict[str, float]]:
+def _run_plan(plan: FleetPlan, scale: float, seed: int, tenancy: TenancyConfig) -> tuple[HeteroPoint, RunStats]:
     """Run one plan against a fresh copy of the workload and cost it.
 
     The workload is regenerated per run from the same seed (request ids
@@ -305,15 +299,11 @@ def _run_plan(plan: FleetPlan, scale: float, seed: int, tenancy: TenancyConfig) 
         skus=plan.skus,
         policy=CostAwareRoutingPolicy(tier_pins=plan.tier_pins),
     )
-    sim = make_sim()
-    fleet = Fleet(sim, _factory, cfg, fleet_cfg)
-    workload = hetero_workload(scale, seed)
-    fleet.submit(workload)
-    last_arrival = workload.requests[-1].arrival_time
-    run_capped(sim, last_arrival + DRAIN_HORIZON)
-    merged = merge_collectors(
-        [r.system.metrics for r in fleet.replicas], cfg.slo, name=plan.name
+    fleet, stats = simulate(
+        lambda sim: Fleet(sim, ChunkedPrefillServer, cfg, fleet_cfg),
+        hetero_workload(scale, seed),
     )
+    merged = fleet.merged_metrics(plan.name)
     reports = tier_reports(merged, tenancy, cfg.slo)
     ledger = fleet.cost_ledger()
     point = HeteroPoint(
@@ -326,23 +316,16 @@ def _run_plan(plan: FleetPlan, scale: float, seed: int, tenancy: TenancyConfig) 
         usd_spent=float(ledger["usd"]),
         kwh_spent=float(ledger["kwh"]),
     )
-    extras = {
-        "events_processed": float(sim.processed_events),
-        "peak_event_queue": float(sim.max_event_queue),
-    }
-    return point, extras
+    return point, stats
 
 
 def run_hetero_study(scale: float = 1.0, seed: int = 0) -> HeteroStudy:
     """Run every fleet plan at equal budget and fold into one report."""
     tenancy = study_tenancy()
     points: list[HeteroPoint] = []
-    extras: dict[str, float] = {"events_processed": 0.0, "peak_event_queue": 0.0}
+    stats = RunStats()
     for plan in FLEET_PLANS:
-        point, run_extras = _run_plan(plan, scale, seed, tenancy)
+        point, plan_stats = _run_plan(plan, scale, seed, tenancy)
         points.append(point)
-        extras["events_processed"] += run_extras["events_processed"]
-        extras["peak_event_queue"] = max(
-            extras["peak_event_queue"], run_extras["peak_event_queue"]
-        )
-    return HeteroStudy(points=points, extras=extras)
+        stats += plan_stats
+    return HeteroStudy(points=points, extras=stats.as_extras())

@@ -20,7 +20,7 @@ Two studies back the tiered-KV work:
 
 Both studies are deterministic: same (bandwidths, scale, seed) → identical
 :meth:`KVTiersStudy.as_dict` payload, which is what the perf-harness
-fingerprint and the CI kvtiers-smoke job rely on.
+fingerprint and the CI study-smoke job rely on.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 
 from repro.baselines import ChunkedPrefillServer, SGLangPDServer
 from repro.bench.chaos import run_chaos
-from repro.bench.runner import RunResult, run_system
+from repro.bench.runner import RunStats, run_system
 from repro.cluster import FleetConfig, HealthConfig
 from repro.core import MuxWiseServer
 from repro.faults import FaultKind, FaultPlan, FaultSpec
@@ -118,7 +118,7 @@ def bandwidth_sweep(
     bandwidths: tuple[float, ...] = DEFAULT_BANDWIDTHS,
     scale: float = 1.0,
     seed: int = 0,
-) -> tuple[list[BandwidthPoint], dict[str, float]]:
+) -> tuple[list[BandwidthPoint], RunStats]:
     """Mux (once) vs disagg (per bandwidth) on the conversation trace.
 
     The workload is regenerated per run from the same seed: request ids are
@@ -127,12 +127,8 @@ def bandwidth_sweep(
     apples-to-apples.
     """
     cfg = _sweep_config()
-    extras: dict[str, float] = {}
-
-    mux = run_system(
-        lambda sim, c: MuxWiseServer(sim, c), cfg, _sweep_workload(scale, seed)
-    )
-    _merge_counts(extras, mux)
+    mux = run_system(MuxWiseServer, cfg, _sweep_workload(scale, seed))
+    stats = mux.stats
 
     points: list[BandwidthPoint] = []
     for bandwidth in sorted(bandwidths):
@@ -147,7 +143,7 @@ def bandwidth_sweep(
             cfg,
             _sweep_workload(scale, seed),
         )
-        _merge_counts(extras, disagg)
+        stats += disagg.stats
         points.append(
             BandwidthPoint(
                 bandwidth=bandwidth,
@@ -157,7 +153,7 @@ def bandwidth_sweep(
                 disagg_ttft_p50=disagg.summary.ttft_p50,
             )
         )
-    return points, extras
+    return points, stats
 
 
 def failover_restore_study(scale: float = 1.0, seed: int = 0) -> dict[str, int]:
@@ -198,18 +194,12 @@ def failover_restore_study(scale: float = 1.0, seed: int = 0) -> dict[str, int]:
             ),
         )
     )
-    result = run_chaos(
-        lambda sim, c: ChunkedPrefillServer(sim, c, token_budget=256),
-        cfg,
-        workload,
-        fleet,
-        plan,
-    )
+    result = run_chaos(ChunkedPrefillServer, cfg, workload, fleet, plan)
     ledger = dict(result.kv or {})
     ledger["requests_finished"] = int(result.summary.requests_finished)
     ledger["drained"] = int(result.drained)
-    ledger["events_processed"] = int(result.extras.get("events_processed", 0))
-    ledger["peak_event_queue"] = int(result.extras.get("peak_event_queue", 0))
+    ledger["events_processed"] = result.stats.events
+    ledger["peak_event_queue"] = result.stats.peak_queue
     return ledger
 
 
@@ -219,22 +209,11 @@ def run_kv_tiers_study(
     seed: int = 0,
 ) -> KVTiersStudy:
     """Run both studies and fold them into one deterministic report."""
-    points, extras = bandwidth_sweep(
+    points, stats = bandwidth_sweep(
         tuple(bandwidths) if bandwidths else DEFAULT_BANDWIDTHS, scale, seed
     )
     failover = failover_restore_study(scale, seed)
-    extras["events_processed"] += float(failover.get("events_processed", 0))
-    extras["peak_event_queue"] = max(
-        extras["peak_event_queue"], float(failover.get("peak_event_queue", 0))
+    stats += RunStats(
+        failover["events_processed"], failover["peak_event_queue"], bool(failover["drained"])
     )
-    return KVTiersStudy(points=points, failover=failover, extras=extras)
-
-
-def _merge_counts(extras: dict[str, float], result: RunResult) -> None:
-    """Accumulate simulator-load counters across the sweep's runs."""
-    extras["events_processed"] = extras.get("events_processed", 0.0) + result.extras.get(
-        "events_processed", 0.0
-    )
-    extras["peak_event_queue"] = max(
-        extras.get("peak_event_queue", 0.0), result.extras.get("peak_event_queue", 0.0)
-    )
+    return KVTiersStudy(points=points, failover=failover, extras=stats.as_extras())

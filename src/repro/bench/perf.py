@@ -28,15 +28,20 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
 import time
 from dataclasses import dataclass, field
 from typing import Callable
 
 from repro.baselines import ChunkedPrefillServer
-from repro.bench.chaos import run_chaos
+from repro.bench.chaos import _jsonable, run_chaos
 from repro.bench.fleet import run_fleet
 from repro.bench.runner import run_system
+from repro.bench.tenancy import (
+    brownout_fleet,
+    noisy_neighbor_workload,
+    run_tenancy_mode,
+    study_tenancy_config,
+)
 from repro.cluster import FleetConfig, HealthConfig
 from repro.gpu.specs import A100
 from repro.models.config import LLAMA_8B
@@ -45,17 +50,6 @@ from repro.workloads import sharegpt_workload
 
 #: Schema version of BENCH_perf.json; bump on incompatible layout changes.
 SCHEMA_VERSION = 1
-
-
-def _jsonable(value):
-    """Recursively map NaN/inf floats to None (strict-JSON safe)."""
-    if isinstance(value, dict):
-        return {k: _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    if isinstance(value, float) and not math.isfinite(value):
-        return None
-    return value
 
 
 def _digest(payload) -> str:
@@ -68,10 +62,6 @@ def _default_config() -> ServingConfig:
     return ServingConfig(model=LLAMA_8B, spec=A100, n_gpus=1)
 
 
-def _factory(sim, cfg):
-    return ChunkedPrefillServer(sim, cfg, token_budget=256)
-
-
 # --------------------------------------------------------------------- #
 # Scenarios
 # --------------------------------------------------------------------- #
@@ -81,7 +71,7 @@ def _scenario_single(scale: float):
     """One ServingSystem under a goodput-style load (the Fig. 15 shape)."""
     cfg = _default_config()
     workload = sharegpt_workload(max(8, int(200 * scale)), rate=6.0, seed=13)
-    result = run_system(_factory, cfg, workload)
+    result = run_system(ChunkedPrefillServer, cfg, workload)
     payload = {
         "summary": result.summary.as_dict(),
         "cache_hit_rate": result.cache_hit_rate,
@@ -97,7 +87,7 @@ def _scenario_fleet(scale: float):
     cfg = _default_config()
     workload = sharegpt_workload(max(16, int(800 * scale)), rate=12.0, seed=13)
     result = run_fleet(
-        _factory, cfg, workload, FleetConfig(replicas=4, policy="prefix-affinity")
+        ChunkedPrefillServer, cfg, workload, FleetConfig(replicas=4, policy="prefix-affinity")
     )
     payload = {
         "summary": result.summary.as_dict(),
@@ -117,7 +107,7 @@ def _scenario_chaos(scale: float):
     cfg = _default_config()
     workload = sharegpt_workload(max(8, int(150 * scale)), rate=8.0, seed=0)
     result = run_chaos(
-        _factory,
+        ChunkedPrefillServer,
         cfg,
         workload,
         fleet=FleetConfig(replicas=4, policy="round-robin", health=HealthConfig()),
@@ -134,85 +124,29 @@ def _scenario_tenancy(scale: float):
     fair queue, tiered admission, per-tier slicing — and fingerprints the
     full per-tier report.
     """
-    from repro.bench.tenancy import (
-        BROWNOUT_CAPACITY,
-        BROWNOUT_TIER_FRACTIONS,
-        noisy_neighbor_workload,
-        run_tenancy_mode,
-        study_tenancy_config,
-    )
-    from repro.tenancy import TieredAdmissionController
-
     tenancy = study_tenancy_config()
     cfg = ServingConfig(
         model=LLAMA_8B, spec=A100, n_gpus=1, queue_policy="wfq", tenancy=tenancy
     )
     workload = noisy_neighbor_workload(scale=scale * 0.5, seed=0)
-    from repro.cluster import AdmissionConfig
-
-    fleet = FleetConfig(
-        replicas=1,
-        admission=TieredAdmissionController(
-            AdmissionConfig(max_outstanding_per_replica=BROWNOUT_CAPACITY, mode="queue"),
-            tenancy=tenancy,
-            tier_fractions=BROWNOUT_TIER_FRACTIONS,
-        ),
-    )
+    fleet = brownout_fleet(tenancy)
     result = run_tenancy_mode(
-        _factory, cfg, workload, tenancy, fleet, mode="wfq+brownout"
+        ChunkedPrefillServer, cfg, workload, tenancy, fleet, mode="wfq+brownout"
     )
     return result.as_dict(), result.extras
 
 
-def _scenario_kv_tiers(scale: float):
-    """Tiered-KV bandwidth sweep plus the failover-restore study.
+def _study_scenario(name: str) -> Callable:
+    """The registered study ``name`` at seed 0; fingerprints its full report."""
 
-    Fingerprints the full study report: the mux-vs-disagg crossover points
-    and the restored-vs-recomputed failover ledger.
-    """
-    from repro.bench.kv_tiers import run_kv_tiers_study
+    def scenario(scale: float):
+        # Imported on first use: the study modules stay off `import repro`.
+        from repro.bench.studies import STUDIES
 
-    study = run_kv_tiers_study(scale=scale, seed=0)
-    return study.as_dict(), study.extras
+        report = STUDIES[name].run(scale, 0)
+        return report.as_dict(), report.extras
 
-
-def _scenario_spec(scale: float):
-    """Speculative-decoding acceptance × draft-length sweep.
-
-    Fingerprints the full study report: the spec-off baseline, every grid
-    point's accepted-tokens/step and throughputs, and the
-    ``accepted_monotone`` / ``gap_shift`` verdicts.
-    """
-    from repro.bench.spec import run_spec_study
-
-    study = run_spec_study(scale=scale, seed=0)
-    return study.as_dict(), study.extras
-
-
-def _scenario_hetero(scale: float):
-    """Equal-budget SKU-mix study (homogeneous H100/L40S vs mixed).
-
-    Fingerprints the full study report: every plan's tier goodput, cost
-    integrals, and the ``equal_budget`` / ``mixed_wins_per_dollar`` /
-    ``mixed_wins_per_kwh`` verdicts.
-    """
-    from repro.bench.hetero import run_hetero_study
-
-    study = run_hetero_study(scale=scale, seed=0)
-    return study.as_dict(), study.extras
-
-
-def _scenario_agentic_rag(scale: float):
-    """Agentic & RAG scenarios study (routing, tool-pauses, calibration).
-
-    Fingerprints the full study report: the RAG routing comparison, the
-    agentic tool-pause goodput gaps, the profile self-calibration ratios,
-    and the three verdicts.
-    """
-    from repro.bench.scenarios import run_scenarios_study
-
-    study = run_scenarios_study(scale=scale, seed=0)
-    return study.as_dict(), study.extras
+    return scenario
 
 
 SCENARIOS: dict[str, Callable] = {
@@ -220,10 +154,10 @@ SCENARIOS: dict[str, Callable] = {
     "fleet_4_replicas": _scenario_fleet,
     "chaos_4_replicas": _scenario_chaos,
     "tenancy_wfq_brownout": _scenario_tenancy,
-    "kv_tiers": _scenario_kv_tiers,
-    "spec_decoding": _scenario_spec,
-    "hetero_fleet": _scenario_hetero,
-    "agentic_rag": _scenario_agentic_rag,
+    "kv_tiers": _study_scenario("kvtiers"),
+    "spec_decoding": _study_scenario("spec"),
+    "hetero_fleet": _study_scenario("hetero"),
+    "agentic_rag": _study_scenario("scenarios"),
 }
 
 #: The two fastest scenarios — what the scale tiers (and the CI

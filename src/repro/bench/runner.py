@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, TypeVar
 
 from repro.serving.base import ServingSystem, iter_instances
 from repro.serving.config import ServingConfig
@@ -12,6 +12,8 @@ from repro.serving.metrics import Summary
 from repro.sim import Simulator, SimulationError, make_sim
 from repro.trace import Tracer
 from repro.workloads.request import Workload
+
+Built = TypeVar("Built")
 
 #: Safety cap on simulator events per run (guards against scheduling bugs).
 MAX_EVENTS = 20_000_000
@@ -25,16 +27,15 @@ DRAIN_HORIZON = 3600.0
 STABILITY_TTFT = 30.0
 
 
-@dataclass
-class RunResult:
-    """Outcome of one serving run."""
+class StabilityVerdict:
+    """The instability proxy and goodput criterion shared by run results.
+
+    Mixed into result dataclasses that carry a ``summary`` and a
+    ``stability_ttft`` ceiling.
+    """
 
     summary: Summary
-    cache_hit_rate: float
-    sm_utilization: float
-    bandwidth_utilization: float
-    extras: dict[str, float] = field(default_factory=dict)
-    stability_ttft: float = STABILITY_TTFT
+    stability_ttft: float
 
     @property
     def stable(self) -> bool:
@@ -53,6 +54,62 @@ class RunResult:
     def meets_slo(self) -> bool:
         """Stable AND P99 TBT within the SLO (the goodput criterion)."""
         return self.stable and self.summary.slo_met
+
+
+@dataclass(frozen=True)
+class RunStats:
+    """Simulator load of one run; ``+`` folds runs (events add, peak takes max).
+
+    ``drained`` is true when the run ended with no productive event
+    pending (bounded termination rather than the time horizon cutting
+    work off); a sum is drained only if every run was.
+    """
+
+    events: int = 0
+    peak_queue: int = 0
+    drained: bool = True
+
+    def __add__(self, other: "RunStats") -> "RunStats":
+        return RunStats(
+            events=self.events + other.events,
+            peak_queue=max(self.peak_queue, other.peak_queue),
+            drained=self.drained and other.drained,
+        )
+
+    def as_extras(self) -> dict[str, float]:
+        """The ``events_processed`` / ``peak_event_queue`` result keys."""
+        return {
+            "events_processed": float(self.events),
+            "peak_event_queue": float(self.peak_queue),
+        }
+
+
+@dataclass
+class RunResult(StabilityVerdict):
+    """Outcome of one serving run."""
+
+    summary: Summary
+    cache_hit_rate: float
+    sm_utilization: float
+    bandwidth_utilization: float
+    extras: dict[str, float] = field(default_factory=dict)
+    stability_ttft: float = STABILITY_TTFT
+    stats: RunStats = RunStats()
+
+    @classmethod
+    def of(
+        cls, system: ServingSystem, stats: RunStats, stability_ttft: float = STABILITY_TTFT
+    ) -> "RunResult":
+        """Summarise a system that :func:`simulate` ran."""
+        return cls(
+            summary=system.metrics.summarize(),
+            cache_hit_rate=_cache_hit_rate(system),
+            sm_utilization=_sm_utilization(system),
+            bandwidth_utilization=_bw_utilization(system),
+            extras={**_extras(system), **stats.as_extras()},
+            stability_ttft=stability_ttft,
+            stats=stats,
+        )
 
 
 SystemFactory = Callable[[Simulator, ServingConfig], ServingSystem]
@@ -81,6 +138,38 @@ def run_capped(sim: Simulator, until: float | None) -> None:
     )
 
 
+def simulate(
+    build: Callable[[Simulator], Built],
+    workload: Workload,
+    *,
+    tracer: Tracer | None = None,
+    drain_horizon: float = DRAIN_HORIZON,
+    not_before: float = 0.0,
+) -> tuple[Built, RunStats]:
+    """Build a system (or fleet) in a fresh simulator and play ``workload``.
+
+    The one way every harness runs a simulation: a tracer, if given, is
+    attached before ``build`` so every layer's hooks see it; the run is
+    cut :data:`DRAIN_HORIZON` (or ``drain_horizon``) simulated seconds
+    after the later of the last arrival and ``not_before``, under the
+    :func:`run_capped` event cap.  Returns what ``build`` made, for the
+    caller to summarise, and the run's :class:`RunStats`.
+    """
+    sim = make_sim()
+    if tracer is not None:
+        sim.attach_tracer(tracer)
+    system = build(sim)
+    system.submit(workload)
+    last_arrival = workload.requests[-1].arrival_time if len(workload) else 0.0
+    run_capped(sim, max(last_arrival, not_before) + drain_horizon)
+    stats = RunStats(
+        events=sim.processed_events,
+        peak_queue=sim.max_event_queue,
+        drained=sim.pending_productive == 0,
+    )
+    return system, stats
+
+
 def run_system(
     factory: SystemFactory,
     cfg: ServingConfig,
@@ -91,30 +180,14 @@ def run_system(
 ) -> RunResult:
     """Run ``workload`` through a freshly built system and summarise.
 
-    Pass a :class:`repro.trace.Tracer` to record an event timeline; it is
-    attached before the system is built so every layer's hooks see it.
+    Pass a :class:`repro.trace.Tracer` to record an event timeline.
     ``drain_horizon`` and ``stability_ttft`` override the module defaults
     for long-tail workloads or fleet runs with their own stability criteria.
     """
-    sim = make_sim()
-    if tracer is not None:
-        sim.attach_tracer(tracer)
-    system = factory(sim, cfg)
-    system.submit(workload)
-    last_arrival = workload.requests[-1].arrival_time if len(workload) else 0.0
-    run_capped(sim, last_arrival + drain_horizon)
-    summary = system.metrics.summarize()
-    extras = _extras(system)
-    extras["events_processed"] = float(sim.processed_events)
-    extras["peak_event_queue"] = float(sim.max_event_queue)
-    return RunResult(
-        summary=summary,
-        cache_hit_rate=_cache_hit_rate(system),
-        sm_utilization=_sm_utilization(system),
-        bandwidth_utilization=_bw_utilization(system),
-        extras=extras,
-        stability_ttft=stability_ttft,
+    system, stats = simulate(
+        lambda sim: factory(sim, cfg), workload, tracer=tracer, drain_horizon=drain_horizon
     )
+    return RunResult.of(system, stats, stability_ttft)
 
 
 def _cache_hit_rate(system: ServingSystem) -> float:

@@ -1,6 +1,6 @@
 """Agentic & RAG scenarios study: routing, tool-pauses, profile replay.
 
-Three questions, one deterministic report (``python -m repro scenarios``):
+Three questions, one deterministic report (``python -m repro study scenarios``):
 
 * **RAG routing.**  A fleet serving the RAG workload — Zipf-popular shared
   document prefixes with per-query retrieval fan-out — under round-robin
@@ -20,7 +20,7 @@ Three questions, one deterministic report (``python -m repro scenarios``):
   real deployment's profile inherits when replayed here.
 
 Deterministic: same (scale, seed) → byte-identical :meth:`as_dict`
-payload.  The CI ``scenarios-smoke`` job runs the CLI twice, diffs the
+payload.  The CI ``study-smoke`` job runs the CLI twice, diffs the
 bytes, and asserts all three verdicts; the ``agentic_rag`` perf scenario
 fingerprints the same payload.
 """
@@ -30,8 +30,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.baselines import ChunkedPrefillServer, SGLangPDServer
-from repro.bench.fleet import FleetRunResult, run_fleet
-from repro.bench.runner import RunResult, run_system
+from repro.bench.fleet import run_fleet
+from repro.bench.runner import RunStats, run_system
 from repro.cluster import FleetConfig
 from repro.core import MuxWiseServer
 from repro.gpu.specs import A100
@@ -63,13 +63,6 @@ CALIBRATION_METRICS = ("useful_throughput", "ttft_p50", "tbt_p50", "e2e_p50")
 #: Minimum relative shift of the mux-minus-disagg gap (normalised by the
 #: instant-tools gap magnitude) for the pause verdict.
 PAUSE_GAP_MIN_SHIFT = 0.10
-
-#: Chunked-prefill token budget used by every chunked run in the study.
-CHUNK_BUDGET = 256
-
-
-def _chunked(sim, cfg):
-    return ChunkedPrefillServer(sim, cfg, token_budget=CHUNK_BUDGET)
 
 
 @dataclass(frozen=True)
@@ -213,16 +206,7 @@ class ScenariosStudy:
         }
 
 
-def _merge_counts(extras: dict[str, float], result: RunResult | FleetRunResult) -> None:
-    extras["events_processed"] = extras.get("events_processed", 0.0) + result.extras.get(
-        "events_processed", 0.0
-    )
-    extras["peak_event_queue"] = max(
-        extras.get("peak_event_queue", 0.0), result.extras.get("peak_event_queue", 0.0)
-    )
-
-
-def _routing_leg(scale: float, seed: int, extras: dict[str, float]) -> list[RoutingPoint]:
+def _routing_leg(scale: float, seed: int, stats: list[RunStats]) -> list[RoutingPoint]:
     cfg = ServingConfig(model=LLAMA_8B, spec=A100, n_gpus=1)
     points = []
     for policy in ROUTING_POLICIES:
@@ -230,9 +214,9 @@ def _routing_leg(scale: float, seed: int, extras: dict[str, float]) -> list[Rout
         # one workload object across simulators would be unsound.
         workload = rag_workload(max(24, int(RAG_REQUESTS * scale)), rate=RAG_RATE, seed=seed)
         result = run_fleet(
-            _chunked, cfg, workload, FleetConfig(replicas=RAG_REPLICAS, policy=policy)
+            ChunkedPrefillServer, cfg, workload, FleetConfig(replicas=RAG_REPLICAS, policy=policy)
         )
-        _merge_counts(extras, result)
+        stats.append(result.stats)
         points.append(
             RoutingPoint(
                 policy=policy,
@@ -245,7 +229,7 @@ def _routing_leg(scale: float, seed: int, extras: dict[str, float]) -> list[Rout
     return points
 
 
-def _pause_leg(scale: float, seed: int, extras: dict[str, float]) -> list[PausePoint]:
+def _pause_leg(scale: float, seed: int, stats: list[RunStats]) -> list[PausePoint]:
     cfg = ServingConfig(model=LLAMA_8B, spec=A100, n_gpus=2)
     sessions = max(8, int(AGENTIC_SESSIONS * scale))
     points = []
@@ -255,8 +239,8 @@ def _pause_leg(scale: float, seed: int, extras: dict[str, float]) -> list[PauseP
             workload = agentic_workload(
                 sessions, AGENTIC_RATE, seed=seed, tool_delay_mean=delay
             )
-            result = run_system(lambda sim, c: factory(sim, c), cfg, workload)
-            _merge_counts(extras, result)
+            result = run_system(factory, cfg, workload)
+            stats.append(result.stats)
             results[system] = result
         points.append(
             PausePoint(
@@ -272,24 +256,25 @@ def _pause_leg(scale: float, seed: int, extras: dict[str, float]) -> list[PauseP
 
 
 def _calibration_leg(
-    scale: float, seed: int, extras: dict[str, float]
+    scale: float, seed: int, stats: list[RunStats]
 ) -> tuple[list[CalibrationMetric], bool]:
     cfg = ServingConfig(model=LLAMA_8B, spec=A100, n_gpus=1)
     requests = max(16, int(CALIBRATION_REQUESTS * scale))
     capture = capture_profile(
-        _chunked,
+        ChunkedPrefillServer,
         cfg,
         sharegpt_workload(requests, rate=CALIBRATION_RATE, seed=seed),
         name="scenarios-calibration",
     )
-    _merge_counts(extras, capture.result)
     replay_cfg = ServingConfig(
         model=LLAMA_8B, spec=A100, n_gpus=1, cost_profile=capture.profile
     )
     replay = run_system(
-        _chunked, replay_cfg, sharegpt_workload(requests, rate=CALIBRATION_RATE, seed=seed)
+        ChunkedPrefillServer,
+        replay_cfg,
+        sharegpt_workload(requests, rate=CALIBRATION_RATE, seed=seed),
     )
-    _merge_counts(extras, replay)
+    stats += [capture.result.stats, replay.stats]
     metrics = [
         CalibrationMetric(
             metric=name,
@@ -304,14 +289,14 @@ def _calibration_leg(
 
 def run_scenarios_study(scale: float = 1.0, seed: int = 0) -> ScenariosStudy:
     """Run all three legs and fold them into one deterministic report."""
-    extras: dict[str, float] = {}
-    routing = _routing_leg(scale, seed, extras)
-    pauses = _pause_leg(scale, seed, extras)
-    calibration, replay_finished = _calibration_leg(scale, seed, extras)
+    stats: list[RunStats] = []
+    routing = _routing_leg(scale, seed, stats)
+    pauses = _pause_leg(scale, seed, stats)
+    calibration, replay_finished = _calibration_leg(scale, seed, stats)
     return ScenariosStudy(
         routing=routing,
         pauses=pauses,
         calibration=calibration,
         replay_finished=replay_finished,
-        extras=extras,
+        extras=sum(stats, RunStats()).as_extras(),
     )

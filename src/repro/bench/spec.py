@@ -22,7 +22,7 @@ acceptance rate.  The study quantifies two consequences:
 
 Deterministic: same (rates, draft_lens, scale, seed) → identical
 :meth:`SpecStudy.as_dict` payload — the spec_decoding perf fingerprint and
-the CI spec-smoke double-run diff rely on this.
+the CI study-smoke double-run diff rely on this.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from repro.baselines import SGLangPDServer
-from repro.bench.runner import RunResult, run_system
+from repro.bench.runner import RunResult, simulate
 from repro.core import MuxWiseServer
 from repro.gpu.specs import A100
 from repro.models.config import LLAMA_8B
@@ -149,21 +149,14 @@ def _workload(scale: float, seed: int):
 def _run(
     factory: Callable, cfg: ServingConfig, scale: float, seed: int
 ) -> tuple[RunResult, object]:
-    """run_system, also handing back the concrete server for its counters.
+    """One run, also handing back the concrete server for its counters.
 
     The workload is regenerated per run from the same seed (request ids are
     process-global counters, so reuse across simulators would be unsound)
     — arrival/token shapes are identical, the comparison apples-to-apples.
     """
-    holder: list[object] = []
-
-    def build(sim, c):
-        server = factory(sim, c)
-        holder.append(server)
-        return server
-
-    result = run_system(build, cfg, _workload(scale, seed))
-    return result, holder[0]
+    server, stats = simulate(lambda sim: factory(sim, cfg), _workload(scale, seed))
+    return RunResult.of(server, stats), server
 
 
 def _mean_decode_sms(server: MuxWiseServer) -> float:
@@ -193,13 +186,11 @@ def run_spec_study(
     """Run the full sweep and fold it into one deterministic report."""
     rates = tuple(sorted(rates)) if rates else DEFAULT_RATES
     draft_lens = tuple(sorted(draft_lens)) if draft_lens else DEFAULT_DRAFT_LENS
-    extras: dict[str, float] = {}
 
     plain_cfg = _config(None)
     mux_base, mux_server = _run(MuxWiseServer, plain_cfg, scale, seed)
-    _merge_counts(extras, mux_base)
     disagg_base, _ = _run(SGLangPDServer, plain_cfg, scale, seed)
-    _merge_counts(extras, disagg_base)
+    stats = mux_base.stats + disagg_base.stats
     baseline = {
         "mux_useful_throughput": mux_base.summary.useful_throughput,
         "disagg_useful_throughput": disagg_base.summary.useful_throughput,
@@ -216,9 +207,8 @@ def run_spec_study(
             )
             cfg = _config(spec)
             mux, mux_srv = _run(MuxWiseServer, cfg, scale, seed)
-            _merge_counts(extras, mux)
             disagg, disagg_srv = _run(SGLangPDServer, cfg, scale, seed)
-            _merge_counts(extras, disagg)
+            stats += mux.stats + disagg.stats
             points.append(
                 SpecPoint(
                     rate=rate,
@@ -233,14 +223,4 @@ def run_spec_study(
                     mux_decode_sms=_mean_decode_sms(mux_srv),
                 )
             )
-    return SpecStudy(baseline=baseline, points=points, extras=extras)
-
-
-def _merge_counts(extras: dict[str, float], result: RunResult) -> None:
-    """Accumulate simulator-load counters across the sweep's runs."""
-    extras["events_processed"] = extras.get("events_processed", 0.0) + result.extras.get(
-        "events_processed", 0.0
-    )
-    extras["peak_event_queue"] = max(
-        extras.get("peak_event_queue", 0.0), result.extras.get("peak_event_queue", 0.0)
-    )
+    return SpecStudy(baseline=baseline, points=points, extras=stats.as_extras())

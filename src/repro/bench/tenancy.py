@@ -27,14 +27,13 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from repro.baselines import ChunkedPrefillServer
-from repro.bench.runner import SystemFactory, run_capped
+from repro.bench.runner import SystemFactory, simulate
 from repro.cluster import Fleet, FleetConfig
 from repro.cluster.admission import AdmissionConfig
 from repro.gpu.specs import A100
 from repro.models.config import LLAMA_8B
 from repro.serving.config import ServingConfig
-from repro.serving.metrics import Summary, merge_collectors
-from repro.sim import Simulator, make_sim
+from repro.serving.metrics import Summary
 from repro.tenancy import (
     TIER_BATCH,
     TIER_INTERACTIVE,
@@ -66,6 +65,11 @@ BROWNOUT_TIER_FRACTIONS = (0.1, 0.8)
 
 #: Outstanding-request capacity per replica for the brownout controller.
 BROWNOUT_CAPACITY = 16
+
+#: The acceptance bar (module docstring), in interactive-tier TBT
+#: attainment points lost versus the isolated run.
+FIFO_MIN_LOSS_PTS = 10.0
+BROWNOUT_MAX_LOSS_PTS = 2.0
 
 
 def study_tenancy_config() -> TenancyConfig:
@@ -105,10 +109,6 @@ def _default_cfg(tenancy: TenancyConfig | None, queue_policy: str) -> ServingCon
         queue_policy=queue_policy,
         tenancy=tenancy,
     )
-
-
-def _default_factory(sim: Simulator, cfg: ServingConfig) -> ChunkedPrefillServer:
-    return ChunkedPrefillServer(sim, cfg, token_budget=256)
 
 
 @dataclass
@@ -168,6 +168,18 @@ class IsolationStudy:
         }
 
 
+def brownout_fleet(tenancy: TenancyConfig) -> FleetConfig:
+    """One replica behind the tiered-brownout admission controller."""
+    return FleetConfig(
+        replicas=1,
+        admission=TieredAdmissionController(
+            AdmissionConfig(max_outstanding_per_replica=BROWNOUT_CAPACITY, mode="queue"),
+            tenancy=tenancy,
+            tier_fractions=BROWNOUT_TIER_FRACTIONS,
+        ),
+    )
+
+
 def run_tenancy_mode(
     factory: SystemFactory,
     cfg: ServingConfig,
@@ -175,22 +187,10 @@ def run_tenancy_mode(
     tenancy: TenancyConfig,
     fleet: FleetConfig,
     mode: str,
-    drain_horizon: float = 3600.0,
 ) -> TenancyRunResult:
     """Run one configuration and slice the results by tier."""
-    sim = make_sim()
-    cluster = Fleet(sim, factory, cfg, fleet)
-    cluster.submit(workload)
-    last_arrival = workload.requests[-1].arrival_time if len(workload) else 0.0
-    run_capped(sim, last_arrival + drain_horizon)
-    merged = merge_collectors(
-        [
-            *cluster._retired_collectors,
-            *(r.system.metrics for r in cluster.replicas),
-        ],
-        cfg.slo,
-        name=mode,
-    )
+    cluster, stats = simulate(lambda sim: Fleet(sim, factory, cfg, fleet), workload)
+    merged = cluster.merged_metrics(mode)
     shed_by_tier: dict[str, int] = {}
     if isinstance(cluster.admission, TieredAdmissionController):
         shed_by_tier = dict(cluster.admission.shed_by_tier)
@@ -202,10 +202,7 @@ def run_tenancy_mode(
         requests_shed=cluster.router.requests_shed,
         rate_limited=cluster.router.requests_rate_limited,
         shed_by_tier=shed_by_tier,
-        extras={
-            "events_processed": float(sim.processed_events),
-            "peak_event_queue": float(sim.max_event_queue),
-        },
+        extras=stats.as_extras(),
     )
 
 
@@ -222,7 +219,7 @@ def compare_isolation(
     combined workload, so every attainment delta is attributable to the
     queueing/admission discipline alone.
     """
-    factory = factory or _default_factory
+    factory = factory or ChunkedPrefillServer
     make_cfg = make_cfg or _default_cfg
     tenancy = study_tenancy_config()
     contended_load = noisy_neighbor_workload(scale, seed)
@@ -239,18 +236,7 @@ def compare_isolation(
     contended: dict[str, TenancyRunResult] = {}
     for mode in MODES:
         queue_policy = "fifo" if mode == "fifo" else "wfq"
-        fleet = FleetConfig(replicas=1)
-        if mode == "wfq+brownout":
-            fleet = FleetConfig(
-                replicas=1,
-                admission=TieredAdmissionController(
-                    AdmissionConfig(
-                        max_outstanding_per_replica=BROWNOUT_CAPACITY, mode="queue"
-                    ),
-                    tenancy=tenancy,
-                    tier_fractions=BROWNOUT_TIER_FRACTIONS,
-                ),
-            )
+        fleet = brownout_fleet(tenancy) if mode == "wfq+brownout" else FleetConfig(replicas=1)
         contended[mode] = run_tenancy_mode(
             factory,
             make_cfg(tenancy, queue_policy),

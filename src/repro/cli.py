@@ -8,14 +8,15 @@ Subcommands::
     python -m repro cluster    --replicas 4 --policy prefix-affinity --rate 4.0
     python -m repro chaos      --replicas 4 --seed 0   # fault-injection run
     python -m repro perf       --output BENCH_perf.json   # simulator benchmark
-    python -m repro tenancy    --scale 0.5   # multi-tenant QoS isolation study
-    python -m repro scenarios  --json        # agentic/RAG routing + profile replay study
+    python -m repro study      tenancy --scale 0.5   # a registered study + its verdicts
     python -m repro profile capture --output prof.json   # fit a latency profile
     python -m repro table1     # Table-1 statistics of the generated traces
     python -m repro specs      # supported models and GPUs
 
-Every command accepts ``--model``, ``--gpu`` and ``--gpus`` to pick the
+The run commands accept ``--model``, ``--gpu`` and ``--gpus`` to pick the
 deployment (defaults: Llama-70B on 8xA100, the paper's main testbed).
+``study`` runs one entry of :data:`repro.bench.studies.STUDIES` (tenancy,
+kvtiers, spec, hetero, scenarios) and exits 1 when any verdict fails.
 """
 
 from __future__ import annotations
@@ -41,6 +42,8 @@ from repro.bench import (
     tail_latency_table,
     throughput_table,
 )
+from repro.bench.runner import RunResult, simulate
+from repro.bench.studies import STUDIES
 from repro.cluster import (
     POLICIES,
     AdmissionConfig,
@@ -168,22 +171,14 @@ def cmd_run(args: argparse.Namespace) -> int:
     workload = build_workload(args)
     factory = make_factory(args.system, args.token_budget)
     tracer = make_tracer(args)
-    result = run_system(factory, cfg, workload, tracer=tracer)
+    system, stats = simulate(lambda sim: factory(sim, cfg), workload, tracer=tracer)
+    result = RunResult.of(system, stats)
     print(tail_latency_table({args.system: result.summary}))
     print()
     print(latency_table({args.system: result.summary}))
     print()
     print(throughput_table({args.system: result}))
     if args.output:
-        # Re-run is avoided: run_system does not expose records, so reuse
-        # the summary path only when dumping is requested.
-        from repro.bench.runner import run_capped
-        from repro.sim import Simulator
-
-        sim = Simulator()
-        system = factory(sim, cfg)
-        system.submit(workload)
-        run_capped(sim, None)
         save_records(system.metrics.records.values(), args.output)
         print(f"\nper-request records written to {args.output}")
     if tracer is not None:
@@ -420,185 +415,28 @@ def _measured_part(baseline: dict, names: list[str] | None, tiers: list[str] | N
     }
 
 
-def cmd_tenancy(args: argparse.Namespace) -> int:
-    """Noisy-neighbor isolation study: FIFO vs WFQ vs WFQ+tiered-brownout.
+def cmd_study(args: argparse.Namespace) -> int:
+    """Run one registered study; exit 1 when any of its verdicts fails.
 
-    Prints the per-tier QoS table for the isolated reference and every
-    contended mode, then the interactive-tier degradation versus isolated.
-    ``--json`` emits the full machine-readable study instead — the CI
-    tenancy-smoke job parses that to assert interactive-tier attainment
-    stays at or above the batch tier's.
+    Prints the study's table and one ``verdict: yes|no`` line per verdict,
+    or with ``--json`` the full deterministic report (the CI study-smoke
+    job runs that twice and diffs the bytes).  Failed verdicts are also
+    named on stderr.
     """
-    from repro.bench.tenancy import compare_isolation
-    from repro.tenancy import TIER_INTERACTIVE
-
-    study = compare_isolation(scale=args.scale, seed=args.seed)
+    study = STUDIES[args.name]
+    report = study.run(args.scale, args.seed)
+    verdicts = study.verdicts(report)
     if args.json:
-        print(json.dumps(study.as_dict(), indent=2, sort_keys=True))
-        return 0
-    rows = {"isolated": study.isolated.tiers}
-    rows.update({mode: r.tiers for mode, r in study.contended.items()})
-    from repro.bench import tier_table
-
-    print(tier_table(rows))
-    print()
-    for mode, result in study.contended.items():
-        print(
-            f"{mode:<14} interactive TBT attainment "
-            f"{result.attainment(TIER_INTERACTIVE):6.2f}% "
-            f"({study.degradation(mode):+.2f} pts vs isolated), "
-            f"shed {result.requests_shed}, fairness {result.fairness:.3f}"
-        )
+        print(json.dumps(report.as_dict(), indent=2, sort_keys=True))
+    else:
+        print(study.render(report))
+        for name, ok in verdicts.items():
+            print(f"{name}: {'yes' if ok else 'no'}")
+    failed = [name for name, ok in verdicts.items() if not ok]
+    if failed:
+        print(f"{args.name}: verdicts failed: {', '.join(failed)}", file=sys.stderr)
+        return 1
     return 0
-
-
-def cmd_kvtiers(args: argparse.Namespace) -> int:
-    """Tiered-KV study: mux-vs-disagg bandwidth sweep + failover restore.
-
-    Prints one row per interconnect bandwidth (useful throughput of
-    multiplexing vs disaggregation and the gap between them), then the
-    failover ledger proving the killed replica's surviving DRAM/NVMe tiers
-    restored prefixes instead of recomputing them.  ``--json`` emits the
-    full deterministic report — the CI kvtiers-smoke job runs it twice,
-    diffs the bytes, and asserts crossover and ``restored_tokens > 0``.
-    """
-    from repro.bench.kv_tiers import run_kv_tiers_study
-
-    bandwidths = tuple(args.bandwidths) if args.bandwidths else None
-    study = run_kv_tiers_study(bandwidths=bandwidths, scale=args.scale, seed=args.seed)
-    if args.json:
-        print(json.dumps(study.as_dict(), indent=2, sort_keys=True))
-        return 0
-    print(f"{'bandwidth':>12} {'mux tok/s':>12} {'disagg tok/s':>13} {'gap':>10}")
-    for point in study.points:
-        print(
-            f"{point.bandwidth / 1e9:>10.1f}GB {point.mux_useful_throughput:>12.1f} "
-            f"{point.disagg_useful_throughput:>13.1f} {point.gap:>10.1f}"
-        )
-    print(f"crossover: {'yes' if study.crossover else 'no'}")
-    print("failover ledger:")
-    for key, value in sorted(study.failover.items()):
-        print(f"  {key:<22} {value}")
-    return 0
-
-
-def cmd_hetero(args: argparse.Namespace) -> int:
-    """Heterogeneous-fleet cost study: goodput/$ across SKU mixes.
-
-    Prints one row per equal-budget fleet plan (homogeneous H100,
-    homogeneous L40S, and the H200+L40S mix with tier pins) with its
-    tenancy-aware goodput, goodput per dollar, and goodput per kWh, then
-    the verdicts.  ``--json`` emits the full deterministic report — the CI
-    hetero-smoke job runs it twice, diffs the bytes, and asserts
-    ``equal_budget`` and ``mixed_wins_per_dollar``.
-    """
-    from repro.bench.hetero import run_hetero_study
-
-    study = run_hetero_study(scale=args.scale, seed=args.seed)
-    if args.json:
-        print(json.dumps(study.as_dict(), indent=2, sort_keys=True))
-        return 0
-    header = (
-        f"{'fleet':>8} {'$/hr':>6} {'kW':>6} {'fin':>5} "
-        f"{'goodput':>10} {'tok/$':>12} {'tok/kWh':>12}"
-    )
-    print(header)
-    for point in study.points:
-        print(
-            f"{point.name:>8} {point.hourly_cost:>6.2f} {point.power_kw:>6.2f} "
-            f"{point.requests_finished:>5d} {point.goodput:>10.1f} "
-            f"{point.goodput_per_dollar:>12.0f} {point.goodput_per_kwh:>12.0f}"
-        )
-        for tier, goodput in sorted(point.tier_goodput.items()):
-            print(f"{'':>8}   {tier:<12} {goodput:>10.1f} tok/s in-SLO")
-    print(f"equal budget: {'yes' if study.equal_budget else 'no'}")
-    print(f"mixed wins per dollar: {'yes' if study.mixed_wins_per_dollar else 'no'}")
-    print(f"mixed wins per kWh: {'yes' if study.mixed_wins_per_kwh else 'no'}")
-    return 0
-
-
-def cmd_spec(args: argparse.Namespace) -> int:
-    """Speculative-decoding study: acceptance × draft-length sweep.
-
-    Prints a spec-off mux/disagg baseline, then one row per grid point
-    (expected and observed accepted-tokens/step, useful throughput of both
-    systems, the mux-minus-disagg gap, and MuxWise's mean decode-SM split).
-    ``--json`` emits the full deterministic report — the CI spec-smoke job
-    runs it twice, diffs the bytes, and asserts ``accepted_monotone`` and
-    ``gap_shift``.
-    """
-    from repro.bench.spec import run_spec_study
-
-    rates = tuple(args.rates) if args.rates else None
-    draft_lens = tuple(args.draft_lens) if args.draft_lens else None
-    study = run_spec_study(
-        rates=rates, draft_lens=draft_lens, scale=args.scale, seed=args.seed
-    )
-    if args.json:
-        print(json.dumps(study.as_dict(), indent=2, sort_keys=True))
-        return 0
-    base = study.baseline
-    print(
-        f"baseline (spec off): mux {base['mux_useful_throughput']:.1f} tok/s, "
-        f"disagg {base['disagg_useful_throughput']:.1f} tok/s, "
-        f"decode SMs {base['mux_decode_sms']:.1f}"
-    )
-    print(
-        f"{'k':>3} {'accept':>7} {'E[tok]':>7} {'acc/step':>9} "
-        f"{'mux tok/s':>10} {'disagg tok/s':>13} {'gap':>9} {'dec SMs':>8}"
-    )
-    for point in study.points:
-        print(
-            f"{point.draft_len:>3} {point.rate:>7.2f} {point.expected_tokens:>7.2f} "
-            f"{point.mux_accepted_per_step:>9.2f} {point.mux_useful_throughput:>10.1f} "
-            f"{point.disagg_useful_throughput:>13.1f} {point.gap:>9.1f} "
-            f"{point.mux_decode_sms:>8.1f}"
-        )
-    print(f"accepted_monotone: {'yes' if study.accepted_monotone else 'no'}")
-    print(f"gap_shift: {'yes' if study.gap_shift else 'no'}")
-    return 0
-
-
-def cmd_scenarios(args: argparse.Namespace) -> int:
-    """Agentic & RAG scenarios study: routing, tool-pauses, profile replay.
-
-    Prints the RAG routing comparison (round-robin vs prefix-affinity on
-    fleet cache hits), the agentic tool-pause mux-vs-disagg goodput gaps,
-    and the profile self-calibration ratios, then the three verdicts.
-    ``--json`` emits the full deterministic report — the CI
-    scenarios-smoke job runs it twice, diffs the bytes, and asserts every
-    verdict.
-    """
-    from repro.bench.scenarios import run_scenarios_study
-
-    study = run_scenarios_study(scale=args.scale, seed=args.seed)
-    if args.json:
-        print(json.dumps(study.as_dict(), indent=2, sort_keys=True))
-        return 0
-    print("RAG routing (fleet of 4):")
-    for point in study.routing:
-        print(
-            f"  {point.policy:<16} cache hit {point.cache_hit_rate * 100:5.1f} %  "
-            f"useful {point.useful_throughput:8.1f} tok/s  "
-            f"TTFT p50 {point.ttft_p50 * 1e3:7.1f} ms"
-        )
-    print("Agentic tool-pauses (mux vs disagg):")
-    for point in study.pauses:
-        print(
-            f"  {point.mode:<8} (delay {point.tool_delay_mean:.1f}s)  "
-            f"mux {point.mux_useful_throughput:8.1f}  "
-            f"disagg {point.disagg_useful_throughput:8.1f}  gap {point.gap:+8.1f} tok/s"
-        )
-    print("Profile self-calibration (replay / roofline):")
-    for point in study.calibration:
-        print(
-            f"  {point.metric:<18} roofline {point.roofline:10.4f}  "
-            f"replay {point.replay:10.4f}  ratio {point.ratio:6.3f}"
-        )
-    verdicts = study.as_dict()["verdicts"]
-    for name, value in sorted(verdicts.items()):
-        print(f"{name}: {'yes' if value else 'no'}")
-    return 0 if all(verdicts.values()) else 1
 
 
 def cmd_profile(args: argparse.Namespace) -> int:
@@ -808,74 +646,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     perf_p.set_defaults(func=cmd_perf)
 
-    ten_p = sub.add_parser("tenancy", help="multi-tenant QoS isolation study")
-    ten_p.add_argument("--scale", type=float, default=1.0, help="workload scale factor")
-    ten_p.add_argument("--seed", type=int, default=0, help="workload RNG seed")
-    ten_p.add_argument(
+    study_p = sub.add_parser("study", help="run a registered study and check its verdicts")
+    study_p.add_argument("name", choices=list(STUDIES), help="which study")
+    study_p.add_argument("--scale", type=float, default=1.0, help="workload scale factor")
+    study_p.add_argument("--seed", type=int, default=0, help="workload RNG seed")
+    study_p.add_argument(
         "--json", action="store_true", help="emit the full study as JSON (machine-readable)"
     )
-    ten_p.set_defaults(func=cmd_tenancy)
-
-    kvt_p = sub.add_parser(
-        "kvtiers", help="tiered-KV bandwidth sweep + failover restore study"
-    )
-    kvt_p.add_argument(
-        "--bandwidths",
-        type=float,
-        nargs="+",
-        default=None,
-        help="interconnect bandwidths to sweep (bytes/sec)",
-    )
-    kvt_p.add_argument("--scale", type=float, default=1.0, help="workload scale factor")
-    kvt_p.add_argument("--seed", type=int, default=0, help="workload RNG seed")
-    kvt_p.add_argument(
-        "--json", action="store_true", help="emit the full study as JSON (machine-readable)"
-    )
-    kvt_p.set_defaults(func=cmd_kvtiers)
-
-    het_p = sub.add_parser(
-        "hetero", help="heterogeneous-fleet goodput-per-dollar study"
-    )
-    het_p.add_argument("--scale", type=float, default=1.0, help="workload scale factor")
-    het_p.add_argument("--seed", type=int, default=0, help="workload RNG seed")
-    het_p.add_argument(
-        "--json", action="store_true", help="emit the full study as JSON (machine-readable)"
-    )
-    het_p.set_defaults(func=cmd_hetero)
-
-    spec_p = sub.add_parser(
-        "spec", help="speculative-decoding acceptance x draft-length study"
-    )
-    spec_p.add_argument(
-        "--rates",
-        type=float,
-        nargs="+",
-        default=None,
-        help="draft-token acceptance rates to sweep (in [0, 1])",
-    )
-    spec_p.add_argument(
-        "--draft-lens",
-        type=int,
-        nargs="+",
-        default=None,
-        help="draft lengths (k) to sweep",
-    )
-    spec_p.add_argument("--scale", type=float, default=1.0, help="workload scale factor")
-    spec_p.add_argument("--seed", type=int, default=0, help="workload RNG seed")
-    spec_p.add_argument(
-        "--json", action="store_true", help="emit the full study as JSON (machine-readable)"
-    )
-    spec_p.set_defaults(func=cmd_spec)
-
-    scen_p = sub.add_parser(
-        "scenarios", help="agentic & RAG study: routing, tool-pauses, profile replay"
-    )
-    scen_p.add_argument("--scale", type=float, default=1.0, help="workload scale factor")
-    scen_p.add_argument("--seed", type=int, default=0, help="workload RNG seed")
-    scen_p.add_argument(
-        "--json", action="store_true", help="emit the full study as JSON (machine-readable)"
-    )
-    scen_p.set_defaults(func=cmd_scenarios)
+    study_p.set_defaults(func=cmd_study)
 
     prof_p = sub.add_parser(
         "profile", help="capture, replay or inspect an empirical latency profile"

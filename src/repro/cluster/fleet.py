@@ -610,15 +610,18 @@ class Fleet:
     # Aggregation
     # ------------------------------------------------------------------ #
 
-    def summarize(self) -> Summary:
-        """Fleet-level summary: the merge of all per-replica collectors
+    def merged_metrics(self, name: str = "fleet") -> MetricsCollector:
+        """Every replica's collector merged into one, under ``name``
         (retired generations included — their finished work was real)."""
-        merged = merge_collectors(
+        return merge_collectors(
             [*self._retired_collectors, *(r.system.metrics for r in self.replicas)],
             self.base_cfg.slo,
-            name="fleet",
+            name=name,
         )
-        return merged.summarize()
+
+    def summarize(self) -> Summary:
+        """Fleet-level summary of :meth:`merged_metrics`."""
+        return self.merged_metrics().summarize()
 
     def per_replica_summaries(self) -> dict[str, Summary]:
         """Each replica's own summary, keyed by replica name."""

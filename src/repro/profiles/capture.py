@@ -11,7 +11,7 @@ exactly the roofline run; observation adds nothing to the simulation.
 power-of-two token buckets each holding an 11-point latency quantile grid.
 Replaying the fitted profile through :class:`ProfiledCostModel` should
 reproduce the source run's summary metrics within the tolerance quantified
-by the scenarios study (``python -m repro scenarios``).
+by the scenarios study (``python -m repro study scenarios``).
 """
 
 from __future__ import annotations

@@ -7,7 +7,7 @@ import pytest
 from repro.baselines import ChunkedPrefillServer
 from repro.bench import runner
 from repro.bench.fleet import run_fleet
-from repro.bench.runner import STABILITY_TTFT, RunResult, run_system
+from repro.bench.runner import STABILITY_TTFT, RunResult, RunStats, run_system
 from repro.cluster import FleetConfig
 from repro.gpu.specs import A100
 from repro.models.config import LLAMA_8B
@@ -94,6 +94,24 @@ class TestStability:
         assert make_result(summary).stable
         assert not make_result(summary, stability_ttft=1.0).stable
         assert make_result(summary, stability_ttft=2.0).stable
+
+
+class TestRunStats:
+    def test_addition_sums_events_and_takes_peak_max(self):
+        total = RunStats(10, 4) + RunStats(5, 7, drained=False) + RunStats(1, 2)
+        assert total == RunStats(events=16, peak_queue=7, drained=False)
+
+    def test_empty_stats_are_the_identity(self):
+        stats = RunStats(3, 9)
+        assert sum([stats], RunStats()) == stats == RunStats() + stats
+
+    def test_extras_keys_feed_result_payloads(self, cfg_8b_single):
+        result = run_system(
+            ChunkedPrefillServer, cfg_8b_single, sharegpt_workload(4, rate=4.0, seed=9)
+        )
+        assert result.stats.drained and result.stats.events > 0
+        assert result.extras["events_processed"] == float(result.stats.events)
+        assert result.extras["peak_event_queue"] == float(result.stats.peak_queue)
 
 
 class TestEmptyWorkloadRun:

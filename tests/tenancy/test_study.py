@@ -1,8 +1,9 @@
 """The noisy-neighbor isolation study: acceptance properties at small scale.
 
-Full-scale numbers live in the CI tenancy-smoke job; this test pins the
-same qualitative contract cheaply: FIFO lets the batch flood wreck the
-interactive tier, WFQ+tiered-brownout keeps it within a hair of isolated.
+The CI study-smoke job checks the same verdicts through ``repro study
+tenancy``; this test pins the qualitative contract directly: FIFO lets the
+batch flood wreck the interactive tier, WFQ+tiered-brownout keeps it
+within a hair of isolated.
 """
 
 import pytest

@@ -40,6 +40,39 @@ class TestParser:
         assert output.exists()
         assert len(output.read_text().strip().splitlines()) == 10
 
+    def test_run_output_reuses_the_printed_run(self, tmp_path, monkeypatch, capsys):
+        """``--output`` dumps the records of the one run the tables came
+        from: the simulation runs once, and every printed request is a row."""
+        from repro import cli
+        from repro.bench import runner
+
+        capped = []
+        runs = []
+        real_capped, real_simulate = runner.run_capped, cli.simulate
+
+        def count_capped(sim, until):
+            capped.append(until)
+            real_capped(sim, until)
+
+        def spy_simulate(*args, **kwargs):
+            runs.append(real_simulate(*args, **kwargs))
+            return runs[-1]
+
+        monkeypatch.setattr(runner, "run_capped", count_capped)
+        monkeypatch.setattr(cli, "simulate", spy_simulate)
+        output = tmp_path / "records.jsonl"
+        code = main([
+            "run", "--system", "chunked", "--workload", "sharegpt",
+            "--model", "8b", "--gpus", "1", "--rate", "4.0", "--requests", "10",
+            "--output", str(output),
+        ])
+        assert code == 0
+        assert len(runs) == 1 and len(capped) == 1
+        assert capped[0] is not None  # the drain horizon, not run-to-empty
+        system, _ = runs[0]
+        rows = output.read_text().strip().splitlines()
+        assert len(rows) == system.metrics.summarize().requests_finished == 10
+
     def test_compare_command(self, capsys):
         code = main([
             "compare", "--workload", "sharegpt", "--model", "8b", "--gpus", "1",
@@ -107,7 +140,7 @@ class TestParser:
             main(["run", "--workload", "nope", "--model", "8b", "--gpus", "1"])
 
     def test_tenancy_command_small(self, capsys):
-        code = main(["tenancy", "--scale", "0.1"])
+        code = main(["study", "tenancy", "--scale", "0.1"])
         assert code == 0
         out = capsys.readouterr().out
         assert "isolated" in out
@@ -117,7 +150,7 @@ class TestParser:
     def test_tenancy_json_output(self, capsys):
         import json as _json
 
-        code = main(["tenancy", "--scale", "0.1", "--json"])
+        code = main(["study", "tenancy", "--scale", "0.1", "--json"])
         assert code == 0
         study = _json.loads(capsys.readouterr().out)
         assert set(study["contended"]) == {"fifo", "wfq", "wfq+brownout"}
@@ -154,7 +187,7 @@ class TestAgenticRagCli:
     def test_scenarios_json(self, capsys):
         import json as _json
 
-        code = main(["scenarios", "--scale", "0.05", "--json"])
+        code = main(["study", "scenarios", "--scale", "0.05", "--json"])
         assert code == 0
         study = _json.loads(capsys.readouterr().out)
         assert set(study["verdicts"]) == {
@@ -163,7 +196,7 @@ class TestAgenticRagCli:
         assert all(study["verdicts"].values())
 
     def test_scenarios_human_output(self, capsys):
-        code = main(["scenarios", "--scale", "0.05"])
+        code = main(["study", "scenarios", "--scale", "0.05"])
         assert code == 0
         out = capsys.readouterr().out
         assert "RAG routing" in out
