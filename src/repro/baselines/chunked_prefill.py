@@ -10,10 +10,9 @@ long reused contexts (Fig. 6b).
 
 from __future__ import annotations
 
-
 from repro.gpu.device import ExecTask
 from repro.models.costs import PhaseCost, PrefillItem
-from repro.serving.base import Instance, RequestState, build_instance
+from repro.serving.base import RequestState, build_instance
 from repro.serving.batching import DecodeBatchMixin
 from repro.serving.config import ServingConfig
 from repro.sim import Simulator
@@ -55,24 +54,12 @@ class ChunkedPrefillServer(DecodeBatchMixin):
         self._step()
 
     def _next_prefill_state(self) -> RequestState | None:
-        """FCFS: admit the head of the queue if its KV context fits."""
-        if self._current_prefill is not None:
-            return self._current_prefill
-        while self.waiting:
-            state = self.waiting[0]
-            if not self.can_ever_fit(self.instance, state):
-                self.waiting.popleft()
-                self.drop_request(self.instance, state)
-                continue
-            self.plan_prefill(self.instance, state)
-            if not self.allocate_context(self.instance, state):
-                self.abandon_plan(self.instance, state)
-                # Pool pressure: keep decoding, retry after requests retire.
-                return None
-            self.waiting.popleft()
-            self._current_prefill = state
-            return state
-        return None
+        """The request being chunked, admitting the queue head if none is."""
+        if self._current_prefill is None:
+            # None under pool pressure: keep decoding, retry after
+            # requests retire.
+            self._current_prefill = self.admit_next(self.instance, self.waiting)
+        return self._current_prefill
 
     def _step(self) -> None:
         self._step_in_flight = True
@@ -165,34 +152,7 @@ class ChunkedPrefillServer(DecodeBatchMixin):
             prefill_state.chunk_tokens_done += chunk_tokens
             if completes_prefill:
                 self._current_prefill = None
-                if not self.extend_output(self.instance, prefill_state, 1):
-                    self.release_request(self.instance, prefill_state, keep_cached=False)
-                    self._requeue_for_recompute(prefill_state)
-                else:
-                    self.produce_prefill_token(prefill_state)
-                    if prefill_state.generated >= prefill_state.request.output_tokens:
-                        self.finish_request(self.instance, prefill_state)
-                    else:
-                        self.running.append(prefill_state)
+                self.hand_off_prefill(self.instance, prefill_state, self.running)
 
         self._step_in_flight = False
         self._maybe_step()
-
-    def _retire_decoded(
-        self,
-        instance: Instance,
-        finished: list[RequestState],
-        preempted: list[RequestState],
-    ) -> None:
-        for state in finished:
-            self.running.remove(state)
-            self.finish_request(instance, state)
-        for state in preempted:
-            self.running.remove(state)
-            self._requeue_for_recompute(state)
-
-    def _requeue_for_recompute(self, state: RequestState) -> None:
-        """Recompute-preempted request goes back to the prefill queue."""
-        state.chunk_tokens_done = 0
-        state.lease = None
-        self.waiting.appendleft(state)

@@ -98,17 +98,10 @@ class LoongServeServer(DecodeBatchMixin):
             available = self._free_gpus_for_prefill()
             if available < 1:
                 return
-            state = self.waiting[0]
-            if not self.can_ever_fit(self.instance, state):
-                self.waiting.popleft()
-                self.drop_request(self.instance, state)
-                continue
             # No cross-request reuse: the whole history is recomputed.
-            self.plan_prefill(self.instance, state)
-            if not self.allocate_context(self.instance, state):
-                self.abandon_plan(self.instance, state)
+            state = self.admit_next(self.instance, self.waiting)
+            if state is None:
                 return
-            self.waiting.popleft()
             wanted = max(1, -(-state.prefill_tokens // TOKENS_PER_GPU))
             job = _PrefillJob(state=state, gpus=min(wanted, available))
             self._prefill_jobs.append(job)
@@ -138,10 +131,7 @@ class LoongServeServer(DecodeBatchMixin):
         self._pump_prefill()
 
     def _join_decode(self, state: RequestState) -> None:
-        if state.generated >= state.request.output_tokens:
-            self.finish_request(self.instance, state, keep_cached=False)
-        else:
-            self.running.append(state)
+        self.join_decode(self.instance, state, self.running)
         self._maybe_decode()
 
     # ------------------------------------------------------------------ #
@@ -168,12 +158,6 @@ class LoongServeServer(DecodeBatchMixin):
     def _on_decode_done(self, batch: list[RequestState]) -> None:
         self._decode_inflight = False
         finished, preempted = self.emit_decode_iteration(self.instance, batch)
-        for state in finished:
-            self.running.remove(state)
-            self.finish_request(self.instance, state, keep_cached=False)
-        for state in preempted:
-            self.running.remove(state)
-            state.lease = None
-            self.waiting.appendleft(state)
+        self._retire_decoded(self.instance, finished, preempted)
         self._maybe_decode()
         self._pump_prefill()

@@ -20,7 +20,6 @@ from __future__ import annotations
 from collections import deque
 
 from repro.gpu.device import ExecTask
-from repro.kvcache.radix import Segment
 from repro.kvcache.transfer import TransferEngine
 from repro.serving.base import Instance, RequestState, build_instance
 from repro.serving.batching import DecodeBatchMixin
@@ -70,19 +69,9 @@ class SGLangPDServer(DecodeBatchMixin):
     def _pump_prefill(self) -> None:
         if self._prefill_busy:
             return
-        while self.waiting:
-            state = self.waiting[0]
-            if not self.can_ever_fit(self.decode_inst, state):
-                self.waiting.popleft()
-                self.drop_request(self.prefill_inst, state)
-                continue
-            self.plan_prefill(self.prefill_inst, state)
-            if not self.allocate_context(self.prefill_inst, state):
-                self.abandon_plan(self.prefill_inst, state)
-                return
-            self.waiting.popleft()
+        state = self.admit_next(self.prefill_inst, self.waiting, fit=(self.decode_inst,))
+        if state is not None:
             self._run_prefill(state)
-            return
 
     def _run_prefill(self, state: RequestState) -> None:
         self._prefill_busy = True
@@ -110,13 +99,9 @@ class SGLangPDServer(DecodeBatchMixin):
     # KV migration
     # ------------------------------------------------------------------ #
 
-    def _decode_path(self, state: RequestState) -> list[Segment]:
-        output = Segment(uid=state.request.output_segment.uid, tokens=state.generated)
-        return [*state.request.context_path, output]
-
     def _try_migrate(self, state: RequestState) -> None:
         """Move the request's KV into the decode instance's pool."""
-        path = self._decode_path(state)
+        path = state.cache_path()
         needed = sum(segment.tokens for segment in path)
         if not self.decode_inst.cache.can_fit_path(path):
             # Decode pool full: the request stalls, backing up prefill.
@@ -132,10 +117,7 @@ class SGLangPDServer(DecodeBatchMixin):
         self.sim.schedule(transfer, lambda s=state: self._on_migrated(s))
 
     def _on_migrated(self, state: RequestState) -> None:
-        if state.generated >= state.request.output_tokens:
-            self.finish_request(self.decode_inst, state, keep_cached=False)
-        else:
-            self.running.append(state)
+        self.join_decode(self.decode_inst, state, self.running)
         self._maybe_decode()
 
     def _retry_migrations(self) -> None:
@@ -184,13 +166,7 @@ class SGLangPDServer(DecodeBatchMixin):
         finished: list[RequestState],
         preempted: list[RequestState],
     ) -> None:
-        for state in finished:
-            self.running.remove(state)
-            self.finish_request(instance, state, keep_cached=False)
-        for state in preempted:
-            self.running.remove(state)
-            state.lease = None
-            self.waiting.appendleft(state)
+        super()._retire_decoded(instance, finished, preempted)
         if finished or preempted:
             self._retry_migrations()
             self._pump_prefill()

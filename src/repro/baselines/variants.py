@@ -50,40 +50,22 @@ class WindServeServer(DecodeBatchMixin):
     def _pump_prefill(self) -> None:
         if self._prefill_busy:
             return
-        while self.waiting:
-            state = self.waiting[0]
-            if not self.can_ever_fit(self.instance, state):
-                self.waiting.popleft()
-                self.drop_request(self.instance, state)
-                continue
-            self.plan_prefill(self.instance, state)
-            if not self.allocate_context(self.instance, state):
-                self.abandon_plan(self.instance, state)
-                return
-            self.waiting.popleft()
-            self._prefill_busy = True
-            cost = self.instance.cost_model.prefill_full([state.prefill_item()])
-            launch = self.cfg.launch.full_prefill_launch(self.cfg.model.num_layers)
-
-            def do_submit(state=state, cost=cost) -> None:
-                handle = self.prefill_stream.submit(cost.work(tag="wind-prefill"))
-                handle.on_complete(lambda _t, s=state: self._on_prefill_done(s))
-
-            self.instance.host.enqueue(launch, do_submit)
+        state = self.admit_next(self.instance, self.waiting)
+        if state is None:
             return
+        self._prefill_busy = True
+        cost = self.instance.cost_model.prefill_full([state.prefill_item()])
+        launch = self.cfg.launch.full_prefill_launch(self.cfg.model.num_layers)
+
+        def do_submit() -> None:
+            handle = self.prefill_stream.submit(cost.work(tag="wind-prefill"))
+            handle.on_complete(lambda _t: self._on_prefill_done(state))
+
+        self.instance.host.enqueue(launch, do_submit)
 
     def _on_prefill_done(self, state: RequestState) -> None:
         self._prefill_busy = False
-        if not self.extend_output(self.instance, state, 1):
-            self.release_request(self.instance, state, keep_cached=False)
-            state.lease = None
-            self.waiting.appendleft(state)
-        else:
-            self.produce_prefill_token(state)
-            if state.generated >= state.request.output_tokens:
-                self.finish_request(self.instance, state)
-            else:
-                self.merge_ready.append(state)
+        self.hand_off_prefill(self.instance, state, self.merge_ready)
         self._pump_prefill()
         self._maybe_decode()
 
@@ -108,13 +90,7 @@ class WindServeServer(DecodeBatchMixin):
     def _on_decode_done(self, batch: list[RequestState]) -> None:
         self._decode_inflight = False
         finished, preempted = self.emit_decode_iteration(self.instance, batch)
-        for state in finished:
-            self.running.remove(state)
-            self.finish_request(self.instance, state)
-        for state in preempted:
-            self.running.remove(state)
-            state.lease = None
-            self.waiting.appendleft(state)
+        self._retire_decoded(self.instance, finished, preempted)
         self._maybe_decode()
         self._pump_prefill()
 
@@ -140,23 +116,12 @@ class TemporalMuxServer(DecodeBatchMixin):
         self._maybe_cycle()
 
     def _admit_prefill(self) -> RequestState | None:
-        if self._active_prefill is not None:
-            return self._active_prefill
-        while self.waiting:
-            state = self.waiting[0]
-            if not self.can_ever_fit(self.instance, state):
-                self.waiting.popleft()
-                self.drop_request(self.instance, state)
-                continue
-            self.plan_prefill(self.instance, state)
-            if not self.allocate_context(self.instance, state):
-                self.abandon_plan(self.instance, state)
-                return None
-            self.waiting.popleft()
-            self._active_prefill = state
-            state.layers_done = 0
-            return state
-        return None
+        if self._active_prefill is None:
+            state = self.admit_next(self.instance, self.waiting)
+            if state is not None:
+                state.layers_done = 0
+                self._active_prefill = state
+        return self._active_prefill
 
     def _maybe_cycle(self) -> None:
         """One temporal cycle: a decode iteration, then slack-fit layers."""
@@ -214,25 +179,10 @@ class TemporalMuxServer(DecodeBatchMixin):
     def _on_cycle_done(self, batch: list[RequestState], prefill: RequestState | None, layers: int) -> None:
         self._cycle_inflight = False
         finished, preempted = self.emit_decode_iteration(self.instance, batch)
-        for state in finished:
-            self.running.remove(state)
-            self.finish_request(self.instance, state)
-        for state in preempted:
-            self.running.remove(state)
-            state.lease = None
-            self.waiting.appendleft(state)
+        self._retire_decoded(self.instance, finished, preempted)
         if prefill is not None and layers > 0:
             prefill.layers_done += layers
             if prefill.layers_done >= self.cfg.model.num_layers:
                 self._active_prefill = None
-                if not self.extend_output(self.instance, prefill, 1):
-                    self.release_request(self.instance, prefill, keep_cached=False)
-                    prefill.lease = None
-                    self.waiting.appendleft(prefill)
-                else:
-                    self.produce_prefill_token(prefill)
-                    if prefill.generated >= prefill.request.output_tokens:
-                        self.finish_request(self.instance, prefill)
-                    else:
-                        self.running.append(prefill)
+                self.hand_off_prefill(self.instance, prefill, self.running)
         self._maybe_cycle()

@@ -19,7 +19,6 @@ from collections import deque
 
 from repro.core.server import MuxWiseServer
 from repro.gpu.device import ExecTask
-from repro.kvcache.radix import Segment
 from repro.serving.base import RequestState, build_instance
 from repro.serving.config import ServingConfig
 from repro.sim import Simulator
@@ -83,22 +82,15 @@ class HybridPDServer(MuxWiseServer):
     def _pump_dedicated(self) -> None:
         if self._dedicated_busy:
             return
-        while self._dedicated_queue:
-            state = self._dedicated_queue[0]
-            if not self.can_ever_fit(self.instance, state):
-                self._dedicated_queue.popleft()
-                self.drop_request(self.prefill_inst, state)
-                continue
-            self.plan_prefill(self.prefill_inst, state)
-            if not self.allocate_context(self.prefill_inst, state):
-                self.abandon_plan(self.prefill_inst, state)
-                # Back-pressure: hand the request to the MuxWise instance.
-                self._dedicated_queue.popleft()
-                super().on_request_ready(state)
-                continue
-            self._dedicated_queue.popleft()
-            self._run_dedicated(state)
-            return
+        queue = self._dedicated_queue
+        while queue:
+            state = self.admit_next(self.prefill_inst, queue, fit=(self.instance,))
+            if state is not None:
+                self._run_dedicated(state)
+                return
+            if queue:
+                # Back-pressure: hand the head to the MuxWise instance.
+                super().on_request_ready(queue.popleft())
 
     def _run_dedicated(self, state: RequestState) -> None:
         self._dedicated_busy = True
@@ -122,10 +114,7 @@ class HybridPDServer(MuxWiseServer):
         self._pump_dedicated()
 
     def _migrate(self, state: RequestState) -> None:
-        path = [
-            *state.request.context_path,
-            Segment(uid=state.request.output_segment.uid, tokens=state.generated),
-        ]
+        path = state.cache_path()
         needed = sum(segment.tokens for segment in path)
         if not self.instance.cache.can_fit_path(path):
             # Decode pool full: retry after the next decode iteration frees
@@ -139,8 +128,6 @@ class HybridPDServer(MuxWiseServer):
         self.sim.schedule(transfer, lambda s=state: self._join_decode(s))
 
     def _join_decode(self, state: RequestState) -> None:
-        if state.generated >= state.request.output_tokens:
-            self.finish_request(self.instance, state)
-            return
-        self.merge_ready.append(state)
-        self._maybe_start_decode()
+        self.join_decode(self.instance, state, self.merge_ready)
+        if not state.finished:
+            self._maybe_start_decode()

@@ -141,7 +141,7 @@ class MuxWiseServer(DecodeBatchMixin):
                 if try_admit(candidate):
                     is_preemptor = True
                 else:
-                    self.waiting.appendleft(candidate)
+                    self.requeue(candidate)
                     return None
         while self.waiting and tokens < self.cfg.max_prefill_batch_tokens:
             state = self.waiting[0]
@@ -239,16 +239,7 @@ class MuxWiseServer(DecodeBatchMixin):
     def _complete_prefill(self, job: PrefillJob) -> None:
         self.active_job = None
         for state in job.states:
-            if not self.extend_output(self.instance, state, 1):
-                self.release_request(self.instance, state, keep_cached=False)
-                state.lease = None
-                self.waiting.appendleft(state)
-                continue
-            self.produce_prefill_token(state)
-            if state.generated >= state.request.output_tokens:
-                self.finish_request(self.instance, state)
-            else:
-                self.merge_ready.append(state)
+            self.hand_off_prefill(self.instance, state, self.merge_ready)
         self._pump_prefill()
         self._maybe_start_decode()
 
@@ -413,13 +404,7 @@ class MuxWiseServer(DecodeBatchMixin):
                 float(job.reused_tokens),
             )
         finished, preempted = self.emit_decode_iteration(self.instance, batch)
-        for state in finished:
-            self.running.remove(state)
-            self.finish_request(self.instance, state)
-        for state in preempted:
-            self.running.remove(state)
-            state.lease = None
-            self.waiting.appendleft(state)
+        self._retire_decoded(self.instance, finished, preempted)
         self._maybe_start_decode()
         self._pump_prefill()
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Callable, Iterator, Sequence
 
 from repro.gpu.device import Device, OutOfMemoryError
 from repro.gpu.host import HostThread
@@ -530,6 +530,36 @@ class ServingSystem(ABC):
         needed = sum(s.tokens for s in state.request.full_path)
         return needed <= instance.cache.pool.capacity_tokens
 
+    def admit_next(
+        self,
+        instance: Instance,
+        queue,
+        fit: Sequence[Instance] | None = None,
+    ) -> RequestState | None:
+        """FCFS admission: plan and allocate the head of ``queue`` on ``instance``.
+
+        Heads that can never fit every instance in ``fit`` (default:
+        ``instance`` alone) are dropped.  Returns the admitted head, popped
+        from ``queue``; or None when the queue is empty or the pool is
+        under pressure, in which case the plan is abandoned and the head
+        stays queued for a retry after requests retire.
+        """
+        if fit is None:
+            fit = (instance,)
+        while queue:
+            state = queue[0]
+            if not all(self.can_ever_fit(inst, state) for inst in fit):
+                queue.popleft()
+                self.drop_request(instance, state)
+                continue
+            self.plan_prefill(instance, state)
+            if not self.allocate_context(instance, state):
+                self.abandon_plan(instance, state)
+                return None
+            queue.popleft()
+            return state
+        return None
+
     def drop_request(self, instance: Instance, state: RequestState) -> None:
         """Reject a request that can never be served (context too large)."""
         self.abandon_plan(instance, state)
@@ -537,11 +567,15 @@ class ServingSystem(ABC):
         self.trace_lifecycle(state, None, instant="dropped")
         self._complete_turn(state)
 
-    def finish_request(
-        self, instance: Instance, state: RequestState, keep_cached: bool = True
-    ) -> None:
-        """Retire a request: release KV, unblock the session's next turn."""
+    def finish_request(self, instance: Instance, state: RequestState) -> None:
+        """Retire a request: release KV, unblock the session's next turn.
+
+        The KV stays cached for later turns exactly when ``instance``
+        shares prefixes across requests.
+        """
         state.finished = True
-        self.release_request(instance, state, keep_cached=keep_cached)
+        self.release_request(
+            instance, state, keep_cached=instance.cache.enable_prefix_sharing
+        )
         self.trace_lifecycle(state, None, instant="finished")
         self._complete_turn(state)

@@ -2,10 +2,10 @@
 
 Every system decodes with inflight batching: one token per running request
 per iteration, merging newly prefilled requests between iterations.  This
-module centralises token emission, retirement, and the recompute-preemption
-fallback used when the KV pool is exhausted mid-decode (vLLM-style: the
-youngest request is evicted and later re-prefills its context plus the
-tokens it already generated).
+module centralises token emission, the first-token hand-off after prefill,
+retirement, and the recompute-preemption fallback used when the KV pool is
+exhausted mid-decode (vLLM-style: the youngest request is evicted and
+later re-prefills its context plus the tokens it already generated).
 
 With speculative decoding enabled (``cfg.spec_decode``), a decode step
 becomes draft + verify: the draft model proposes ``k`` tokens per
@@ -23,6 +23,7 @@ elides the device event chains of steady decode-only iterations (see
 
 from __future__ import annotations
 
+from collections import deque
 from functools import cached_property
 
 from repro.kvcache.pool import PoolExhaustedError
@@ -33,6 +34,11 @@ from repro.sim import fastpath
 
 class DecodeBatchMixin(ServingSystem):
     """Token accounting for decode batches, with pool-pressure handling."""
+
+    #: Requests waiting for prefill (head first) and the decode batch;
+    #: every server builds both in its constructor.
+    waiting: deque[RequestState]
+    running: list[RequestState]
 
     @cached_property
     def _fastpath_min_delta(self) -> float:
@@ -49,6 +55,39 @@ class DecodeBatchMixin(ServingSystem):
         """Would the scalar step fuse prefill work with a batch this size?"""
         return False
 
+    def requeue(self, state: RequestState) -> None:
+        """Send a request whose KV was released back to the queue head.
+
+        It re-prefills its context plus any output it already generated.
+        """
+        state.lease = None
+        state.chunk_tokens_done = 0
+        self.waiting.appendleft(state)
+
+    def hand_off_prefill(
+        self, instance: Instance, state: RequestState, ready: list[RequestState]
+    ) -> None:
+        """Emit the token of a finished prefill and pass it on to decode.
+
+        The first token needs one more KV slot; without one the request
+        drops its KV and is requeued for recompute.
+        """
+        if not self.extend_output(instance, state, 1):
+            self.release_request(instance, state, keep_cached=False)
+            self.requeue(state)
+            return
+        self.produce_prefill_token(state)
+        self.join_decode(instance, state, ready)
+
+    def join_decode(
+        self, instance: Instance, state: RequestState, ready: list[RequestState]
+    ) -> None:
+        """Finish a request whose output is complete; otherwise append it to ``ready``."""
+        if state.generated >= state.request.output_tokens:
+            self.finish_request(instance, state)
+        else:
+            ready.append(state)
+
     def _retire_decoded(
         self,
         instance: Instance,
@@ -57,10 +96,17 @@ class DecodeBatchMixin(ServingSystem):
     ) -> None:
         """Retire one decode iteration's finished and preempted requests.
 
-        Called by :meth:`_decode_fast_loop` and by the server's scalar
-        completion handler, so each server states this policy once.
+        Finished requests leave the running batch and finish; preempted
+        ones leave it and are requeued for recompute.  Called by
+        :meth:`_decode_fast_loop` and by every server's scalar completion
+        handler.
         """
-        raise NotImplementedError
+        for state in finished:
+            self.running.remove(state)
+            self.finish_request(instance, state)
+        for state in preempted:
+            self.running.remove(state)
+            self.requeue(state)
 
     def _decode_fast_loop(
         self, instance: Instance, batch: list[RequestState]
