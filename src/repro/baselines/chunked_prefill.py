@@ -127,16 +127,18 @@ class ChunkedPrefillServer(DecodeBatchMixin):
             cost = cost + self.decode_step_cost(self.instance, decode_batch)
         if prefill_state is not None and chunk_tokens > 0:
             # The chunk attends to the reused prefix plus all earlier chunks.
-            item = PrefillItem(
-                new=chunk_tokens,
-                reused=prefill_state.reused_tokens + prefill_state.chunk_tokens_done,
-            )
-            cost = cost + model.prefill_layers([item], self.cfg.model.num_layers)
+            reused = prefill_state.reused_tokens + prefill_state.chunk_tokens_done
+            cost = cost + self._chunk_cost(chunk_tokens, reused)
             remaining = prefill_state.prefill_tokens - prefill_state.chunk_tokens_done
             completes_prefill = chunk_tokens >= remaining
             if completes_prefill:
                 cost = cost + model.prefill_head(1)
         return cost, completes_prefill
+
+    def _chunk_cost(self, tokens: int, reused: int) -> PhaseCost:
+        """All-layer cost of a ``tokens``-token chunk after ``reused`` cached ones."""
+        item = PrefillItem(new=tokens, reused=reused)
+        return self.instance.cost_model.prefill_layers([item], self.cfg.model.num_layers)
 
     def _on_step_done(
         self,

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from repro.baselines.chunked_prefill import ChunkedPrefillServer
 from repro.models.costs import PhaseCost, PrefillItem
-from repro.serving.base import RequestState
+from repro.serving.base import Instance, RequestState
 
 
 #: Nano-batches per iteration (NanoFlow's default).
@@ -32,57 +32,40 @@ class NanoFlowServer(ChunkedPrefillServer):
 
     name = "NanoFlow"
 
+    def decode_step_cost(self, instance: Instance, batch: list[RequestState]) -> PhaseCost:
+        return self._with_weight_reloads(super().decode_step_cost(instance, batch), len(batch))
+
+    def _decode_only_cost(self, instance: Instance, batch_size: int, total_ctx: int) -> PhaseCost:
+        cost = super()._decode_only_cost(instance, batch_size, total_ctx)
+        return _overlapped(self._with_weight_reloads(cost, batch_size))
+
+    def _with_weight_reloads(self, decode_cost: PhaseCost, batch_size: int) -> PhaseCost:
+        """Each nano-batch re-streams the weights it touches."""
+        layer_bytes = self.instance.cost_model._layer_weight_bytes_touched(batch_size)
+        duplicate_load = (NANO_BATCHES - 1) * float(self.cfg.model.num_layers * layer_bytes)
+        return decode_cost._replace(bytes=decode_cost.bytes + duplicate_load)
+
+    def _chunk_cost(self, tokens: int, reused: int) -> PhaseCost:
+        # The chunk is split across nano-batches: same total work, but
+        # GEMM efficiency is that of half-size token groups.
+        model = self.instance.cost_model
+        num_layers = self.cfg.model.num_layers
+        per_nano = max(1, tokens // NANO_BATCHES)
+        nano_cost = model.prefill_layers([PrefillItem(new=per_nano, reused=reused)], num_layers)
+        remainder = tokens - per_nano * (NANO_BATCHES - 1)
+        tail_cost = model.prefill_layers([PrefillItem(new=remainder, reused=reused)], num_layers)
+        return nano_cost.scaled(NANO_BATCHES - 1) + tail_cost
+
     def _iteration_cost(
         self,
         decode_batch: list[RequestState],
         prefill_state: RequestState | None,
         chunk_tokens: int,
     ) -> tuple[PhaseCost, bool]:
-        model = self.instance.cost_model
-        cfg_model = self.cfg.model
-        cost = PhaseCost(0.0, 0.0, 0.0, 0.0)
-        completes_prefill = False
+        cost, completes_prefill = super()._iteration_cost(decode_batch, prefill_state, chunk_tokens)
+        return _overlapped(cost), completes_prefill
 
-        if decode_batch:
-            decode_cost = self.decode_step_cost(self.instance, decode_batch)
-            # Each nano-batch re-streams the weights it touches.
-            duplicate_load = (NANO_BATCHES - 1) * float(
-                cfg_model.num_layers * model._layer_weight_bytes_touched(len(decode_batch))
-            )
-            decode_cost = PhaseCost(
-                flops=decode_cost.flops,
-                raw_flops=decode_cost.raw_flops,
-                bytes=decode_cost.bytes + duplicate_load,
-                comm_time=decode_cost.comm_time,
-            )
-            cost = cost + decode_cost
 
-        if prefill_state is not None and chunk_tokens > 0:
-            # The chunk is split across nano-batches: same total work, but
-            # GEMM efficiency is that of half-size token groups.
-            per_nano = max(1, chunk_tokens // NANO_BATCHES)
-            reused = prefill_state.reused_tokens + prefill_state.chunk_tokens_done
-            nano_cost = model.prefill_layers(
-                [PrefillItem(new=per_nano, reused=reused)], cfg_model.num_layers
-            )
-            remainder = chunk_tokens - per_nano * (NANO_BATCHES - 1)
-            tail_cost = model.prefill_layers(
-                [PrefillItem(new=remainder, reused=reused)], cfg_model.num_layers
-            )
-            chunk_cost = nano_cost.scaled(NANO_BATCHES - 1) + tail_cost
-            cost = cost + chunk_cost
-            remaining = prefill_state.prefill_tokens - prefill_state.chunk_tokens_done
-            completes_prefill = chunk_tokens >= remaining
-            if completes_prefill:
-                cost = cost + model.prefill_head(1)
-
-        # Operator-level overlap hides part of the serialized tail.
-        return (
-            PhaseCost(
-                flops=cost.flops,
-                raw_flops=cost.raw_flops,
-                bytes=cost.bytes,
-                comm_time=cost.comm_time * OVERLAP_DISCOUNT,
-            ),
-            completes_prefill,
-        )
+def _overlapped(cost: PhaseCost) -> PhaseCost:
+    """Operator-level overlap hides part of the serialized tail."""
+    return cost._replace(comm_time=cost.comm_time * OVERLAP_DISCOUNT)

@@ -55,6 +55,16 @@ class DecodeBatchMixin(ServingSystem):
         """Would the scalar step fuse prefill work with a batch this size?"""
         return False
 
+    def _decode_only_cost(
+        self, instance: Instance, batch_size: int, total_ctx: int
+    ) -> PhaseCost:
+        """Cost the scalar step submits for a decode-only batch, from totals.
+
+        :meth:`_decode_fast_loop` prices elided iterations with it, so a
+        server that transforms its decode cost overrides this too.
+        """
+        return instance.cost_model.decode_iter_totals(batch_size, total_ctx)
+
     def requeue(self, state: RequestState) -> None:
         """Send a request whose KV was released back to the queue head.
 
@@ -133,7 +143,6 @@ class DecodeBatchMixin(ServingSystem):
         ):
             return batch
         device = instance.device
-        model = instance.cost_model
         launch_time = self.cfg.launch.decode_launch()
         max_batch = self.cfg.max_decode_batch
         total_ctx = 0
@@ -146,7 +155,7 @@ class DecodeBatchMixin(ServingSystem):
                 return batch
             if sim._fastpath_head_time() <= sim.now + min_delta:
                 return batch
-            cost = model.decode_iter_totals(len(batch), total_ctx)
+            cost = self._decode_only_cost(instance, len(batch), total_ctx)
             plan = fastpath.plan_chain(
                 device, cost.flops, cost.bytes, cost.comm_time + launch_time, sim.now
             )

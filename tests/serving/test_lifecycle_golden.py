@@ -12,7 +12,8 @@ ShareGPT trace on two Llama-8B A100s in two regimes:
 
 The digest covers the summary, every instance's KV-cache statistics and
 SM utilisation, the simulator's event count and queue high-water mark, the
-drain flag and the storm preemption count.
+drain flag and the storm preemption count.  A run that elided any decode
+chain through the fast path must give the same digest with it turned off.
 """
 
 from dataclasses import asdict
@@ -42,8 +43,8 @@ GOLDEN = {
     ("muxwise", "tight"): "f7d33c11c1fad3236babee28c70fc874491d2f8806c2b539e510cb22e77798e7",
     ("chunked", "ample"): "9a147668beaa35ae8de9d80532a8c7c679f9e88ed5f8a1d4e762b8e5640146a8",
     ("chunked", "tight"): "0c5137243bad2a6e1c98c0c9f4ee40d4a5c8b13946c59e46eab389a6d3d78787",
-    ("nanoflow", "ample"): "64d3b2537cd91cfbbc2766fce6fcc818edce3d9bd0c45858711dc070c6d3c23e",
-    ("nanoflow", "tight"): "1787c63544848676c4331c63f99cd0975e68ec3796058f84673327652ea8fb60",
+    ("nanoflow", "ample"): "23d260f5fac9521d6a0738d04cbba1651a881578059a72adc8abf78359aa93bc",
+    ("nanoflow", "tight"): "e21d02f8d42dcbc9f12b60b7a2958a4eeae7347af095bb3a25e2457d5a4111f1",
     ("sglang-pd", "ample"): "e288e528bd578aaf3c6432b5dbadd8ec8ddcb7accba4d1e6e3550f0a4ca19aa5",
     ("sglang-pd", "tight"): "4201e780787b3569de70ad99f0bbc60bc53ca61b1321a93c6da85dcb64c8c854",
     ("loongserve", "ample"): "e806bd41c502cd28ff32b85c2b491fb1d4133d794577a8a35d9431ceac14f027",
@@ -111,6 +112,19 @@ def _run(system: str, regime: str) -> str:
 
 @pytest.mark.parametrize("regime", ["ample", "tight"])
 @pytest.mark.parametrize("system", sorted(SYSTEMS))
-def test_lifecycle_matches_golden(system, regime):
+def test_lifecycle_matches_golden(system, regime, monkeypatch):
+    commits = 0
+    commit_chain = fastpath.commit_chain
+
+    def counting_commit(*args):
+        nonlocal commits
+        commits += 1
+        return commit_chain(*args)
+
+    monkeypatch.setattr(fastpath, "commit_chain", counting_commit)
     with fastpath.enabled():
-        assert _run(system, regime) == GOLDEN[system, regime]
+        digest = _run(system, regime)
+    assert digest == GOLDEN[system, regime]
+    if commits:
+        with fastpath.disabled():
+            assert _run(system, regime) == digest

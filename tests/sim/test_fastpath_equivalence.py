@@ -10,17 +10,23 @@ optimisation, never a model change.
 A second layer diffs the per-request metric streams (every token gap, in
 emission order, tapped through a metrics sink) so a compensating error —
 two deviations cancelling in an aggregate — cannot hide.  It runs once
-per caller of the shared decode fast loop: chunked prefill and SGLang-PD.
+per serving system in the CLI's ``SYSTEMS`` table, not per hand-listed
+caller of the shared decode fast loop: a server can reach the loop by
+inheritance (NanoFlow through chunked prefill), and one that prices its
+steps differently must price the elided ones the same way.  Every server
+whose scheduler calls the loop must really elide chains through it.
 """
 
 import pytest
 
-from repro.baselines import ChunkedPrefillServer, SGLangPDServer
+from repro.baselines import ChunkedPrefillServer
 from repro.bench.perf import SCENARIOS, _digest
 from repro.bench.runner import run_system
 from repro.bench.sinks import ListSink
+from repro.cli import SYSTEMS, make_factory
 from repro.gpu.specs import A100
 from repro.models.config import LLAMA_8B
+from repro.serving.batching import DecodeBatchMixin
 from repro.serving.config import ServingConfig
 from repro.sim import fastpath
 from repro.workloads import sharegpt_workload
@@ -54,11 +60,19 @@ def _chunked(sim, cfg):
     return ChunkedPrefillServer(sim, cfg, token_budget=256)
 
 
-#: Every caller of ``DecodeBatchMixin._decode_fast_loop``, with its GPU count.
-STREAMED_SERVERS = {
-    "chunked": (_chunked, 1),
-    "sglang_pd": (SGLangPDServer, 2),
-}
+#: Every serving system, on the two GPUs the disaggregated ones need.
+STREAMED_SERVERS = {name: (make_factory(name, 256), 2) for name in SYSTEMS}
+
+
+def _calls_fast_loop(cls) -> bool:
+    """Whether a method ``cls`` defines or inherits calls the decode fast loop."""
+    return any(
+        "_decode_fast_loop" in getattr(fn, "__code__", None).co_names
+        for klass in cls.__mro__
+        if klass is not DecodeBatchMixin
+        for fn in vars(klass).values()
+        if hasattr(fn, "__code__")
+    )
 
 
 class _StreamedRun:
@@ -92,8 +106,8 @@ class TestMetricStreamEquivalence:
         monkeypatch.setattr(fastpath, "commit_chain", counting_commit)
         with fastpath.enabled():
             fast = _StreamedRun(make_server, n_gpus)
-        # Non-vacuous: this server really elided chains through the loop.
-        assert commits > 0
+        # Non-vacuous: a server that calls the loop really elided chains.
+        assert (commits > 0) == _calls_fast_loop(SYSTEMS[server])
         with fastpath.disabled():
             scalar = _StreamedRun(make_server, n_gpus)
         assert len(fast.sink.records) > 100
