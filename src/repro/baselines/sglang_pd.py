@@ -69,7 +69,10 @@ class SGLangPDServer(DecodeBatchMixin):
     def _pump_prefill(self) -> None:
         if self._prefill_busy:
             return
-        state = self.admit_next(self.prefill_inst, self.waiting, fit=(self.decode_inst,))
+        # A request must fit both pools: it is prefilled on one and
+        # decoded on the other.
+        both = (self.prefill_inst, self.decode_inst)
+        state = self.admit_next(self.prefill_inst, self.waiting, fit=both)
         if state is not None:
             self._run_prefill(state)
 

@@ -132,6 +132,42 @@ class TestSGLangPD:
         assert split < full.cache.pool.capacity_tokens
 
 
+def with_giant(workload, input_tokens):
+    """``workload`` plus one request of ``input_tokens`` arriving at 0.5 s."""
+    requests = workload.requests
+    giant = Request(
+        session_id=1 + max(r.session_id for r in requests),
+        turn_index=0,
+        arrival_time=0.5,
+        history=[],
+        new_input=new_segment(input_tokens),
+        output_tokens=4,
+        request_id=1 + max(r.request_id for r in requests),
+    )
+    return Workload(workload.name, [*requests, giant])
+
+
+class TestSGLangPDAsymmetricSplit:
+    def test_request_too_big_for_prefill_pool_is_dropped(self):
+        """One prefill GPU and two decode GPUs: a request that fits the
+        decode pool but never the prefill pool must be dropped, not block
+        the queue head forever."""
+        from repro.gpu import A100
+        from repro.models import LLAMA_8B
+
+        cfg = ServingConfig(model=LLAMA_8B, spec=A100, n_gpus=3)
+        server = SGLangPDServer(Simulator(), cfg, prefill_gpus=1)
+        prefill_pool = server.prefill_inst.cache.pool.capacity_tokens
+        decode_pool = server.decode_inst.cache.pool.capacity_tokens
+        assert prefill_pool < 600_000 < decode_pool
+        server.submit(with_giant(sharegpt_workload(20, rate=4.0, seed=1), 600_000))
+        server.run()
+        summary = server.metrics.summarize()
+        assert summary.requests_finished == 20
+        assert not server.waiting
+        assert server.sim.pending_events == 0
+
+
 class TestLoongServe:
     def test_no_cross_request_reuse(self, cfg_70b):
         """The key penalty: multi-turn history is always recomputed."""
