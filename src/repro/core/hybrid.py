@@ -16,6 +16,7 @@ instance need no migration at all.
 from __future__ import annotations
 
 from collections import deque
+from dataclasses import replace
 
 from repro.core.server import MuxWiseServer
 from repro.gpu.device import ExecTask
@@ -39,19 +40,7 @@ class HybridPDServer(MuxWiseServer):
         if cfg.n_gpus < 2:
             raise ValueError("hybrid disaggregation needs at least 2 GPUs")
         n_prefill = prefill_gpus if prefill_gpus is not None else cfg.n_gpus // 2
-        decode_cfg = ServingConfig(
-            model=cfg.model,
-            spec=cfg.spec,
-            n_gpus=cfg.n_gpus - n_prefill,
-            slo=cfg.slo,
-            page_tokens=cfg.page_tokens,
-            activation_reserve_fraction=cfg.activation_reserve_fraction,
-            max_decode_batch=cfg.max_decode_batch,
-            max_prefill_batch_tokens=cfg.max_prefill_batch_tokens,
-            launch=cfg.launch,
-            spec_decode=cfg.spec_decode,
-        )
-        super().__init__(sim, decode_cfg)
+        super().__init__(sim, replace(cfg, n_gpus=cfg.n_gpus - n_prefill))
         self.prefill_inst = build_instance(sim, cfg, n_prefill, name="hybrid-prefill")
         self._dedicated_queue: deque[RequestState] = deque()
         self._dedicated_busy = False

@@ -1,12 +1,16 @@
 """Tests for the §5 hybrid deployment (MuxWise as the decode instance)."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.baselines import SGLangPDServer
 from repro.core import HybridPDServer
+from repro.kvcache import new_segment
 from repro.serving import SLO
 from repro.sim import Simulator
-from repro.workloads import sharegpt_workload, toolagent_workload
+from repro.tenancy.wfq import WFQQueue
+from repro.workloads import Request, Workload, sharegpt_workload, toolagent_workload
 
 
 def run(cls, cfg, workload, **kwargs):
@@ -49,6 +53,48 @@ class TestHybridPD:
     def test_needs_two_gpus(self, cfg_8b_single):
         with pytest.raises(ValueError):
             HybridPDServer(Simulator(), cfg_8b_single)
+
+    def test_muxwise_side_keeps_every_config_field(self, cfg_8b):
+        cfg = replace(
+            cfg_8b,
+            n_gpus=2,
+            kv_pool_limit_bytes=1.5e9,
+            queue_policy="wfq",
+            name_prefix="r3/",
+        )
+        server = HybridPDServer(Simulator(), cfg)
+        assert server.cfg.n_gpus == 1
+        assert server.cfg.kv_pool_limit_bytes == 1.5e9
+        assert (
+            server.instance.cache.pool.capacity_tokens
+            == server.prefill_inst.cache.pool.capacity_tokens
+        )
+        assert isinstance(server.waiting, WFQQueue)
+        assert server.metrics.name == "r3/Hybrid-PD"
+        assert server.instance.name.startswith("r3/")
+
+    def test_too_big_for_prefill_pool_is_served_by_muxwise_side(self, cfg_8b):
+        """One dedicated prefill GPU, two MuxWise GPUs: a request that never
+        fits the prefill pool is handed to the MuxWise side, not dropped."""
+        server = HybridPDServer(Simulator(), replace(cfg_8b, n_gpus=3), prefill_gpus=1)
+        assert (
+            server.prefill_inst.cache.pool.capacity_tokens
+            < 600_000
+            < server.instance.cache.pool.capacity_tokens
+        )
+        requests = sharegpt_workload(20, rate=4.0, seed=1).requests
+        giant = Request(
+            session_id=1 + max(r.session_id for r in requests),
+            turn_index=0,
+            arrival_time=0.0,
+            history=[],
+            new_input=new_segment(600_000),
+            output_tokens=4,
+            request_id=1 + max(r.request_id for r in requests),
+        )
+        server.submit(Workload("giant", [*requests, giant]))
+        server.run()
+        assert server.metrics.summarize().requests_finished == 21
 
 
 class TestPerTokenTTFT:

@@ -54,7 +54,7 @@ GOLDEN = {
     ("temporal", "ample"): "f807420aa5dcf842d6d913f5dd7dcfdb4539013a387413cc4e06024c62411d07",
     ("temporal", "tight"): "6251f74beb71ec71ceed8da29f92dd420c4dabc0d5c4856adcf3ac889c38b3ed",
     ("hybrid-pd", "ample"): "f3e9c3829057743141852405d64c0a12d39ebe4dcab94070517450e617928312",
-    ("hybrid-pd", "tight"): "8d71b0b246c6d5b7e7513d50bb9707493d23de215c823f393f2167ea49f558c5",
+    ("hybrid-pd", "tight"): "2ea67250af66208cdde68ac360957dd68d08290c3169f23dd54bf55f1cf7121a",
 }
 
 
