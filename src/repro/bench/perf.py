@@ -19,6 +19,11 @@ Two kinds of numbers come out, with very different stability contracts:
   with the machine; the committed ``BENCH_perf.json`` baseline is compared
   with a generous regression threshold (default 2x) rather than exactly.
 
+Each scenario also reports the deterministic decode fast-loop work
+counters of every simulator it built (:class:`repro.sim.WorkCounters`).
+They say how a result was computed, not what it is, so they are printed
+next to the event count but kept out of fingerprints and the JSON report.
+
 Request/segment ids are process-global counters, so fingerprints never
 include raw ids — only id-free aggregates, which are invariant under the
 id offsets two scenarios in one process produce.
@@ -46,6 +51,7 @@ from repro.cluster import FleetConfig, HealthConfig
 from repro.gpu.specs import A100
 from repro.models.config import LLAMA_8B
 from repro.serving.config import ServingConfig
+from repro.sim import WorkCounters, collect_counters
 from repro.workloads import sharegpt_workload
 
 #: Schema version of BENCH_perf.json; bump on incompatible layout changes.
@@ -178,13 +184,19 @@ TIER_SCALES: dict[str, float] = {"10": 10.0, "100": 100.0}
 
 @dataclass
 class ScenarioTiming:
-    """One timed scenario: deterministic fingerprint + machine timings."""
+    """One timed scenario: deterministic fingerprint + machine timings.
+
+    ``counters`` totals the fast-loop work counters of the scenario's
+    simulators (see :class:`repro.sim.WorkCounters`); deterministic, but
+    not part of :meth:`PerfReport.fingerprints`.
+    """
 
     name: str
     fingerprint: str
     events: int
     peak_event_queue: int
     wall_s: float
+    counters: dict[str, int] = field(default_factory=dict)
 
     @property
     def events_per_sec(self) -> float:
@@ -326,15 +338,17 @@ def run_perf(
             raise ValueError(f"unknown scenario {name!r}; choose from {sorted(SCENARIOS)}")
         best: ScenarioTiming | None = None
         for _ in range(repeats):
-            start = time.perf_counter()
-            payload, extras = scenario(scale)
-            wall = time.perf_counter() - start
+            with collect_counters() as counters:
+                start = time.perf_counter()
+                payload, extras = scenario(scale)
+                wall = time.perf_counter() - start
             timing = ScenarioTiming(
                 name=name,
                 fingerprint=_digest(payload),
                 events=int(extras.get("events_processed", 0)),
                 peak_event_queue=int(extras.get("peak_event_queue", 0)),
                 wall_s=wall,
+                counters=WorkCounters.total(counters),
             )
             if best is not None and best.fingerprint != timing.fingerprint:
                 raise RuntimeError(

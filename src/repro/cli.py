@@ -320,8 +320,9 @@ def cmd_chaos(args: argparse.Namespace) -> int:
 def cmd_perf(args: argparse.Namespace) -> int:
     """Benchmark the simulator core on the canonical scenarios.
 
-    Prints a per-scenario table (events/sec, peak queue, wall-clock) and
-    optionally writes the full ``BENCH_perf.json``.  ``--fingerprint``
+    Prints a per-scenario table (events/sec, peak queue, wall-clock and the
+    deterministic fast-loop work counters) and optionally writes the full
+    ``BENCH_perf.json``.  ``--fingerprint``
     prints only the deterministic result digests — the CI ``perf-smoke``
     job runs the harness twice and diffs exactly that output.  With
     ``--baseline`` the run fails when any result fingerprint differs from
@@ -344,19 +345,17 @@ def cmd_perf(args: argparse.Namespace) -> int:
     if args.fingerprint:
         print(report.fingerprint_json())
     else:
-        print(f"{'scenario':<20} {'events':>10} {'peak queue':>10} {'wall (s)':>9} {'events/s':>12}")
+        print(
+            f"{'scenario':<20} {'events':>10} {'peak queue':>10} {'wall (s)':>9} "
+            f"{'events/s':>12} {'elided':>8} {'stretches':>9} {'ledger':>9}  "
+            "bails head/busy/prefill/plan/pages"
+        )
         for name, s in sorted(report.scenarios.items()):
-            print(
-                f"{name:<20} {s.events:>10} {s.peak_event_queue:>10} "
-                f"{s.wall_s:>9.3f} {s.events_per_sec:>12.0f}"
-            )
+            print(_perf_row(name, s))
         for tier_name, tier in sorted(report.tiers.items()):
             print(f"-- tier {tier_name} (scale {tier.scale:g}) --")
             for name, s in sorted(tier.scenarios.items()):
-                print(
-                    f"{name:<20} {s.events:>10} {s.peak_event_queue:>10} "
-                    f"{s.wall_s:>9.3f} {s.events_per_sec:>12.0f}"
-                )
+                print(_perf_row(name, s))
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(report.to_json())
@@ -392,6 +391,20 @@ def cmd_perf(args: argparse.Namespace) -> int:
         print(f"ok: results match {args.baseline}, wall-clock within "
               f"{args.max_regression:.1f}x", file=sys.stderr)
     return 0
+
+
+def _perf_row(name: str, s) -> str:
+    """One ``repro perf`` table row: timings, then the work counters."""
+    c = s.counters
+    bails = "/".join(
+        str(c.get(key, 0))
+        for key in ("bail_head", "bail_busy", "bail_prefill", "bail_plan", "bail_pages")
+    )
+    return (
+        f"{name:<20} {s.events:>10} {s.peak_event_queue:>10} "
+        f"{s.wall_s:>9.3f} {s.events_per_sec:>12.0f} {c.get('chains_elided', 0):>8} "
+        f"{c.get('stretches', 0):>9} {c.get('ledger_writes', 0):>9}  {bails}"
+    )
 
 
 def _measured_part(baseline: dict, names: list[str] | None, tiers: list[str] | None) -> dict:

@@ -10,7 +10,8 @@ The cache supports:
 * ``match`` / ``acquire`` — longest-prefix lookup, pinning matched nodes
   against eviction (the reused context of the paper's Table 1);
 * ``insert`` — append newly computed segments, allocating pool pages;
-* ``extend`` — grow the tail segment as decode generates tokens;
+* ``extend`` — grow the tail segment as decode generates tokens, and
+  ``extend_many`` — grow many leases' tails at once (a decode stretch);
 * LRU eviction of unpinned subtrees when the pool runs out of pages.
 
 Eviction never walks the tree.  Two incrementally maintained structures
@@ -332,6 +333,91 @@ class RadixCache:
             tail.pages += extra_pages
         tail.tokens = new_total
         tail.last_access = self._clock
+
+    def extend_many(self, leases: list[Lease], tokens: int) -> None:
+        """Grow every lease's tail by ``tokens``, all or nothing.
+
+        The end state — pool pages, node tokens, pages and
+        ``last_access``, the eviction victims and their order,
+        :class:`CacheStats` — equals ``tokens`` rounds of
+        ``extend(lease, 1)`` over ``leases`` in order, and this raises
+        :class:`PoolExhaustedError`, mutating nothing, exactly when those
+        rounds would raise.  The leases' tails must be distinct nodes (a
+        running request's tail is its own output segment).
+
+        Exactness: the tails are pinned, so their growth never changes
+        the victim order or the evictable total, and eviction moves pages
+        from evictable to free without changing their sum.  The rounds
+        therefore succeed iff the total page demand fits in free plus
+        evictable pages, and they evict the shortest LRU prefix of victims
+        that covers that demand — which one ``_ensure_free_pages(total)``
+        evicts too, in the same order.  Eviction stamps only the tracer
+        and a ``spill`` hook with the cache clock; callers spanning
+        several clock values must fall back to per-step extends when
+        either is attached.
+        """
+        if tokens < 0:
+            raise ValueError("tokens must be non-negative")
+        if tokens == 0:
+            return  # zero rounds
+        page = self.pool.page_tokens
+        need = 0
+        for lease in leases:
+            if lease.released:
+                raise ValueError("lease already released")
+            nodes = lease._nodes
+            if not nodes:
+                raise ValueError("cannot extend an empty lease; insert first")
+            tail = nodes[-1]
+            new_total = tail.tokens + tokens
+            if new_total > tail.pages * page:
+                need += -(-new_total // page) - tail.pages
+        if need:
+            if need > self.pool.free_pages + self._evictable:
+                raise PoolExhaustedError(
+                    f"need {need} pages, {self.pool.free_pages} free and "
+                    f"{self._evictable} evictable"
+                )
+            self._ensure_free_pages(need)
+            self.pool.allocate(need * page)
+        clock = self._clock
+        for lease in leases:
+            tail = lease._nodes[-1]
+            new_total = tail.tokens + tokens
+            if new_total > tail.pages * page:
+                tail.pages = -(-new_total // page)
+            tail.tokens = new_total
+            tail.last_access = clock
+
+    def extend_limit(self, leases: list[Lease], limit: int) -> int:
+        """Largest ``k <= limit`` for which ``extend_many(leases, k)`` fits.
+
+        The page demand of ``k`` tokens per lease grows with ``k`` and must
+        stay within free plus evictable pages (see :meth:`extend_many`).
+        """
+        page = self.pool.page_tokens
+        budget = self.pool.free_pages + self._evictable
+        tails = [(lease._nodes[-1].tokens, lease._nodes[-1].pages) for lease in leases]
+
+        def demand(k: int) -> int:
+            need = 0
+            for tokens, pages in tails:
+                extra = -(-(tokens + k) // page) - pages
+                if extra > 0:
+                    need += extra
+            return need
+
+        if demand(limit) <= budget:
+            return limit
+        # demand(0) == 0 <= budget < demand(limit): bisect the boundary.
+        low, high = 0, limit
+        while high - low > 1:
+            mid = (low + high) // 2
+            if demand(mid) <= budget:
+                low = mid
+            else:
+                high = mid
+        return low
 
     def release(self, lease: Lease, keep_cached: bool = True) -> None:
         """Unpin the lease's path.

@@ -512,6 +512,7 @@ class ServingSystem(ABC):
         """Record decode tokens for ``state``."""
         state.generated += count
         self.metrics.on_tokens_record(state.record, self.sim.now, count)
+        self.sim.counters.ledger_writes += 1
 
     def produce_prefill_token(self, state: RequestState) -> None:
         """Record the token produced by a prefill's LM head.

@@ -125,24 +125,34 @@ class DecodeBatchMixin(ServingSystem):
 
         Runs as many decode-only iterations as can be proven equivalent to
         the scalar path (plain decode, no prefill admissible, device idle,
-        the chain's completion strictly before the next queued event),
-        calling the *real* emission and :meth:`_retire_decoded` code
-        between elided chains.  Returns the current batch (possibly empty)
-        for the scalar path to continue with — byte-identical state to the
-        scalar path having just reached this simulation time.
+        each chain's completion strictly before the next queued event).
+        Consecutive iterations form a *stretch*: their chains are planned
+        and committed one by one, and their token effects — KV growth and
+        ledger writes — are applied once per request when the stretch
+        ends (:meth:`_apply_stretch`).  A stretch ends at the iteration in
+        which a batch member finishes, before KV growth would exceed the
+        free plus evictable pages, and where the queue head, ``until`` or
+        the event cap stops elision.  An armed preemption storm or a
+        cache ``spill`` hook runs each elided iteration through the real
+        :meth:`emit_decode_iteration`, as does an iteration the page
+        budget cannot cover (which preempts).  Returns the current batch
+        (possibly empty) for the scalar path to continue with —
+        byte-identical state to the scalar path having just reached this
+        simulation time.
         """
         sim = self.sim
+        if self.spec_decode is not None or not fastpath.decode_fastpath_active(sim):
+            return batch
+        counters = sim.counters
         # Bail before touching the cost model when a queued event is near:
         # this keeps the fast path near-free on busy multi-replica runs
         # where elision rarely engages.
         min_delta = self._fastpath_min_delta
-        if (
-            self.spec_decode is not None
-            or not fastpath.decode_fastpath_active(sim)
-            or sim._fastpath_head_time() <= sim.now + min_delta
-        ):
+        if sim._fastpath_head_time() <= sim.now + min_delta:
+            counters.bail_head += 1
             return batch
         device = instance.device
+        cache = instance.cache
         launch_time = self.cfg.launch.decode_launch()
         max_batch = self.cfg.max_decode_batch
         total_ctx = 0
@@ -150,19 +160,50 @@ class DecodeBatchMixin(ServingSystem):
             total_ctx += s._input_tokens + s.generated
         while True:
             if self._fastpath_prefill_admissible(len(batch)):
+                counters.bail_prefill += 1
                 return batch
             if device._active or device._stalled:
+                counters.bail_busy += 1
                 return batch
-            if sim._fastpath_head_time() <= sim.now + min_delta:
+            # Nothing below changes the batch, the queue or the device
+            # until the stretch's effects are applied, so the checks above
+            # hold for every iteration of the stretch.
+            if self._storm_pending or cache.spill is not None:
+                stretch, limit = False, 1
+            else:
+                limit = min(s.request.output_tokens - s.generated for s in batch)
+                limit = cache.extend_limit([s.lease for s in batch], limit)
+                stretch = limit > 0
+                if not stretch:
+                    counters.bail_pages += 1
+                    limit = 1
+            size = len(batch)
+            times: list[float] = []
+            while True:
+                cost = self._decode_only_cost(instance, size, total_ctx)
+                plan = fastpath.plan_chain(
+                    device, cost.flops, cost.bytes, cost.comm_time + launch_time, sim.now
+                )
+                if plan is None or not fastpath.chain_allowed(sim, plan):
+                    counters.bail_plan += 1
+                    break
+                fastpath.commit_chain(sim, device, plan)
+                times.append(sim.now)
+                # Every batch member grows by exactly one token.
+                total_ctx += size
+                if len(times) == limit:
+                    break
+                if sim._fastpath_head_time() <= sim.now + min_delta:
+                    counters.bail_head += 1
+                    break
+            if not times:
                 return batch
-            cost = self._decode_only_cost(instance, len(batch), total_ctx)
-            plan = fastpath.plan_chain(
-                device, cost.flops, cost.bytes, cost.comm_time + launch_time, sim.now
-            )
-            if plan is None or not fastpath.chain_allowed(sim, plan):
-                return batch
-            fastpath.commit_chain(sim, device, plan)
-            finished, preempted = self.emit_decode_iteration(instance, batch)
+            counters.chains_elided += len(times)
+            if stretch:
+                finished = self._apply_stretch(instance, batch, times)
+                preempted: list[RequestState] = []
+            else:
+                finished, preempted = self.emit_decode_iteration(instance, batch)
             if finished or preempted:
                 self._retire_decoded(instance, finished, preempted)
                 batch = [s for s in self.running if not s.finished][:max_batch]
@@ -171,9 +212,37 @@ class DecodeBatchMixin(ServingSystem):
                 total_ctx = 0
                 for s in batch:
                     total_ctx += s._input_tokens + s.generated
-            else:
-                # Every batch member grew by exactly one token.
-                total_ctx += len(batch)
+            if len(times) < limit:
+                return batch
+            if sim._fastpath_head_time() <= sim.now + min_delta:
+                counters.bail_head += 1
+                return batch
+
+    def _apply_stretch(
+        self, instance: Instance, batch: list[RequestState], times: list[float]
+    ) -> list[RequestState]:
+        """Apply the token effects of ``len(times)`` decode iterations.
+
+        Each request grows its KV and emits one token per iteration, in
+        one :meth:`RadixCache.extend_many` and one
+        :meth:`MetricsCollector.on_batch_tokens` call; the stretch's limits
+        guarantee the growth fits and that requests finish only in its
+        last iteration.  Returns the requests that finished.
+        """
+        steps = len(times)
+        cache = instance.cache
+        cache.touch(times[-1])
+        cache.extend_many([s.lease for s in batch], steps)
+        finished: list[RequestState] = []
+        for state in batch:
+            state.generated += steps
+            if state.generated >= state.request.output_tokens:
+                finished.append(state)
+        self.metrics.on_batch_tokens([s.record for s in batch], times)
+        counters = self.sim.counters
+        counters.stretches += 1
+        counters.ledger_writes += len(batch)
+        return finished
 
     def decode_context_lens(self, batch: list[RequestState]) -> list[int]:
         """Current context length of each running request."""
@@ -262,40 +331,59 @@ class DecodeBatchMixin(ServingSystem):
         self._storm_pending = False
         finished: list[RequestState] = []
         preempted: list[RequestState] = []
-        # Inner decode loop: extend_output + emit_tokens unrolled (one KV
-        # extension and one metrics sample per running request per
-        # iteration).  The cache clock is touched once up front — touch is
-        # idempotent for a fixed ``now``, so per-request touches are
-        # redundant.
+        # Inner decode loop: extend_output unrolled (one KV extension per
+        # running request).  The cache clock is touched once up front —
+        # touch is idempotent for a fixed ``now``, so per-request touches
+        # are redundant.
         now = self.sim.now
         cache = instance.cache
         cache.touch(now)
         extend = cache.extend
-        on_tokens = self.metrics.on_tokens_record
         runtime = self.spec_decode
-        for state in batch:
-            if state.finished:
-                continue
-            if storm:
-                preempted.append(state)
-                continue
-            tokens = 1
-            if runtime is not None and state.spec_session is not None:
-                remaining = state.request.output_tokens - state.generated
-                tokens = state.spec_session.sample_step(runtime.spec, remaining)
-            try:
-                extend(state.lease, tokens)
-            except PoolExhaustedError:
-                preempted.append(state)
-                continue
-            if runtime is not None and state.spec_session is not None:
-                runtime.note_step(tokens)
-            state.generated += tokens
-            on_tokens(state.record, now, tokens)
-            if state.generated >= state.request.output_tokens:
-                finished.append(state)
         if storm:
+            preempted = [state for state in batch if not state.finished]
             self.storm_preemptions += len(preempted)
+        elif runtime is None:
+            # One token each: the ledger writes go out in one batched call
+            # after the loop, in batch order, exactly as per-token calls.
+            records = []
+            for state in batch:
+                if state.finished:
+                    continue
+                try:
+                    extend(state.lease, 1)
+                except PoolExhaustedError:
+                    preempted.append(state)
+                    continue
+                state.generated += 1
+                records.append(state.record)
+                if state.generated >= state.request.output_tokens:
+                    finished.append(state)
+            if records:
+                self.metrics.on_batch_tokens(records, [now])
+                self.sim.counters.ledger_writes += len(records)
+        else:
+            on_tokens = self.metrics.on_tokens_record
+            counters = self.sim.counters
+            for state in batch:
+                if state.finished:
+                    continue
+                tokens = 1
+                if state.spec_session is not None:
+                    remaining = state.request.output_tokens - state.generated
+                    tokens = state.spec_session.sample_step(runtime.spec, remaining)
+                try:
+                    extend(state.lease, tokens)
+                except PoolExhaustedError:
+                    preempted.append(state)
+                    continue
+                if state.spec_session is not None:
+                    runtime.note_step(tokens)
+                state.generated += tokens
+                on_tokens(state.record, now, tokens)
+                counters.ledger_writes += 1
+                if state.generated >= state.request.output_tokens:
+                    finished.append(state)
         for state in preempted:
             self.release_request(instance, state, keep_cached=False)
             state.first_token_emitted = True  # keep its TTFT; it resumes

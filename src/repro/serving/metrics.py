@@ -8,6 +8,7 @@ are exactly the quantities of the paper's Figs. 14-17 and Tables 3-5.
 from __future__ import annotations
 
 import math
+from array import array
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from itertools import repeat
@@ -49,16 +50,27 @@ def _percentile_of_sorted(ordered: list[float], pct: float) -> float:
     return ordered[low] * (1 - frac) + ordered[high] * frac
 
 
+def _new_gap_ledger() -> array:
+    return array("d")
+
+
 @dataclass
 class RequestRecord:
-    """Lifecycle timestamps of one request."""
+    """Lifecycle timestamps of one request.
+
+    ``token_gaps`` holds every decode token gap (TBT sample) in emission
+    order as an ``array('d')``: 8 bytes per token instead of a boxed
+    float plus a list slot.  It reads like a list of floats (iteration,
+    ``len``, indexing, ``sorted``), but compares equal only to another
+    array — use ``.tolist()`` to compare against a list.
+    """
 
     request: Request
     arrival: float
     first_token: float | None = None
     last_token: float | None = None
     tokens_emitted: int = 0
-    token_gaps: list[float] = field(default_factory=list)
+    token_gaps: array = field(default_factory=_new_gap_ledger)
     #: New (non-reused) tokens this request's prefill computed; remembered
     #: so a record discarded after a replica failure can be un-counted.
     prefilled_tokens: int = 0
@@ -204,12 +216,60 @@ class MetricsCollector:
                 {
                     "req": self._arrival_index.get(record.request.request_id, -1),
                     "ts": time,
-                    "gaps": record.token_gaps[-count:],
+                    "gaps": record.token_gaps[-count:].tolist(),
                 }
             )
         end = self._end_time
         if end is None or time > end:
             self._end_time = time
+
+    def on_batch_tokens(self, records: list[RequestRecord], times: list[float]) -> None:
+        """One decode token per record at each of ``times``.
+
+        Equivalent, bit for bit, to ``on_tokens_record(record, t)`` for
+        each ``t`` in ``times`` (non-decreasing, as the clock is) and,
+        within each, each record in order: a record's first gap is
+        ``times[0] - last_token`` and every later gap is ``times[i] -
+        times[i-1]`` — the subtractions the per-token calls perform, the
+        latter computed once and shared by every record.  The sink sees
+        the same records in the same order.  The decode fast loop hands a
+        whole stretch of decode-only iterations in one call; plain decode
+        iterations hand one time.
+        """
+        count = len(times)
+        first = times[0]
+        last_time = times[-1]
+        steps = [t - s for s, t in zip(times, times[1:])] if count > 1 else None
+        for record in records:
+            last = record.last_token
+            if last is None:
+                raise ValueError("tokens before first token")
+            gaps = record.token_gaps
+            gaps.append(first - last)
+            if steps:
+                gaps.extend(steps)
+            record.tokens_emitted += count
+            record.last_token = last_time
+        if self.sink is not None:
+            self._emit_batch(records, times, steps)
+        end = self._end_time
+        if records and (end is None or last_time > end):
+            self._end_time = last_time
+
+    def _emit_batch(
+        self, records: list[RequestRecord], times: list[float], steps: list[float] | None
+    ) -> None:
+        """Sink records of :meth:`on_batch_tokens`, in per-token call order."""
+        index = self._arrival_index
+        reqs = [index.get(record.request.request_id, -1) for record in records]
+        count = len(times)
+        emit = self.sink.emit
+        for req, record in zip(reqs, records):
+            emit({"req": req, "ts": times[0], "gaps": [record.token_gaps[-count]]})
+        if steps:
+            for time, gap in zip(times[1:], steps):
+                for req in reqs:
+                    emit({"req": req, "ts": time, "gaps": [gap]})
 
     def discard(self, request_id: int) -> RequestRecord | None:
         """Forget an in-flight request whose replica died mid-serve.
@@ -268,7 +328,7 @@ class MetricsCollector:
         return [r for r in self.records.values() if r.finished]
 
     def all_token_gaps(self) -> list[float]:
-        """Every TBT sample across all requests."""
+        """Every TBT sample across all requests, as a list of floats."""
         gaps: list[float] = []
         for record in self.records.values():
             gaps.extend(record.token_gaps)

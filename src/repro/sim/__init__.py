@@ -1,7 +1,13 @@
 """Discrete-event simulation engine underlying the GPU and serving models."""
 
 from repro.sim.events import PRIORITY_EARLY, PRIORITY_LATE, PRIORITY_NORMAL, Event
-from repro.sim.simulator import INHERIT_SCOPE, SimulationError, Simulator
+from repro.sim.simulator import (
+    INHERIT_SCOPE,
+    SimulationError,
+    Simulator,
+    WorkCounters,
+    collect_counters,
+)
 
 
 def make_sim(start_time: float = 0.0) -> Simulator:
@@ -17,5 +23,7 @@ __all__ = [
     "PRIORITY_NORMAL",
     "SimulationError",
     "Simulator",
+    "WorkCounters",
+    "collect_counters",
     "make_sim",
 ]

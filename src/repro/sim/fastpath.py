@@ -31,11 +31,31 @@ and the golden fingerprints in ``tests/bench/test_perf.py``):
   (the chain keeps at most one event queued at any instant).
 
 Token emission, request finishing, preemption, cache growth and metric
-recording are *not* emulated — the serving loops call the real code between
-elided chains, so everything downstream of the device is untouched.
+recording are *not* emulated here.  The serving loop
+(``DecodeBatchMixin._decode_fast_loop``) strings consecutive decode-only
+iterations into a *stretch*: it plans and commits each iteration's chain
+in turn, then applies the stretch's token effects once per request
+through ``RadixCache.extend_many`` and ``MetricsCollector.on_batch_tokens``.
+
+* A stretch ends at the iteration in which any batch member finishes, before
+  KV growth would need more than free plus evictable pages, and wherever
+  :func:`chain_allowed` (or the loop's queue-head bound) stops elision.
+  Nothing else can change inside it: no event fires and no request
+  retires.
+* Gaps are exact: a request's first gap is ``t1 - last_token`` and every
+  later one ``t_i - t_(i-1)`` — the subtractions the scalar path makes.
+* Eviction is exact: the growing tails are pinned, so the sequential
+  rounds evict the shortest LRU prefix of victims covering the total page
+  demand, which one ``_ensure_free_pages(total)`` call evicts too, in the
+  same order.
+* An armed preemption storm, a radix ``spill`` hook (whose calls carry the
+  eviction clock) or an iteration the page budget cannot cover runs each
+  elided iteration through the real per-iteration emission instead.
+  Speculative decoding and enabled tracers never reach the loop.
 
 The fast path is ON by default; set ``REPRO_FASTPATH=0`` (or use
-:func:`disabled`) to force the scalar reference path.
+:func:`disabled`) to force the scalar reference path, which disables
+stretches together with chain elision.
 """
 
 from __future__ import annotations

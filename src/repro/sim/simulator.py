@@ -31,7 +31,7 @@ from __future__ import annotations
 import heapq
 import math
 from contextlib import contextmanager
-from typing import TYPE_CHECKING, Any, Callable, Iterator
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator
 
 from repro.sim.events import PRIORITY_NORMAL, Event, _sequence
 
@@ -49,6 +49,76 @@ INHERIT_SCOPE: Any = object()
 
 class SimulationError(RuntimeError):
     """Raised on invalid simulator usage (e.g. scheduling in the past)."""
+
+
+#: Names of the :class:`WorkCounters` tallies, in report order.
+COUNTER_NAMES = (
+    "chains_elided",
+    "stretches",
+    "ledger_writes",
+    "bail_head",
+    "bail_busy",
+    "bail_prefill",
+    "bail_plan",
+    "bail_pages",
+)
+
+
+class WorkCounters:
+    """Deterministic work counters of the decode fast loop.
+
+    Machine-independent tallies of *how* a run was computed, next to its
+    event count: decode chains elided (``chains_elided``), decode-only
+    stretches applied (``stretches``), per-request token-ledger writes
+    (``ledger_writes``: one per request per emission call, however many
+    tokens it carries) and the fast loop's bails back to the scalar path
+    by reason — queue head too near (``bail_head``), device busy
+    (``bail_busy``), prefill admissible (``bail_prefill``), chain plan
+    rejected (``bail_plan``), and iterations that fell back to
+    per-request emission because the KV page budget could not cover one
+    more token per request (``bail_pages``).  Turning the fast path off
+    moves them and nothing else, so they stay out of result
+    fingerprints.
+    """
+
+    __slots__ = COUNTER_NAMES
+
+    def __init__(self) -> None:
+        for name in COUNTER_NAMES:
+            setattr(self, name, 0)
+
+    def as_dict(self) -> dict[str, int]:
+        """The counters by name, in report order."""
+        return {name: getattr(self, name) for name in COUNTER_NAMES}
+
+    @staticmethod
+    def total(counters: "Iterable[WorkCounters]") -> dict[str, int]:
+        """Sum of several runs' counters, by name."""
+        sums = dict.fromkeys(COUNTER_NAMES, 0)
+        for each in counters:
+            for name in COUNTER_NAMES:
+                sums[name] += getattr(each, name)
+        return sums
+
+
+#: Open :func:`collect_counters` blocks; each gathers the counters of
+#: every simulator built while it is open.
+_counter_collectors: list[list[WorkCounters]] = []
+
+
+@contextmanager
+def collect_counters() -> Iterator[list[WorkCounters]]:
+    """Gather the :class:`WorkCounters` of every simulator built inside.
+
+    Lets a harness total the counters of a scenario without reaching into
+    the systems or fleets the scenario builds.
+    """
+    built: list[WorkCounters] = []
+    _counter_collectors.append(built)
+    try:
+        yield built
+    finally:
+        _counter_collectors.remove(built)
 
 
 class Simulator:
@@ -101,6 +171,10 @@ class Simulator:
         self._run_until = math.inf
         self._run_cap = math.inf
         self._fired_in_run = 0
+        #: Fast-loop work counters (see :class:`WorkCounters`).
+        self.counters = WorkCounters()
+        for collector in _counter_collectors:
+            collector.append(self.counters)
 
     def attach_tracer(self, tracer: "Tracer | None") -> None:
         """Attach (or detach, with ``None``) a :class:`repro.trace.Tracer`."""

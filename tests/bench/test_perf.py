@@ -20,6 +20,7 @@ from repro.bench.perf import (
     run_perf,
 )
 from repro.cli import _measured_part
+from repro.sim import fastpath
 
 #: Scale used for the golden run; small enough for a unit test, large
 #: enough that every scenario exercises batching, caching and faults.
@@ -93,6 +94,23 @@ GOLDEN_RESULTS_SCALE_10 = {
 }
 
 
+#: Fast-loop work counters of ``single_goodput`` at ``GOLDEN_SCALE`` with the
+#: fast path on.  Deterministic like the fingerprints, but they describe how
+#: the result was computed: a change that moves them changed the fast loop's
+#: work, not the simulation.  Regenerate from ``python -m repro perf --scale
+#: 0.05 --scenarios single_goodput``.
+GOLDEN_COUNTERS_SINGLE = {
+    "chains_elided": 1369,
+    "stretches": 14,
+    "ledger_writes": 134,
+    "bail_head": 3,
+    "bail_busy": 0,
+    "bail_prefill": 11,
+    "bail_plan": 4,
+    "bail_pages": 0,
+}
+
+
 @pytest.fixture(scope="module")
 def golden_run() -> PerfReport:
     return run_perf(scale=GOLDEN_SCALE)
@@ -112,6 +130,25 @@ class TestGoldenFingerprints:
         assert report.scenarios["single_goodput"].fingerprint == (
             GOLDEN_RESULTS["single_goodput"]["fingerprint"]
         )
+
+
+class TestWorkCounters:
+    def test_single_goodput_counters_pinned(self):
+        with fastpath.enabled():
+            report = run_perf(scenarios=["single_goodput"], scale=GOLDEN_SCALE)
+        timing = report.scenarios["single_goodput"]
+        assert timing.counters == GOLDEN_COUNTERS_SINGLE
+        # Counters stay out of the fingerprint view and the JSON report.
+        assert report.fingerprints() == {"single_goodput": GOLDEN_RESULTS["single_goodput"]}
+        assert "counters" not in report.to_json()
+
+    def test_scalar_path_elides_nothing(self):
+        with fastpath.disabled():
+            report = run_perf(scenarios=["single_goodput"], scale=GOLDEN_SCALE)
+        counters = report.scenarios["single_goodput"].counters
+        assert counters["chains_elided"] == counters["stretches"] == 0
+        # Every decode token is then its own ledger write.
+        assert counters["ledger_writes"] > GOLDEN_COUNTERS_SINGLE["ledger_writes"]
 
 
 class TestScaleTiers:

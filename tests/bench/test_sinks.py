@@ -136,9 +136,10 @@ class TestMetricsSinkTap:
             {"req": 0, "ts": 0.6, "gaps": [0.6 - 0.5]},
             {"req": 0, "ts": 0.75, "gaps": [0.75 - 0.6, 0.0]},
         ]
-        # The tap is additive: the record still holds the full gap list.
+        # The tap is additive: the record still holds the full gap ledger
+        # (an ``array('d')``).
         gaps = metrics.records[request.request_id].token_gaps
-        assert gaps == [0.6 - 0.5, 0.75 - 0.6, 0.0]
+        assert gaps.tolist() == [0.6 - 0.5, 0.75 - 0.6, 0.0]
 
     def test_counting_sink_smoke(self):
         sink = CountingSink()

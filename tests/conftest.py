@@ -1,13 +1,21 @@
-"""Shared fixtures: small deployments and cached estimators for speed."""
+"""Shared fixtures: small deployments and cached estimators for speed.
+
+Also registers the ``ci-deep`` Hypothesis profile: ten times the default
+example budget, for suites that leave ``max_examples`` to the profile.
+Select it with ``pytest --hypothesis-profile=ci-deep``.
+"""
 
 from __future__ import annotations
 
 import pytest
+from hypothesis import settings
 
 from repro.gpu import A100
 from repro.models import LLAMA_8B, LLAMA_70B
 from repro.serving import ServingConfig
 from repro.sim import Simulator
+
+settings.register_profile("ci-deep", max_examples=10 * settings.default.max_examples)
 
 
 @pytest.fixture
