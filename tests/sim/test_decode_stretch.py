@@ -82,8 +82,8 @@ class _Run:
         self.counters = sim.counters.as_dict()
 
 
-def _both(**kwargs) -> _Run:
-    """Run fast and scalar; assert they agree; return the fast run."""
+def _both(**kwargs) -> tuple[_Run, _Run]:
+    """Run fast and scalar, assert they agree, and return both runs."""
     with fastpath.enabled():
         fast = _Run(**kwargs)
     with fastpath.disabled():
@@ -93,7 +93,7 @@ def _both(**kwargs) -> _Run:
     assert fast.sink.records == scalar.sink.records
     # The scalar reference never elides, so it never forms stretches.
     assert scalar.counters["chains_elided"] == scalar.counters["stretches"] == 0
-    return fast
+    return fast, scalar
 
 
 def _multi_iteration_stretches(counters) -> bool:
@@ -116,7 +116,7 @@ def stretch_log(monkeypatch):
 
 
 def test_member_finishing_mid_batch_ends_the_stretch(stretch_log):
-    fast = _both()
+    fast, _ = _both()
     assert _multi_iteration_stretches(fast.counters)
     # Some multi-iteration stretch ended on a member finishing while the
     # rest of its batch kept decoding.
@@ -134,13 +134,13 @@ def test_page_crossing_evicts_inside_a_stretch(monkeypatch):
             evicting.append(tokens)
 
     monkeypatch.setattr(RadixCache, "extend_many", probed)
-    fast = _both(pool_tokens=8000)
+    fast, _ = _both(pool_tokens=8000)
     assert _multi_iteration_stretches(fast.counters)
     assert evicting, "no stretch evicted"
 
 
 def test_pool_exhaustion_falls_back_and_preempts():
-    fast = _both(pool_tokens=2000)
+    fast, _ = _both(pool_tokens=2000)
     # The page budget could not cover an iteration: it ran through the
     # per-request emission, which preempts.
     assert fast.counters["bail_pages"] > 0
@@ -180,7 +180,7 @@ def test_preemption_storm_falls_back(monkeypatch):
         for at in (2.0, 4.0, 6.5, 9.0):
             sim.schedule_at(at, server.force_preempt)
 
-    fast = _both(make_server=SGLangPDServer, n_gpus=2, setup=storms)
+    fast, _ = _both(make_server=SGLangPDServer, n_gpus=2, setup=storms)
     assert fast.server.storm_preemptions > 0
     assert storm_emits, "no storm reached the fast loop"
     assert _multi_iteration_stretches(fast.counters)
@@ -193,12 +193,7 @@ def test_spill_hook_falls_back():
             (len(key), tokens, clock)
         )
 
-    with fastpath.enabled():
-        fast = _Run(pool_tokens=8000, setup=spill_log)
-    with fastpath.disabled():
-        scalar = _Run(pool_tokens=8000, setup=spill_log)
-    assert fast.digest == scalar.digest
-    assert fast.sink.records == scalar.sink.records
+    fast, scalar = _both(pool_tokens=8000, setup=spill_log)
     # Spill calls carry the eviction clock: same victims at the same times.
     assert fast.server.spilled and fast.server.spilled == scalar.server.spilled
     # Chains were elided one iteration at a time: no stretch formed.
@@ -215,7 +210,7 @@ def test_nanoflow_prices_stretch_iterations_with_its_override(monkeypatch):
         return override(self, instance, batch_size, total_ctx)
 
     monkeypatch.setattr(NanoFlowServer, "_decode_only_cost", counted)
-    fast = _both(make_server=_nanoflow)
+    fast, _ = _both(make_server=_nanoflow)
     assert _multi_iteration_stretches(fast.counters)
     # Every elided iteration was priced through the override (a rejected
     # plan is priced too, then not committed).
@@ -249,7 +244,7 @@ def test_event_cap_mid_stretch(monkeypatch):
     cap = commits[last_commit - steps + 1] + 1
 
     del stretches[:]
-    fast = _both(max_events=cap)
+    fast, _ = _both(max_events=cap)
     assert fast.sim.processed_events == cap
     # The run's last stretch was cut after two iterations.
     assert stretches[-1][1] == 2
