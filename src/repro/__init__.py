@@ -20,105 +20,89 @@ Quickstart::
     server.submit(toolagent_workload(100, request_rate=1.0))
     server.run()
     print(server.metrics.summarize())
+
+Every name in ``__all__`` is resolved on first access (PEP 562): ``import
+repro`` loads no subpackage, and ``from repro import MuxWiseServer`` loads
+only what that class needs.  numpy is loaded later still, when the first
+MuxWise estimator is built, so a chunked-prefill run never imports it.
 """
 
-from repro.baselines import (
-    ChunkedPrefillServer,
-    LoongServeServer,
-    NanoFlowServer,
-    SGLangPDServer,
-)
-from repro.bench import GoodputResult, RunResult, goodput_sweep, run_system
-from repro.core import (
-    ContentionGuard,
-    ContentionTolerantEstimator,
-    MultiplexEngine,
-    MuxWiseServer,
-    SoloRunPredictor,
-    calibrated_estimator,
-)
-from repro.gpu import A100, H100, H200, Device, GPUSpec, decode_partition_options
-from repro.kvcache import KVCachePool, RadixCache, Segment, new_segment
-from repro.models import (
-    CODELLAMA_34B,
-    LLAMA_8B,
-    LLAMA_70B,
-    QWEN3_235B,
-    CostModel,
-    ModelConfig,
-    PrefillItem,
-    phase_latency,
-)
-from repro.serving import SLO, ServingConfig, Summary, default_slo
-from repro.sim import Simulator
-from repro.tenancy import TenancyConfig, Tenant, TenantClass
-from repro.workloads import (
-    Request,
-    Workload,
-    combine_workloads,
-    conversation_workload,
-    loogle_workload,
-    mixed_workload,
-    openthoughts_workload,
-    realworld_trace,
-    sharegpt_workload,
-    tag_workload,
-    toolagent_workload,
-)
+import importlib
+import sys
+
+
+def _lazy_exports(package: str, exports: dict[str, tuple[str, ...]]):
+    """PEP 562 ``__getattr__`` and ``__dir__`` for ``package``.
+
+    ``exports`` maps each defining module to the public names it provides.
+    A name is imported on first access and then cached in the package's
+    namespace, so later lookups are plain attribute reads.
+    """
+    source = {name: module for module, names in exports.items() for name in names}
+    namespace = sys.modules[package].__dict__
+
+    def __getattr__(name: str):
+        module = source.get(name)
+        if module is None:
+            raise AttributeError(f"module {package!r} has no attribute {name!r}")
+        value = namespace[name] = getattr(importlib.import_module(module), name)
+        return value
+
+    def __dir__() -> list[str]:
+        return sorted({*namespace, *source})
+
+    return __getattr__, __dir__
+
+
+#: The public names, by defining module.
+_EXPORTS = {
+    "repro.baselines": (
+        "ChunkedPrefillServer",
+        "LoongServeServer",
+        "NanoFlowServer",
+        "SGLangPDServer",
+    ),
+    "repro.bench": ("GoodputResult", "RunResult", "goodput_sweep", "run_system"),
+    "repro.core": (
+        "ContentionGuard",
+        "ContentionTolerantEstimator",
+        "MultiplexEngine",
+        "MuxWiseServer",
+        "SoloRunPredictor",
+        "calibrated_estimator",
+    ),
+    "repro.gpu": ("A100", "H100", "H200", "Device", "GPUSpec", "decode_partition_options"),
+    "repro.kvcache": ("KVCachePool", "RadixCache", "Segment", "new_segment"),
+    "repro.models": (
+        "CODELLAMA_34B",
+        "LLAMA_8B",
+        "LLAMA_70B",
+        "QWEN3_235B",
+        "CostModel",
+        "ModelConfig",
+        "PrefillItem",
+        "phase_latency",
+    ),
+    "repro.serving": ("SLO", "ServingConfig", "Summary", "default_slo"),
+    "repro.sim": ("Simulator",),
+    "repro.tenancy": ("TenancyConfig", "Tenant", "TenantClass"),
+    "repro.workloads": (
+        "Request",
+        "Workload",
+        "combine_workloads",
+        "conversation_workload",
+        "loogle_workload",
+        "mixed_workload",
+        "openthoughts_workload",
+        "realworld_trace",
+        "sharegpt_workload",
+        "tag_workload",
+        "toolagent_workload",
+    ),
+}
+__getattr__, __dir__ = _lazy_exports(__name__, _EXPORTS)
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "A100",
-    "CODELLAMA_34B",
-    "ChunkedPrefillServer",
-    "ContentionGuard",
-    "ContentionTolerantEstimator",
-    "CostModel",
-    "Device",
-    "GPUSpec",
-    "GoodputResult",
-    "H100",
-    "H200",
-    "KVCachePool",
-    "LLAMA_70B",
-    "LLAMA_8B",
-    "LoongServeServer",
-    "ModelConfig",
-    "MultiplexEngine",
-    "MuxWiseServer",
-    "NanoFlowServer",
-    "PrefillItem",
-    "QWEN3_235B",
-    "RadixCache",
-    "Request",
-    "RunResult",
-    "SGLangPDServer",
-    "SLO",
-    "Segment",
-    "ServingConfig",
-    "Simulator",
-    "SoloRunPredictor",
-    "Summary",
-    "TenancyConfig",
-    "Tenant",
-    "TenantClass",
-    "Workload",
-    "calibrated_estimator",
-    "combine_workloads",
-    "conversation_workload",
-    "decode_partition_options",
-    "default_slo",
-    "goodput_sweep",
-    "loogle_workload",
-    "mixed_workload",
-    "new_segment",
-    "openthoughts_workload",
-    "phase_latency",
-    "realworld_trace",
-    "run_system",
-    "sharegpt_workload",
-    "tag_workload",
-    "toolagent_workload",
-    "__version__",
-]
+__all__ = [*sorted(name for names in _EXPORTS.values() for name in names), "__version__"]
+

@@ -1,77 +1,54 @@
-"""Experiment harness: runners, goodput sweeps, fleet studies, reports."""
+"""Experiment harness: runners, goodput sweeps, fleet studies, reports.
 
-from repro.bench.ascii import bar_chart, cdf_chart, line_chart
-from repro.bench.chaos import ChaosResult, default_chaos_fleet, run_chaos
-from repro.bench.fleet import (
-    FleetRunResult,
-    compare_policies,
-    fleet_goodput_sweep,
-    replica_scaling,
-    run_fleet,
-)
-from repro.bench.goodput import GoodputResult, RatePoint, goodput_ratio, goodput_sweep
-from repro.bench.kv_tiers import (
-    BandwidthPoint,
-    KVTiersStudy,
-    bandwidth_sweep,
-    failover_restore_study,
-    run_kv_tiers_study,
-)
-from repro.bench.perf import SCENARIOS, PerfReport, ScenarioTiming, run_perf
-from repro.bench.runner import DRAIN_HORIZON, MAX_EVENTS, STABILITY_TTFT, RunResult, run_system
-from repro.bench.report import (
-    latency_table,
-    series,
-    tail_latency_table,
-    throughput_table,
-    tier_table,
-)
-from repro.bench.tenancy import (
-    IsolationStudy,
-    TenancyRunResult,
-    compare_isolation,
-    noisy_neighbor_workload,
-    run_tenancy_mode,
-)
+The names below are resolved on first access, so importing one harness
+module (``from repro.bench.runner import simulate``) does not import every
+study.
+"""
 
-__all__ = [
-    "BandwidthPoint",
-    "ChaosResult",
-    "DRAIN_HORIZON",
-    "FleetRunResult",
-    "GoodputResult",
-    "IsolationStudy",
-    "KVTiersStudy",
-    "MAX_EVENTS",
-    "PerfReport",
-    "RatePoint",
-    "RunResult",
-    "SCENARIOS",
-    "STABILITY_TTFT",
-    "ScenarioTiming",
-    "TenancyRunResult",
-    "bandwidth_sweep",
-    "bar_chart",
-    "cdf_chart",
-    "compare_isolation",
-    "compare_policies",
-    "default_chaos_fleet",
-    "failover_restore_study",
-    "fleet_goodput_sweep",
-    "goodput_ratio",
-    "goodput_sweep",
-    "latency_table",
-    "line_chart",
-    "noisy_neighbor_workload",
-    "replica_scaling",
-    "run_chaos",
-    "run_fleet",
-    "run_kv_tiers_study",
-    "run_perf",
-    "run_system",
-    "run_tenancy_mode",
-    "series",
-    "tail_latency_table",
-    "throughput_table",
-    "tier_table",
-]
+from repro import _lazy_exports
+
+#: The public names, by defining module.
+_EXPORTS = {
+    "repro.bench.ascii": ("bar_chart", "cdf_chart", "line_chart"),
+    "repro.bench.chaos": ("ChaosResult", "default_chaos_fleet", "run_chaos"),
+    "repro.bench.fleet": (
+        "FleetRunResult",
+        "compare_policies",
+        "fleet_goodput_sweep",
+        "replica_scaling",
+        "run_fleet",
+    ),
+    "repro.bench.goodput": ("GoodputResult", "RatePoint", "goodput_ratio", "goodput_sweep"),
+    "repro.bench.kv_tiers": (
+        "BandwidthPoint",
+        "KVTiersStudy",
+        "bandwidth_sweep",
+        "failover_restore_study",
+        "run_kv_tiers_study",
+    ),
+    "repro.bench.perf": ("SCENARIOS", "PerfReport", "ScenarioTiming", "run_perf"),
+    "repro.bench.runner": (
+        "DRAIN_HORIZON",
+        "MAX_EVENTS",
+        "STABILITY_TTFT",
+        "RunResult",
+        "run_system",
+    ),
+    "repro.bench.report": (
+        "latency_table",
+        "series",
+        "tail_latency_table",
+        "throughput_table",
+        "tier_table",
+    ),
+    "repro.bench.tenancy": (
+        "IsolationStudy",
+        "TenancyRunResult",
+        "compare_isolation",
+        "noisy_neighbor_workload",
+        "run_tenancy_mode",
+    ),
+}
+__getattr__, __dir__ = _lazy_exports(__name__, _EXPORTS)
+
+__all__ = sorted(name for names in _EXPORTS.values() for name in names)

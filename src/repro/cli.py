@@ -17,6 +17,9 @@ The run commands accept ``--model``, ``--gpu`` and ``--gpus`` to pick the
 deployment (defaults: Llama-70B on 8xA100, the paper's main testbed).
 ``study`` runs one entry of :data:`repro.bench.studies.STUDIES` (tenancy,
 kvtiers, spec, hetero, scenarios) and exits 1 when any verdict fails.
+
+Each handler imports the harness modules it uses, so ``specs``, ``table1``
+and ``--help`` load neither numpy nor :mod:`repro.bench`.
 """
 
 from __future__ import annotations
@@ -33,17 +36,6 @@ from repro.baselines import (
     TemporalMuxServer,
     WindServeServer,
 )
-from repro.bench import (
-    goodput_sweep,
-    latency_table,
-    run_chaos,
-    run_fleet,
-    run_system,
-    tail_latency_table,
-    throughput_table,
-)
-from repro.bench.runner import RunResult, simulate
-from repro.bench.studies import STUDIES
 from repro.cluster import (
     POLICIES,
     AdmissionConfig,
@@ -51,7 +43,6 @@ from repro.cluster import (
     FleetConfig,
     HealthConfig,
 )
-from repro.faults import FaultPlan, default_chaos_plan
 from repro.core import HybridPDServer, MuxWiseServer
 from repro.gpu.specs import SPECS_BY_NAME
 from repro.models.config import MODELS_BY_NAME
@@ -68,8 +59,6 @@ from repro.workloads import (
     toolagent_workload,
 )
 from repro.workloads.request import Workload
-from repro.workloads.serialization import save_records
-from repro.workloads.stats import table1
 
 SYSTEMS = {
     "muxwise": MuxWiseServer,
@@ -167,6 +156,10 @@ def make_tracer(args: argparse.Namespace):
 
 
 def cmd_run(args: argparse.Namespace) -> int:
+    from repro.bench.report import latency_table, tail_latency_table, throughput_table
+    from repro.bench.runner import RunResult, simulate
+    from repro.workloads.serialization import save_records
+
     cfg = build_config(args)
     workload = build_workload(args)
     factory = make_factory(args.system, args.token_budget)
@@ -192,6 +185,9 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
+    from repro.bench.report import tail_latency_table, throughput_table
+    from repro.bench.runner import run_system
+
     cfg = build_config(args)
     workload = build_workload(args)
     names = args.systems.split(",") if args.systems else ["muxwise", "chunked", "sglang-pd"]
@@ -206,6 +202,8 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
 
 def cmd_goodput(args: argparse.Namespace) -> int:
+    from repro.bench.goodput import goodput_sweep
+
     cfg = build_config(args)
     rates = [float(r) for r in args.rates.split(",")]
     factory = make_factory(args.system, args.token_budget)
@@ -228,6 +226,9 @@ def cmd_goodput(args: argparse.Namespace) -> int:
 
 
 def cmd_cluster(args: argparse.Namespace) -> int:
+    from repro.bench.fleet import run_fleet
+    from repro.bench.report import latency_table, tail_latency_table
+
     cfg = build_config(args)
     workload = build_workload(args)
     factory = make_factory(args.system, args.token_budget)
@@ -285,6 +286,9 @@ def cmd_chaos(args: argparse.Namespace) -> int:
     seed), which is what the CI chaos-smoke job asserts by running this
     command twice and diffing the bytes.
     """
+    from repro.bench.chaos import run_chaos
+    from repro.faults import FaultPlan, default_chaos_plan
+
     cfg = build_config(args)
     workload = build_workload(args)
     factory = make_factory(args.system, args.token_budget)
@@ -436,7 +440,11 @@ def cmd_study(args: argparse.Namespace) -> int:
     job runs that twice and diffs the bytes).  Failed verdicts are also
     named on stderr.
     """
-    study = STUDIES[args.name]
+    from repro.bench.studies import STUDIES
+
+    study = STUDIES.get(args.name)
+    if study is None:
+        raise SystemExit(f"unknown study {args.name!r}; choose from {list(STUDIES)}")
     report = study.run(args.scale, args.seed)
     verdicts = study.verdicts(report)
     if args.json:
@@ -461,6 +469,8 @@ def cmd_profile(args: argparse.Namespace) -> int:
     and re-runs the workload on sampled empirical latencies instead of the
     analytic roofline.  ``show`` prints a profile's per-phase bucket table.
     """
+    from repro.bench.report import tail_latency_table, throughput_table
+    from repro.bench.runner import run_system
     from repro.profiles import capture_profile, load_profile, save_profile
 
     if args.action == "show":
@@ -504,6 +514,8 @@ def cmd_profile(args: argparse.Namespace) -> int:
 
 
 def cmd_table1(args: argparse.Namespace) -> int:
+    from repro.workloads.stats import table1
+
     seed = args.seed
     workloads = [
         sharegpt_workload(500, rate=2.0, seed=seed),
@@ -660,7 +672,7 @@ def build_parser() -> argparse.ArgumentParser:
     perf_p.set_defaults(func=cmd_perf)
 
     study_p = sub.add_parser("study", help="run a registered study and check its verdicts")
-    study_p.add_argument("name", choices=list(STUDIES), help="which study")
+    study_p.add_argument("name", help="which study (tenancy|kvtiers|spec|hetero|scenarios)")
     study_p.add_argument("--scale", type=float, default=1.0, help="workload scale factor")
     study_p.add_argument("--seed", type=int, default=0, help="workload RNG seed")
     study_p.add_argument(

@@ -20,17 +20,24 @@ Two parts:
   The guard is initialised by offline pairwise profiling and refined with
   runtime observations (always by max-merge, so it only becomes more
   conservative).
+
+numpy is imported when the first :class:`SoloRunPredictor` is built, not
+with this module, so a run that builds no MuxWise estimator never loads it
+(see DESIGN.md, "Cold start").
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple
-
-import numpy as np
+from typing import TYPE_CHECKING, NamedTuple
 
 from repro.models.costs import PrefillItem
+
+if TYPE_CHECKING:
+    import numpy as np
+else:
+    np = None  # numpy, bound by _bind_numpy() when the first predictor is built
 
 #: Powers-of-4 bucket edges for token dimensions, 2K..128K (§3.3.2).
 TOKEN_BUCKETS = (2048, 8192, 32768, 131072)
@@ -77,6 +84,14 @@ class DecodeSample:
     latency: float
 
 
+def _bind_numpy() -> None:
+    """Import numpy once and bind it as this module's ``np``."""
+    global np
+    import numpy
+
+    np = numpy
+
+
 def _prefill_features(items: list[PrefillItem]) -> np.ndarray:
     return np.array(
         [
@@ -96,6 +111,8 @@ class SoloRunPredictor:
     """Least-squares latency models per (phase, partition configuration)."""
 
     def __init__(self) -> None:
+        if np is None:
+            _bind_numpy()
         self._prefill_theta: dict[int, np.ndarray] = {}
         self._decode_theta: dict[int, np.ndarray] = {}
         # Per table: queried sm_count -> (fitted sm_count, theta); a fit

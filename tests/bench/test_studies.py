@@ -51,6 +51,14 @@ def test_ci_study_matrix_matches_registry():
     assert [name.strip() for name in matrix.group(1).split(",")] == list(STUDIES)
 
 
+def test_cli_help_names_every_study(capsys):
+    """``study --help`` lists the registry, which the parser does not import."""
+    with pytest.raises(SystemExit):
+        main(["study", "--help"])
+    study_help = capsys.readouterr().out
+    assert all(name in study_help for name in STUDIES)
+
+
 def test_unknown_study_rejected():
     with pytest.raises(SystemExit):
         main(["study", "nope"])

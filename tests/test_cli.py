@@ -43,12 +43,11 @@ class TestParser:
     def test_run_output_reuses_the_printed_run(self, tmp_path, monkeypatch, capsys):
         """``--output`` dumps the records of the one run the tables came
         from: the simulation runs once, and every printed request is a row."""
-        from repro import cli
         from repro.bench import runner
 
         capped = []
         runs = []
-        real_capped, real_simulate = runner.run_capped, cli.simulate
+        real_capped, real_simulate = runner.run_capped, runner.simulate
 
         def count_capped(sim, until):
             capped.append(until)
@@ -59,7 +58,7 @@ class TestParser:
             return runs[-1]
 
         monkeypatch.setattr(runner, "run_capped", count_capped)
-        monkeypatch.setattr(cli, "simulate", spy_simulate)
+        monkeypatch.setattr(runner, "simulate", spy_simulate)
         output = tmp_path / "records.jsonl"
         code = main([
             "run", "--system", "chunked", "--workload", "sharegpt",
@@ -165,6 +164,24 @@ class TestParser:
             "Llama-8B", "Llama-70B", "Qwen3-235B-A22B", "CodeLlama-34B",
         }
         assert "muxwise" in SYSTEMS and "hybrid-pd" in SYSTEMS
+
+
+class TestColdStart:
+    """``specs`` and ``--help`` import neither numpy nor the harness."""
+
+    RUN = """
+import json, runpy, sys
+sys.argv = ["repro", *{argv!r}]
+try:
+    runpy.run_module("repro", run_name="__main__", alter_sys=True)
+except SystemExit as exc:
+    code = exc.code
+print(json.dumps([code, sorted(m for m in sys.modules if m == "numpy" or m.startswith("repro.bench"))]))
+"""
+
+    @pytest.mark.parametrize("argv", [["specs"], ["--help"]], ids=" ".join)
+    def test_loads_neither_numpy_nor_bench(self, argv, fresh_python):
+        assert fresh_python(self.RUN.format(argv=argv)) == [0, []]
 
 
 class TestAgenticRagCli:
