@@ -33,8 +33,10 @@ from repro.trace import (
 
 
 def main() -> None:
-    # 1. Attach the tracer BEFORE building the server, so every subsystem
-    #    (streams, host thread, KV cache, dispatcher) picks it up.
+    # 1. Attach the tracer.  Every subsystem (streams, host thread, KV
+    #    cache, dispatcher) reads it from the simulator when it emits, so it
+    #    may be attached (or detached) at any time; attaching it before the
+    #    server is built also records what construction emits.
     sim = Simulator()
     tracer = Tracer()
     sim.attach_tracer(tracer)

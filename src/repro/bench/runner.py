@@ -149,9 +149,11 @@ def simulate(
     """Build a system (or fleet) in a fresh simulator and play ``workload``.
 
     The one way every harness runs a simulation: a tracer, if given, is
-    attached before ``build`` so every layer's hooks see it; the run is
-    cut :data:`DRAIN_HORIZON` (or ``drain_horizon``) simulated seconds
-    after the later of the last arrival and ``not_before``, under the
+    attached before ``build``, so the trace also holds what construction
+    emits (every layer reads ``sim.tracer`` live, so a later attach
+    records the rest just the same).  The run is cut
+    :data:`DRAIN_HORIZON` (or ``drain_horizon``) simulated seconds after
+    the later of the last arrival and ``not_before``, under the
     :func:`run_capped` event cap.  Returns what ``build`` made, for the
     caller to summarise, and the run's :class:`RunStats`.
     """

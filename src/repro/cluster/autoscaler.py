@@ -94,7 +94,7 @@ class Autoscaler:
         routable = fleet.routable_replicas()
         load = fleet.scaling_load()
         tracer = self.sim.tracer
-        if tracer is not None and tracer.enabled:
+        if tracer is not None:
             tracer.counter(
                 AUTOSCALER_TRACK,
                 "load",
@@ -160,7 +160,7 @@ class Autoscaler:
 
     def _trace_action(self, action: str, replica: str, load: float) -> None:
         tracer = self.sim.tracer
-        if tracer is None or not tracer.enabled:
+        if tracer is None:
             return
         tracer.instant(
             AUTOSCALER_TRACK,

@@ -349,7 +349,7 @@ class Fleet:
             replica.tier_store = TieredKVStore(
                 cfg.kv_tiers,
                 cfg.model.kv_bytes_per_token,
-                tracer=self.sim.tracer,
+                sim=self.sim,
                 name=name,
             )
             system.attach_tiers(replica.tier_store)
@@ -471,7 +471,7 @@ class Fleet:
                 self.autoscaler.config.interval, self._replace_abandoned, scope=None
             )
         tracer = self.sim.tracer
-        if tracer is not None and tracer.enabled:
+        if tracer is not None:
             tracer.instant(
                 FLEET_TRACK,
                 "replica-failed",
@@ -528,7 +528,7 @@ class Fleet:
         replica.created_at = self.sim.now
         replica.note_restored(self.sim.now)
         tracer = self.sim.tracer
-        if tracer is not None and tracer.enabled:
+        if tracer is not None:
             tracer.instant(
                 FLEET_TRACK,
                 "replica-restarted",
@@ -730,7 +730,7 @@ class Fleet:
 
     def _trace_size(self) -> None:
         tracer = self.sim.tracer
-        if tracer is None or not tracer.enabled:
+        if tracer is None:
             return
         tracer.counter(
             FLEET_TRACK,

@@ -158,7 +158,7 @@ class HealthMonitor:
 
     def _trace(self, name: str, replica: str, misses: int) -> None:
         tracer = self.sim.tracer
-        if tracer is None or not tracer.enabled:
+        if tracer is None:
             return
         tracer.instant(
             HEALTH_TRACK,

@@ -382,7 +382,7 @@ class Router:
             if denied is not None:
                 self.requests_rate_limited += 1
                 tracer = self.sim.tracer
-                if tracer is not None and tracer.enabled:
+                if tracer is not None:
                     tracer.instant(
                         TENANCY_TRACK,
                         "ingress-deny",
@@ -477,7 +477,7 @@ class Router:
         else:
             seed_path, xfer_delay = None, 0.0
         tracer = self.sim.tracer
-        if tracer is not None and tracer.enabled:
+        if tracer is not None:
             tracer.complete(
                 ROUTER_TRACK,
                 f"route:{self.policy.name}",
@@ -565,7 +565,7 @@ class Router:
             donor_cache.touch(now)
             donor_cache.evict_path(path)
         tracer = self.sim.tracer
-        if tracer is not None and tracer.enabled:
+        if tracer is not None:
             tracer.complete(
                 KV_XFER_TRACK,
                 f"fetch:{link.name}",
@@ -742,7 +742,7 @@ class Router:
         cat: str = CAT_ROUTER,
     ) -> None:
         tracer = self.sim.tracer
-        if tracer is None or not tracer.enabled:
+        if tracer is None:
             return
         args = {"request": request.request_id, "session": request.session_id}
         if extra:

@@ -1,6 +1,6 @@
 """MuxWise core: multiplex engine, estimator, dispatcher/server."""
 
-from repro.core.calibration import calibrated_estimator, calibrated_guard, calibrated_predictor
+from repro.core.calibration import calibrated_estimator, calibrated_predictor
 from repro.core.engine import MultiplexEngine
 from repro.core.hybrid import HybridPDServer
 from repro.core.estimator import (
@@ -34,7 +34,6 @@ __all__ = [
     "TOKEN_BUCKETS",
     "batch_bucket",
     "calibrated_estimator",
-    "calibrated_guard",
     "calibrated_predictor",
     "token_bucket",
 ]

@@ -1,20 +1,18 @@
 """One-time estimator calibration per (model, machine) pair.
 
 Mirrors the paper's offline profiling: the solo-run predictor is trained
-once per LLM-machine pair and reused; the contention guard starts from
-either a conservative default or offline pairwise profiling.  Results are
-memoised so repeated server constructions (e.g. goodput rate sweeps) do not
-re-profile.
+once per LLM-machine pair and reused, so repeated server constructions
+(e.g. goodput rate sweeps) do not re-profile.  Each estimator gets a fresh
+conservative contention guard, so runtime refinements do not leak across
+experiments.
 """
 
 from __future__ import annotations
 
-from repro.core.estimator import ContentionGuard, ContentionTolerantEstimator, SoloRunPredictor
-from repro.gpu.specs import decode_partition_options
+from repro.core.estimator import ContentionTolerantEstimator, SoloRunPredictor
 from repro.serving.config import ServingConfig
 
 _PREDICTOR_CACHE: dict[tuple[str, str, int], SoloRunPredictor] = {}
-_GUARD_CACHE: dict[tuple[str, str, int], ContentionGuard] = {}
 
 
 def calibrated_predictor(cfg: ServingConfig) -> SoloRunPredictor:
@@ -31,35 +29,6 @@ def calibrated_predictor(cfg: ServingConfig) -> SoloRunPredictor:
     return predictor
 
 
-def calibrated_guard(cfg: ServingConfig, profile: bool = False) -> ContentionGuard:
-    """Build a contention guard (coarse profiling when ``profile=True``).
-
-    Each caller receives an independent copy so runtime refinements do not
-    leak across experiments.
-    """
-    if not profile:
-        return ContentionGuard()
-    key = (cfg.model.name, cfg.spec.name, cfg.n_gpus)
-    guard = _GUARD_CACHE.get(key)
-    if guard is None:
-        from repro.profiling.contention import build_guard, profile_contention
-
-        samples = profile_contention(
-            cfg,
-            sm_configs=decode_partition_options(cfg.spec)[::2],
-            batch_sizes=(1, 8, 32, 128),
-        )
-        guard = build_guard(samples)
-        _GUARD_CACHE[key] = guard
-    clone = ContentionGuard(default=guard.default)
-    for cell_key, value in guard._cells.items():
-        clone.seed(cell_key, value)
-    return clone
-
-
-def calibrated_estimator(cfg: ServingConfig, profile_guard: bool = False) -> ContentionTolerantEstimator:
-    """Predictor + guard, ready for the dispatcher."""
-    return ContentionTolerantEstimator(
-        predictor=calibrated_predictor(cfg),
-        guard=calibrated_guard(cfg, profile=profile_guard),
-    )
+def calibrated_estimator(cfg: ServingConfig) -> ContentionTolerantEstimator:
+    """Predictor + a fresh default guard, ready for the dispatcher."""
+    return ContentionTolerantEstimator(calibrated_predictor(cfg))

@@ -297,7 +297,7 @@ class MuxWiseServer(DecodeBatchMixin):
         job.preempt_requested = True
         self._preemptor_state = newcomer
         tracer = self.sim.tracer
-        if tracer is not None and tracer.enabled:
+        if tracer is not None:
             tracer.instant(
                 f"sched/{self.name}",
                 "preempt-request",
@@ -417,7 +417,7 @@ class MuxWiseServer(DecodeBatchMixin):
             (self.sim.now, self.engine.decode_sms, self.engine.prefill_sms)
         )
         tracer = self.sim.tracer
-        if tracer is not None and tracer.enabled:
+        if tracer is not None:
             tracer.counter(
                 f"sched/{self.name}",
                 "partition-sms",

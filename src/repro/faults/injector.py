@@ -224,6 +224,6 @@ class FaultInjector:
 
     def _trace(self, name: str, args: dict) -> None:
         tracer = self.sim.tracer
-        if tracer is None or not tracer.enabled:
+        if tracer is None:
             return
         tracer.instant(FAULT_TRACK, name, CAT_FAULT, self.sim.now, args)

@@ -17,7 +17,6 @@ from repro.gpu.specs import (
     decode_partition_options,
 )
 from repro.gpu.stream import OpHandle, Stream, Work
-from repro.gpu.timeline import Span, Timeline, attach_timeline
 
 __all__ = [
     "A100",
@@ -36,12 +35,9 @@ __all__ = [
     "OpHandle",
     "OutOfMemoryError",
     "SPECS_BY_NAME",
-    "Span",
     "Stream",
-    "Timeline",
     "TFLOPS",
     "Work",
-    "attach_timeline",
     "decode_partition_options",
     "waterfill",
 ]

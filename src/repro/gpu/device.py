@@ -25,7 +25,6 @@ all-reduce that neither SMs nor HBM bandwidth can hide.
 
 from __future__ import annotations
 
-import itertools
 import math
 from functools import partial
 from typing import Callable
@@ -35,7 +34,6 @@ from repro.sim import Event, Simulator
 from repro.trace.tracer import CAT_BANDWIDTH, CAT_KERNEL
 
 _EPS = 1e-9
-_task_ids = itertools.count()
 
 
 class OutOfMemoryError(RuntimeError):
@@ -100,7 +98,7 @@ class ExecTask:
 
     __slots__ = (
         "flops", "bytes", "sm_count", "fixed_time", "max_bandwidth", "tag",
-        "trace_track", "on_complete", "task_id", "rem_flops", "rem_bytes",
+        "trace_track", "on_complete", "rem_flops", "rem_bytes",
         "bw_rate", "compute_rate", "start_time", "finish_time",
         "_flops_floor", "_bytes_floor",
     )
@@ -115,7 +113,6 @@ class ExecTask:
         tag: str = "",
         trace_track: str | None = None,
         on_complete: Callable[[float], None] | None = None,
-        task_id: int | None = None,
     ) -> None:
         self.flops = flops
         self.bytes = bytes
@@ -125,7 +122,6 @@ class ExecTask:
         self.tag = tag
         self.trace_track = trace_track
         self.on_complete = on_complete
-        self.task_id = next(_task_ids) if task_id is None else task_id
         self.rem_flops = float(flops)
         self.rem_bytes = float(bytes)
         self.bw_rate = 0.0
@@ -312,7 +308,7 @@ class Device:
         # and order of the active set; reallocation events that leave the
         # set unchanged (the common case: a pure bandwidth phase change)
         # skip the O(n^2) ripple recompute.
-        self._factors_key: tuple[int, ...] = ()
+        self._factors_key: tuple[ExecTask, ...] = ()
         self._factors: list[float] = []
         # The two-task path's factors are a pure function of the two SM
         # counts, so its single entry (sa, sb, factor_a, factor_b) is keyed on them.
@@ -511,7 +507,7 @@ class Device:
             if self._stalled:
                 return horizon
         tracer = self.sim.tracer
-        if tracer is not None and tracer.enabled:
+        if tracer is not None:
             self._trace_bandwidth()
         return horizon
 
@@ -570,7 +566,7 @@ class Device:
             return math.inf
         for task in self._active:
             task.compute_rate = self.compute_rate(task.sm_count) * scale
-        key = tuple(t.task_id for t in self._active)
+        key = tuple(self._active)
         if key == self._factors_key:
             factors = self._factors
         else:
@@ -717,7 +713,7 @@ class Device:
     def _complete(self, task: ExecTask) -> None:
         task.finish_time = now = self.sim.now
         tracer = self.sim.tracer
-        if tracer is not None and tracer.enabled:
+        if tracer is not None:
             tracer.complete(
                 task.trace_track or f"gpu/{self.name}/exec",
                 task.tag or "exec",

@@ -80,7 +80,7 @@ class HostThread:
         action, label, started = self._current
         self._current = None
         tracer = self.sim.tracer
-        if tracer is not None and tracer.enabled:
+        if tracer is not None:
             tracer.complete(self.trace_track, label, CAT_LAUNCH, started, self.sim.now)
         action()
         self._pump()

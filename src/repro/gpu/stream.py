@@ -8,8 +8,9 @@ SM set at the cost of one stream synchronisation (microseconds), matching the
 paper's description of GreenContext reconfiguration.
 
 Work completion is exposed through :class:`OpHandle`, which behaves like a
-CUDA event: it can be queried (polled) without blocking, which is what
-MuxWise's query-based synchronisation (§3.2.3) does.
+CUDA event: its ``done`` flag reads without blocking, and callbacks fire at
+the completion time.  (MuxWise's query-based synchronisation, §3.2.3, is
+modelled by the dispatcher in :mod:`repro.core.server`.)
 """
 
 from __future__ import annotations
@@ -52,10 +53,6 @@ class OpHandle:
         self.completion_time: float | None = None
         self._callbacks: list[Callable[[float], None]] = []
 
-    def query(self) -> bool:
-        """Non-blocking completion check."""
-        return self.done
-
     def on_complete(self, callback: Callable[[float], None]) -> None:
         """Register a callback; fires immediately if already complete."""
         if self.done:
@@ -96,16 +93,6 @@ class Stream:
         """SMs currently bound to this stream (its green-context size)."""
         return self._sm_count
 
-    @property
-    def idle(self) -> bool:
-        """True when no work is running or queued."""
-        return self._running is None and not self._queue
-
-    @property
-    def queue_depth(self) -> int:
-        """Number of queued (not yet running) work items."""
-        return len(self._queue)
-
     def submit(self, work: Work) -> OpHandle:
         """Enqueue a work item; runs after everything already queued."""
         handle = OpHandle(tag=work.tag)
@@ -124,16 +111,6 @@ class Stream:
         handle = OpHandle(tag="resize")
         self._queue.append(("resize", sm_count, handle))
         self._pump()
-        return handle
-
-    def barrier(self) -> OpHandle:
-        """Handle that completes once all previously submitted work is done."""
-        handle = OpHandle(tag="barrier")
-        if self.idle:
-            handle._mark_done(self.device.sim.now)
-        else:
-            self._queue.append(("barrier", None, handle))
-            self._pump()
         return handle
 
     # ------------------------------------------------------------------ #
@@ -168,10 +145,6 @@ class Stream:
         kind, payload, handle = self._queue.popleft()
         sim = self.device.sim
         now = sim.now
-        if kind == "barrier":
-            handle._mark_done(now)
-            self._pump()
-            return
         self._running = handle
         handle.start_time = now
         # Kernels and resizes (a stream synchronisation while it re-binds)
@@ -192,7 +165,7 @@ class Stream:
         handle = self._running
         old_sms, self._sm_count = self._sm_count, self._resize_to
         tracer = self.device.sim.tracer
-        if tracer is not None and tracer.enabled:
+        if tracer is not None:
             args = {"from_sms": old_sms, "to_sms": self._sm_count}
             now = self.device.sim.now
             tracer.complete(self.trace_track, "resize", CAT_GREENCTX, handle.start_time, now, args)

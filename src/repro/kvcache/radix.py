@@ -39,7 +39,7 @@ from repro.kvcache.pool import KVCachePool, PoolExhaustedError
 from repro.trace.tracer import CAT_CACHE
 
 if TYPE_CHECKING:
-    from repro.trace.tracer import Tracer
+    from repro.sim.simulator import Simulator
 
 _segment_uids = itertools.count()
 
@@ -160,7 +160,7 @@ class RadixCache:
         self,
         pool: KVCachePool,
         enable_prefix_sharing: bool = True,
-        tracer: "Tracer | None" = None,
+        sim: "Simulator | None" = None,
         name: str = "kvcache",
     ) -> None:
         self.pool = pool
@@ -178,9 +178,11 @@ class RadixCache:
         #: candidate are discarded when they reach the head.
         self._victims: list[tuple[float, int, _Node]] = []
         self.stats = CacheStats()
-        #: Optional tracing sink (timestamps come from the LRU clock, which
-        #: callers advance with :meth:`touch` before mutating the cache).
-        self.tracer = tracer
+        #: The owning simulator, whose ``tracer`` is read at each emit
+        #: (timestamps come from the LRU clock, which callers advance with
+        #: :meth:`touch` before mutating the cache); None for a standalone
+        #: cache, which is never traced.
+        self.sim = sim
         self.trace_track = f"kvcache/{name}"
         #: Optional demotion hook, called as ``spill(path_uids, tokens,
         #: clock)`` for every node evicted *for capacity* (not for nodes
@@ -273,9 +275,9 @@ class RadixCache:
         self.stats.lookups += 1
         self.stats.tokens_requested += requested
         self.stats.tokens_hit += lease.cached_tokens
-        tracer = self.tracer
-        if tracer is not None and tracer.enabled:
-            tracer.instant(
+        sim = self.sim
+        if sim is not None and sim.tracer is not None:
+            sim.tracer.instant(
                 self.trace_track,
                 "hit" if lease.cached_tokens else "miss",
                 CAT_CACHE,
@@ -351,10 +353,10 @@ class RadixCache:
         therefore succeed iff the total page demand fits in free plus
         evictable pages, and they evict the shortest LRU prefix of victims
         that covers that demand — which one ``_ensure_free_pages(total)``
-        evicts too, in the same order.  Eviction stamps only the tracer
-        and a ``spill`` hook with the cache clock; callers spanning
-        several clock values must fall back to per-step extends when
-        either is attached.
+        evicts too, in the same order.  Eviction stamps only the
+        simulator's tracer and a ``spill`` hook with the cache clock;
+        callers spanning several clock values must fall back to per-step
+        extends when either is set.
         """
         if tokens < 0:
             raise ValueError("tokens must be non-negative")
@@ -562,9 +564,9 @@ class RadixCache:
             self._drop(victim)
             self.stats.evictions += 1
             self.stats.evicted_tokens += victim.tokens
-            tracer = self.tracer
-            if tracer is not None and tracer.enabled:
-                tracer.instant(
+            sim = self.sim
+            if sim is not None and sim.tracer is not None:
+                sim.tracer.instant(
                     self.trace_track,
                     "evict",
                     CAT_CACHE,

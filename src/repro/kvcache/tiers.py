@@ -36,7 +36,7 @@ from repro.kvcache.radix import Segment
 from repro.trace.tracer import CAT_KV_XFER
 
 if TYPE_CHECKING:
-    from repro.trace.tracer import Tracer
+    from repro.sim.simulator import Simulator
 
 #: Path key of one demoted radix node: the segment uids from the root down
 #: to (and including) the node.  Prefix-closed by construction, so a chain
@@ -191,7 +191,7 @@ class TieredKVStore:
         self,
         config: KVTierConfig,
         kv_bytes_per_token: float,
-        tracer: "Tracer | None" = None,
+        sim: "Simulator | None" = None,
         name: str = "kv",
     ) -> None:
         if kv_bytes_per_token <= 0:
@@ -201,7 +201,9 @@ class TieredKVStore:
         self._tiers = [_TierState(spec, kv_bytes_per_token) for spec in config.tiers]
         self.stats = TierStats()
         self._killed = False
-        self.tracer = tracer
+        #: The owning simulator, whose ``tracer`` is read at each emit; None
+        #: for a standalone store, which is never traced.
+        self.sim = sim
         self.trace_track = f"kvtiers/{name}"
 
     def __len__(self) -> int:
@@ -256,9 +258,9 @@ class TieredKVStore:
         self.stats.demotions += 1
         self.stats.demoted_tokens += tokens
         self._insert(0, path, tokens, now)
-        tracer = self.tracer
-        if tracer is not None and tracer.enabled:
-            tracer.instant(
+        sim = self.sim
+        if sim is not None and sim.tracer is not None:
+            sim.tracer.instant(
                 self.trace_track,
                 "demote",
                 CAT_KV_XFER,

@@ -65,7 +65,7 @@ def build_instance(
         pool_bytes = min(pool_bytes, cfg.kv_pool_limit_bytes)
     pool = KVCachePool(pool_bytes, cfg.model.kv_bytes_per_token, cfg.page_tokens)
     cache = RadixCache(
-        pool, enable_prefix_sharing=cross_request_reuse, tracer=sim.tracer, name=name
+        pool, enable_prefix_sharing=cross_request_reuse, sim=sim, name=name
     )
     if cfg.cost_profile is not None:
         # Lazy import: the profiles package sits above the serving layer
@@ -317,7 +317,7 @@ class ServingSystem(ABC):
         store = TieredKVStore(
             self.cfg.kv_tiers,
             self.cfg.model.kv_bytes_per_token,
-            tracer=self.sim.tracer,
+            sim=self.sim,
             name=f"{self.cfg.name_prefix}{self.name}",
         )
         self.attach_tiers(store)
@@ -391,7 +391,7 @@ class ServingSystem(ABC):
             if taken > seeded:
                 store.stats.wasted_fetch_tokens += taken - seeded
         tracer = self.sim.tracer
-        if tracer is not None and tracer.enabled:
+        if tracer is not None:
             tracer.complete(
                 store.trace_track,
                 "promote",
@@ -418,10 +418,10 @@ class ServingSystem(ABC):
         Each request owns one trace row (``req/<id>``); the queued → prefill
         → decode progression appears as back-to-back spans, and transient
         occurrences (arrival, preemption, finish) as instant events.  No-op
-        without an enabled tracer on the simulator.
+        without a tracer on the simulator.
         """
         tracer = self.sim.tracer
-        if tracer is None or not tracer.enabled:
+        if tracer is None:
             return
         now = self.sim.now
         track = f"req/{state.request.request_id}"

@@ -51,7 +51,7 @@ through ``RadixCache.extend_many`` and ``MetricsCollector.on_batch_tokens``.
 * An armed preemption storm, a radix ``spill`` hook (whose calls carry the
   eviction clock) or an iteration the page budget cannot cover runs each
   elided iteration through the real per-iteration emission instead.
-  Speculative decoding and enabled tracers never reach the loop.
+  Speculative decoding and traced runs never reach the loop.
 
 The fast path is ON by default; set ``REPRO_FASTPATH=0`` (or use
 :func:`disabled`) to force the scalar reference path, which disables
@@ -86,11 +86,6 @@ _enabled = os.environ.get("REPRO_FASTPATH", "1").strip().lower() not in {
 }
 
 
-def is_enabled() -> bool:
-    """Whether the decode fast path is globally enabled."""
-    return _enabled
-
-
 def set_enabled(on: bool) -> bool:
     """Enable/disable the fast path; returns the previous setting."""
     global _enabled
@@ -123,13 +118,10 @@ def decode_fastpath_active(sim: "Simulator") -> bool:
     """Can decode chains be elided on ``sim`` right now?
 
     Requires the global toggle, an active ``run()`` (single ``step()``
-    drivers must see one event per call), and no enabled tracer (the
-    scalar chain emits kernel/bandwidth spans the planner does not).
+    drivers must see one event per call), and no tracer (the scalar chain
+    emits kernel/bandwidth spans the planner does not).
     """
-    if not _enabled or not sim._running:
-        return False
-    tracer = sim.tracer
-    return tracer is None or not tracer.enabled
+    return _enabled and sim._running and sim.tracer is None
 
 
 class ChainPlan:

@@ -160,8 +160,8 @@ class Simulator:
         #: not cancelled — maintained on schedule (add), pop (discard) and
         #: cancel (discard, via :meth:`_note_cancelled`).
         self._scope_index: dict[str, set[Event]] = {}
-        #: Optional tracing sink; components emit through ``sim.tracer``
-        #: when it is attached and enabled (see :mod:`repro.trace`).
+        #: Tracing's one switch: every component reads ``sim.tracer`` when
+        #: it emits and records only while it is set (see :mod:`repro.trace`).
         self.tracer: Tracer | None = None
         # Live bounds of the current run() invocation, exposed so the
         # vectorized decode fast path (:mod:`repro.sim.fastpath`) can elide
@@ -177,7 +177,10 @@ class Simulator:
             collector.append(self.counters)
 
     def attach_tracer(self, tracer: "Tracer | None") -> None:
-        """Attach (or detach, with ``None``) a :class:`repro.trace.Tracer`."""
+        """Attach (or detach, with ``None``) a :class:`repro.trace.Tracer`.
+
+        Takes effect for every layer at once, at any point of a run.
+        """
         self.tracer = tracer
 
     @property

@@ -15,8 +15,11 @@ evictions, scheduler decisions — records typed events.  Export to Chrome
     ...  # build a serving system on `sim` and run it
     write_chrome_trace(tracer, "out.json")
 
-Tracing is strictly opt-in: with no tracer attached (the default) the hooks
-reduce to one ``is not None`` test and allocate nothing.
+Tracing is strictly opt-in and has one switch, ``sim.tracer``: with no
+tracer attached (the default) the hooks reduce to one ``is not None`` test
+and allocate nothing.  Every layer reads the tracer from the simulator when
+it emits, so attaching or detaching one — before the system is built or
+mid-run — takes effect everywhere at once.
 """
 
 from repro.trace.exporters import (

@@ -8,12 +8,14 @@ partition sizes).
 
 Design constraints, in order of importance:
 
-1. **Zero overhead when disabled.**  Every emit method starts with a single
-   attribute test and returns; call sites additionally guard on
-   ``tracer is not None and tracer.enabled`` so that argument dictionaries
-   are never even built for untraced runs.  The simulator carries ``tracer
-   = None`` by default, making the untraced path identical to the pre-trace
-   code.
+1. **Zero overhead when off.**  Tracing has one switch: ``sim.tracer`` is
+   a :class:`Tracer` or None (the default).  Every layer reads it from the
+   simulator when it emits and guards on ``tracer is not None``, so an
+   untraced run pays one test per hook (two in the KV caches, which may
+   also stand alone with no simulator) and builds no argument dictionary,
+   and a tracer attached or detached with
+   :meth:`~repro.sim.Simulator.attach_tracer` at any point takes effect
+   for every layer from that instant on.
 2. **Determinism.**  Events are recorded in emission order with a
    monotonically increasing sequence number, so two runs of the same seed
    produce byte-identical traces.
@@ -85,7 +87,7 @@ class Tracer:
 
     Attach to a :class:`~repro.sim.Simulator` with
     :meth:`Simulator.attach_tracer`; instrumented components look the tracer
-    up through the simulator and emit only when it is present and enabled.
+    up through the simulator at each emit, so every call here records.
 
     With a ``sink`` (any object with a ``write(TraceEvent)`` method, e.g.
     :class:`repro.trace.exporters.StreamingTraceWriter`), events are
@@ -94,10 +96,9 @@ class Tracer:
     traces need.  Batch exporters require the accumulating mode.
     """
 
-    __slots__ = ("enabled", "events", "sink", "_seq")
+    __slots__ = ("events", "sink", "_seq")
 
-    def __init__(self, enabled: bool = True, sink: Any = None) -> None:
-        self.enabled = enabled
+    def __init__(self, sink: Any = None) -> None:
         self.events: list[TraceEvent] = []
         self.sink = sink
         self._seq = 0
@@ -136,8 +137,6 @@ class Tracer:
         args: dict[str, Any] | None = None,
     ) -> None:
         """Record a finished interval ``[start, end]`` on ``track``."""
-        if not self.enabled:
-            return
         self._emit(start, max(0.0, end - start), PH_COMPLETE, track, name, cat, args)
 
     def instant(
@@ -149,8 +148,6 @@ class Tracer:
         args: dict[str, Any] | None = None,
     ) -> None:
         """Record a zero-duration event at ``ts``."""
-        if not self.enabled:
-            return
         self._emit(ts, 0.0, PH_INSTANT, track, name, cat, args)
 
     def begin(
@@ -162,14 +159,10 @@ class Tracer:
         args: dict[str, Any] | None = None,
     ) -> None:
         """Open a phase on ``track``; close with :meth:`end`."""
-        if not self.enabled:
-            return
         self._emit(ts, 0.0, PH_BEGIN, track, name, cat, args)
 
     def end(self, track: str, name: str, cat: str, ts: float) -> None:
         """Close the most recently opened phase with ``name`` on ``track``."""
-        if not self.enabled:
-            return
         self._emit(ts, 0.0, PH_END, track, name, cat, None)
 
     def counter(
@@ -181,8 +174,6 @@ class Tracer:
         cat: str = CAT_SCHED,
     ) -> None:
         """Record a sample of one or more numeric series on ``track``."""
-        if not self.enabled:
-            return
         self._emit(ts, 0.0, PH_COUNTER, track, name, cat, dict(values))
 
     # ------------------------------------------------------------------ #

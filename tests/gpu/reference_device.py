@@ -15,12 +15,15 @@ the plain version.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Callable
 
-from repro.gpu.device import _EPS, Device, _config_ripple, _task_ids
+from repro.gpu.device import _EPS, Device, _config_ripple
 from repro.trace.tracer import CAT_BANDWIDTH, CAT_KERNEL
+
+_task_ids = itertools.count()
 
 
 @dataclass
@@ -225,7 +228,7 @@ class ReferenceDevice(Device):
             else:
                 task.bw_rate = cap
             tracer = self.sim.tracer
-            if tracer is None or not tracer.enabled:
+            if tracer is None:
                 return
             self._trace_bandwidth()
             return
@@ -262,7 +265,7 @@ class ReferenceDevice(Device):
         for task, alloc, factor in zip(self._active, allocs, factors):
             task.bw_rate = alloc * factor
         tracer = self.sim.tracer
-        if tracer is not None and tracer.enabled:
+        if tracer is not None:
             self._trace_bandwidth()
 
     def _trace_bandwidth(self) -> None:
@@ -393,7 +396,7 @@ class ReferenceDevice(Device):
         def complete() -> None:
             task.finish_time = self.sim.now
             tracer = self.sim.tracer
-            if tracer is not None and tracer.enabled:
+            if tracer is not None:
                 tracer.complete(
                     task.trace_track or f"gpu/{self.name}/exec",
                     task.tag or "exec",

@@ -38,9 +38,9 @@ class TestStream:
     def test_query_is_nonblocking(self):
         sim, device, stream = make_stream(54)
         handle = stream.submit(timed_work(device, 54, 0.1))
-        assert handle.query() is False
+        assert handle.done is False
         sim.run()
-        assert handle.query() is True
+        assert handle.done is True
 
     def test_callback_fires_immediately_if_done(self):
         sim, device, stream = make_stream(54)
@@ -67,18 +67,6 @@ class TestStream:
             stream.resize(0)
         with pytest.raises(ValueError):
             stream.resize(device.total_sms + 1)
-
-    def test_barrier_completes_after_queued_work(self):
-        sim, device, stream = make_stream(54)
-        stream.submit(timed_work(device, 54, 0.2))
-        barrier = stream.barrier()
-        sim.run()
-        assert barrier.completion_time == pytest.approx(0.2, rel=1e-6)
-
-    def test_barrier_on_idle_stream_completes_now(self):
-        sim, device, stream = make_stream(54)
-        barrier = stream.barrier()
-        assert barrier.done
 
     def test_bubble_ratio_counts_idle_time(self):
         sim, device, stream = make_stream(54)

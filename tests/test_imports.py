@@ -113,14 +113,12 @@ import repro
 for info in pkgutil.walk_packages(repro.__path__, "repro."):
     importlib.import_module(info.name)
 
-from repro.gpu import device
 from repro.kvcache import radix
 from repro.sim import events
 from repro.workloads import request
 
 print(json.dumps({
     "repro.sim.events._sequence": next(events._sequence),
-    "repro.gpu.device._task_ids": next(device._task_ids),
     "repro.kvcache.radix._segment_uids": next(radix._segment_uids),
     "repro.workloads.request._request_ids": next(request._request_ids),
 }))

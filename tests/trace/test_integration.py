@@ -1,11 +1,14 @@
 """End-to-end tracing tests: a traced MuxWise run, exporter schema validity,
 determinism, and the span-derived bubble ratio cross-check (§4.4.2)."""
 
+import hashlib
 import io
 import json
+from dataclasses import asdict
 
 import pytest
 
+from repro.baselines import ChunkedPrefillServer
 from repro.bench import run_system
 from repro.core import MuxWiseServer
 from repro.gpu import A100, Device, Stream
@@ -21,8 +24,8 @@ from repro.trace import (
 from repro.workloads import sharegpt_workload
 
 
-def traced_run(cfg, enabled: bool = True):
-    tracer = Tracer(enabled=enabled)
+def traced_run(cfg):
+    tracer = Tracer()
     workload = sharegpt_workload(6, rate=2.0, seed=0)
     result = run_system(lambda sim, c: MuxWiseServer(sim, c), cfg, workload, tracer=tracer)
     return tracer, result
@@ -101,19 +104,67 @@ class TestMuxWiseTrace:
 
         assert normalized(first) == normalized(second)
 
-    def test_disabled_tracer_records_nothing_end_to_end(self, cfg_8b_single_module):
-        tracer, result = traced_run(cfg_8b_single_module, enabled=False)
-        assert tracer.events == []
-        assert result.summary.requests_finished > 0
 
-    def test_disabled_run_matches_untraced_run(self, cfg_8b_single_module):
-        """Attaching a disabled tracer must not perturb the simulation."""
-        _, traced_result = traced_run(cfg_8b_single_module, enabled=False)
-        workload = sharegpt_workload(6, rate=2.0, seed=0)
-        untraced = run_system(
-            lambda sim, c: MuxWiseServer(sim, c), cfg_8b_single_module, workload
-        )
-        assert traced_result.summary.as_dict() == untraced.summary.as_dict()
+def chunked_server(cfg, tracer=None):
+    """A chunked-prefill server on a fresh simulator (``tracer`` attached
+    before the build), 50 ShareGPT requests submitted over about 8 s;
+    chunked decode batches are where the decode fast path elides chains."""
+    sim = Simulator()
+    sim.attach_tracer(tracer)
+    server = ChunkedPrefillServer(sim, cfg, token_budget=256)
+    server.submit(sharegpt_workload(50, rate=6.0, seed=0))
+    return sim, server
+
+
+def result_digest(sim, server) -> str:
+    """SHA-256 over what the run computed (summary, cache stats, event
+    counts) — the same payload the benchmark digests per replica."""
+    payload = {
+        "summary": server.metrics.summarize().as_dict(),
+        "cache": [asdict(server.instance.cache.stats)],
+        "events": sim.processed_events,
+        "peak_event_queue": sim.max_event_queue,
+    }
+    canon = json.dumps(payload, sort_keys=True, default=repr)
+    return hashlib.sha256(canon.encode("utf-8")).hexdigest()
+
+
+class TestOneSwitch:
+    """``sim.tracer`` is the only switch, and every layer reads it live."""
+
+    def test_tracer_attached_after_build_records_every_layer(self, cfg_8b_single_module):
+        sim, server = chunked_server(cfg_8b_single_module)
+        tracer = Tracer()
+        sim.attach_tracer(tracer)
+        server.run()
+        prefixes = {track.split("/", 1)[0] for track in tracer.tracks()}
+        assert {"gpu", "req", "kvcache"} <= prefixes
+        assert tracer.instants(track=server.instance.cache.trace_track)
+
+    def test_detached_tracer_records_nothing_more(self, cfg_8b_single_module):
+        tracer = Tracer()
+        sim, server = chunked_server(cfg_8b_single_module, tracer)
+        server.run(until=4.0)  # about half the arrivals
+        assert tracer.instants(track=server.instance.cache.trace_track)
+        recorded = len(tracer)
+        sim.attach_tracer(None)
+        server.run()
+        assert len(tracer) == recorded
+        assert sim.counters.chains_elided > 0  # the fast path took over
+
+    def test_tracing_leaves_the_result_byte_identical(self, cfg_8b_single_module):
+        """Tracing observes only: a traced chunked run computes exactly what
+        the untraced one does, though only the untraced one elides chains."""
+        plain_sim, plain = chunked_server(cfg_8b_single_module)
+        plain.run()
+        tracer = Tracer()
+        traced_sim, traced = chunked_server(cfg_8b_single_module, tracer)
+        traced.run()
+        assert len(tracer) > 0
+        assert plain_sim.counters.chains_elided > 0
+        assert traced_sim.counters.chains_elided == 0
+        assert traced.metrics.summarize().as_dict() == plain.metrics.summarize().as_dict()
+        assert result_digest(traced_sim, traced) == result_digest(plain_sim, plain)
 
 
 class TestBubbleCrossCheck:
