@@ -10,7 +10,7 @@
 
 from _helpers import once
 from repro.core import BATCH_SIZE_BUCKETS
-from repro.gpu import A100, Device, GraphMemoryModel, decode_partition_options
+from repro.gpu import A100, Device, ExecTask, GraphMemoryModel, decode_partition_options
 from repro.gpu.stream import Stream
 from repro.models import LLAMA_8B, LLAMA_70B, CostModel, PrefillItem, phase_latency
 from repro.serving.config import ServingConfig
@@ -74,9 +74,13 @@ def test_greenctx_reconfiguration_cost(benchmark):
         device = Device(sim, A100, n_gpus=8)
         stream = Stream(device, 48)
         start = sim.now
-        handle = stream.resize(64)
+        stream.resize(64)
+        # An empty task queued behind the resize starts once it completes.
+        behind = ExecTask(flops=0.0, bytes=0.0)
+        stream.submit(behind)
         sim.run()
-        return (handle.completion_time or 0.0) - start
+        assert behind.sm_count == 64
+        return behind.start_time - start
 
     cost = once(benchmark, measure)
     print(f"\nGreen-context resize cost: {cost * 1e6:.1f} us")

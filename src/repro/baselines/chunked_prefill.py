@@ -85,18 +85,16 @@ class ChunkedPrefillServer(DecodeBatchMixin):
             return
 
         cost, completes_prefill = self._iteration_cost(decode_batch, prefill_state, chunk_tokens)
-        work = cost.work(tag="chunked-step")
-        work.fixed_time += self._launch_overhead(chunk_tokens)
 
         def on_done(_time: float) -> None:
             self._on_step_done(decode_batch, prefill_state, chunk_tokens, completes_prefill)
 
         task = ExecTask(
-            flops=work.flops,
-            bytes=work.bytes,
+            flops=cost.flops,
+            bytes=cost.bytes,
             sm_count=self.instance.device.total_sms,
-            fixed_time=work.fixed_time,
-            tag=work.tag,
+            fixed_time=cost.comm_time + self._launch_overhead(chunk_tokens),
+            tag="chunked-step",
             on_complete=on_done,
         )
         self.instance.device.submit(task)

@@ -16,7 +16,9 @@
 from __future__ import annotations
 
 import math
+from functools import partial
 
+from repro.gpu.device import ExecTask
 from repro.gpu.stream import Stream
 from repro.models.costs import phase_latency
 from repro.serving.base import RequestState, build_instance
@@ -57,11 +59,14 @@ class WindServeServer(DecodeBatchMixin):
         cost = self.instance.cost_model.prefill_full([state.prefill_item()])
         launch = self.cfg.launch.full_prefill_launch(self.cfg.model.num_layers)
 
-        def do_submit() -> None:
-            handle = self.prefill_stream.submit(cost.work(tag="wind-prefill"))
-            handle.on_complete(lambda _t: self._on_prefill_done(state))
-
-        self.instance.host.enqueue(launch, do_submit)
+        task = ExecTask(
+            cost.flops,
+            cost.bytes,
+            fixed_time=cost.comm_time,
+            tag="wind-prefill",
+            on_complete=lambda _t: self._on_prefill_done(state),
+        )
+        self.instance.host.enqueue(launch, partial(self.prefill_stream.submit, task))
 
     def _on_prefill_done(self, state: RequestState) -> None:
         self._prefill_busy = False
@@ -81,11 +86,16 @@ class WindServeServer(DecodeBatchMixin):
         self._decode_inflight = True
         cost = self.decode_step_cost(self.instance, batch)
 
-        def do_submit() -> None:
-            handle = self.decode_stream.submit(cost.work(tag="wind-decode"))
-            handle.on_complete(lambda _t, b=batch: self._on_decode_done(b))
-
-        self.instance.host.enqueue(self.cfg.launch.decode_launch(), do_submit)
+        task = ExecTask(
+            cost.flops,
+            cost.bytes,
+            fixed_time=cost.comm_time,
+            tag="wind-decode",
+            on_complete=lambda _t: self._on_decode_done(batch),
+        )
+        self.instance.host.enqueue(
+            self.cfg.launch.decode_launch(), partial(self.decode_stream.submit, task)
+        )
 
     def _on_decode_done(self, batch: list[RequestState]) -> None:
         self._decode_inflight = False
@@ -171,10 +181,15 @@ class TemporalMuxServer(DecodeBatchMixin):
             layers = 1
             total = cost_model.prefill_layers([prefill.prefill_item()], 1)
         launch = self.cfg.launch.decode_launch() + self.cfg.launch.prefill_layers_launch(layers)
-        work = total.work(tag="temporal-cycle")
-        work.fixed_time += launch
-        handle = self.stream.submit(work)
-        handle.on_complete(lambda _t, b=batch, p=prefill, n=layers: self._on_cycle_done(b, p, n))
+        self.stream.submit(
+            ExecTask(
+                total.flops,
+                total.bytes,
+                fixed_time=total.comm_time + launch,
+                tag="temporal-cycle",
+                on_complete=lambda _t: self._on_cycle_done(batch, prefill, layers),
+            )
+        )
 
     def _on_cycle_done(self, batch: list[RequestState], prefill: RequestState | None, layers: int) -> None:
         self._cycle_inflight = False

@@ -9,7 +9,7 @@ from repro import _lazy_exports
 
 #: The public names, by defining module.
 _EXPORTS = {
-    "repro.bench.ascii": ("bar_chart", "cdf_chart", "line_chart"),
+    "repro.bench.ascii": ("cdf_chart",),
     "repro.bench.chaos": ("ChaosResult", "default_chaos_fleet", "run_chaos"),
     "repro.bench.fleet": (
         "FleetRunResult",

@@ -1,76 +1,13 @@
 """Terminal-friendly ASCII charts for experiment output.
 
-The benchmarks print their figure data as labelled series; these helpers
-additionally render quick line/bar views so the shapes (crossovers, knees,
-CDFs) are visible directly in test logs without a plotting stack.
+:func:`cdf_chart` renders a latency distribution as percentile rows, so its
+shape is visible in a terminal without a plotting stack (see
+``examples/trace_replay.py``).
 """
 
 from __future__ import annotations
 
 import math
-
-
-def bar_chart(rows: dict[str, float], width: int = 40, unit: str = "") -> str:
-    """Horizontal bars scaled to the largest value."""
-    if not rows:
-        return "(empty)"
-    finite = [v for v in rows.values() if _finite(v)]
-    peak = max(finite) if finite else 0.0
-    label_width = max(len(name) for name in rows)
-    lines = []
-    for name, value in rows.items():
-        if not _finite(value):
-            lines.append(f"{name:<{label_width}} | (n/a)")
-            continue
-        filled = 0 if peak == 0 else int(round(width * value / peak))
-        lines.append(f"{name:<{label_width}} | {'#' * filled:<{width}} {value:.3g}{unit}")
-    return "\n".join(lines)
-
-
-def line_chart(
-    xs: list[float],
-    series: dict[str, list[float]],
-    height: int = 12,
-    width: int = 60,
-    y_label: str = "",
-) -> str:
-    """A multi-series scatter/line plot on a character grid.
-
-    Each series gets a distinct marker; points are nearest-cell plotted.
-    """
-    if not xs or not series:
-        return "(empty)"
-    markers = "*o+x@%&$"
-    values = [v for ys in series.values() for v in ys if _finite(v)]
-    if not values:
-        return "(no finite data)"
-    y_min, y_max = min(values), max(values)
-    if y_max == y_min:
-        y_max = y_min + 1.0
-    x_min, x_max = min(xs), max(xs)
-    if x_max == x_min:
-        x_max = x_min + 1.0
-    grid = [[" "] * width for _ in range(height)]
-    for index, (name, ys) in enumerate(series.items()):
-        marker = markers[index % len(markers)]
-        for x, y in zip(xs, ys):
-            if not _finite(y):
-                continue
-            col = int(round((x - x_min) / (x_max - x_min) * (width - 1)))
-            row = int(round((y - y_min) / (y_max - y_min) * (height - 1)))
-            grid[height - 1 - row][col] = marker
-    lines = [f"{y_max:10.3g} +" + "".join(grid[0])]
-    for row in grid[1:-1]:
-        lines.append(" " * 10 + " |" + "".join(row))
-    lines.append(f"{y_min:10.3g} +" + "".join(grid[-1]))
-    lines.append(" " * 12 + f"{x_min:<.3g}" + " " * max(1, width - 12) + f"{x_max:.3g}")
-    legend = "   ".join(
-        f"{markers[i % len(markers)]} {name}" for i, name in enumerate(series)
-    )
-    if y_label:
-        legend = f"[{y_label}]  " + legend
-    lines.append(legend)
-    return "\n".join(lines)
 
 
 def cdf_chart(values: list[float], points: int = 10, unit: str = "") -> str:
@@ -84,7 +21,3 @@ def cdf_chart(values: list[float], points: int = 10, unit: str = "") -> str:
         rank = min(len(ordered) - 1, int(math.ceil(pct / 100.0 * len(ordered))) - 1)
         lines.append(f"p{pct:5.1f}  {ordered[rank]:.4g}{unit}")
     return "\n".join(lines)
-
-
-def _finite(value: float) -> bool:
-    return value is not None and not (isinstance(value, float) and (math.isnan(value) or math.isinf(value)))

@@ -17,18 +17,13 @@ The engine also exposes stream bubble ratios (Fig. 19's evaluation metric).
 from __future__ import annotations
 
 from functools import partial
-from typing import Callable
 
+from repro.gpu.device import ExecTask
 from repro.gpu.launch import DECODE_LAUNCH_LABEL, prefill_launch_label
-from repro.gpu.stream import Stream, Work
+from repro.gpu.stream import Stream
 from repro.serving.base import Instance
 from repro.serving.config import ServingConfig
 from repro.sim import Simulator
-
-
-def _submit(stream: Stream, work: Work, on_done: Callable[[float], None]) -> None:
-    """A launch's host time elapsed: the work reaches its stream."""
-    stream.submit(work).on_complete(on_done)
 
 
 class MultiplexEngine:
@@ -92,19 +87,19 @@ class MultiplexEngine:
     # Launching
     # ------------------------------------------------------------------ #
 
-    def launch_decode(self, work: Work, on_done: Callable[[float], None]) -> None:
-        """Launch one decode iteration (captured graph) via the host."""
+    def launch_decode(self, task: ExecTask) -> None:
+        """Launch one decode iteration (captured graph) via the host; the
+        task reaches the decode stream when its launch time elapsed."""
         self.instance.host.enqueue(
             self.cfg.launch.decode_launch(),
-            partial(_submit, self.decode_stream, work, on_done),
+            partial(self.decode_stream.submit, task),
             label=DECODE_LAUNCH_LABEL,
         )
 
     def launch_prefill_group(
         self,
-        work: Work,
+        task: ExecTask,
         layer_count: int,
-        on_done: Callable[[float], None],
         whole_phase_layers: int | None = None,
     ) -> None:
         """Launch a group of prefill layers on the prefill green context.
@@ -120,7 +115,7 @@ class MultiplexEngine:
             launch_time = self.cfg.launch.full_prefill_launch(layers)
         self.instance.host.enqueue(
             launch_time,
-            partial(_submit, self.prefill_stream, work, on_done),
+            partial(self.prefill_stream.submit, task),
             label=prefill_launch_label(self.layerwise),
         )
 

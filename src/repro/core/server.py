@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 
 from repro.core.engine import MultiplexEngine
 from repro.core.estimator import ContentionTolerantEstimator
+from repro.gpu.device import ExecTask
 from repro.gpu.specs import decode_partition_options
 from repro.models.costs import PhaseCost, PrefillItem, phase_latency
 from repro.serving.base import RequestState, build_instance
@@ -214,13 +215,14 @@ class MuxWiseServer(DecodeBatchMixin):
         if completes:
             cost = cost + self.instance.cost_model.prefill_head(len(job.states))
         job.group_in_flight = count
-        work = cost.work(tag="prefill-group")
-        self.engine.launch_prefill_group(
-            work,
-            count,
-            on_done=lambda _t, j=job: self._on_group_done(j),
-            whole_phase_layers=job.total_layers,
+        task = ExecTask(
+            cost.flops,
+            cost.bytes,
+            fixed_time=cost.comm_time,
+            tag="prefill-group",
+            on_complete=lambda _t, j=job: self._on_group_done(j),
         )
+        self.engine.launch_prefill_group(task, count, whole_phase_layers=job.total_layers)
 
     def _on_group_done(self, job: PrefillJob) -> None:
         job.layers_done += job.group_in_flight
@@ -382,10 +384,16 @@ class MuxWiseServer(DecodeBatchMixin):
         if decode_sms != self.engine.decode_sms:
             self.engine.set_partition(decode_sms)
             self._log_partition()
-        work = cost.work(tag="decode-iter")
+        task = ExecTask(
+            cost.flops,
+            cost.bytes,
+            fixed_time=cost.comm_time,
+            tag="decode-iter",
+            on_complete=self._on_decode_done,
+        )
         self._decode_inflight = True
         self._inflight = (batch, sum_context, self.active_job, self.sim.now)
-        self.engine.launch_decode(work, self._on_decode_done)
+        self.engine.launch_decode(task)
 
     def _on_decode_done(self, _time: float) -> None:
         batch, sum_context, job, submit_time = self._inflight

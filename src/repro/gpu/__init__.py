@@ -16,7 +16,7 @@ from repro.gpu.specs import (
     GPUSpec,
     decode_partition_options,
 )
-from repro.gpu.stream import OpHandle, Stream, Work
+from repro.gpu.stream import Stream
 
 __all__ = [
     "A100",
@@ -32,12 +32,10 @@ __all__ = [
     "HostThread",
     "L40S",
     "LaunchModel",
-    "OpHandle",
     "OutOfMemoryError",
     "SPECS_BY_NAME",
     "Stream",
     "TFLOPS",
-    "Work",
     "decode_partition_options",
     "waterfill",
 ]

@@ -79,6 +79,9 @@ class ExecTask:
         sm_count: SMs granted to this task (its green-context size).  May be
             fractional when a task runs on a subset of the GPUs of a logical
             tensor-parallel group (k of g GPUs => sm_count = sms * k / g).
+            A :class:`~repro.gpu.stream.Stream` sets it (and ``trace_track``)
+            when the task starts, so stream tasks leave it at 0; a task
+            submitted straight to the device must set it.
         fixed_time: Serialized tail time (e.g. NVLink all-reduce) appended
             after compute and memory complete.
         max_bandwidth: Upper bound on the HBM bandwidth this task may draw.
@@ -86,11 +89,13 @@ class ExecTask:
             device's bandwidth); ``aggregate * k/g`` for tasks pinned to a
             k-GPU subset of a g-GPU group, since a job physically cannot read
             from HBM stacks it does not occupy.
-        tag: Free-form label ("prefill"/"decode"/...), used by profiling.
+        tag: Free-form label ("prefill"/"decode"/...), used by profiling;
+            a stream names untagged tasks after itself.
         trace_track: Trace row for this task's execution span; streams set
             it to their own track, direct device submissions leave it None
             (the device then uses its generic exec row).
-        on_complete: Called with the completion timestamp.
+        on_complete: Called with the completion timestamp (on a stream:
+            after the stream is released, before its next op starts).
 
     The device manages the runtime state: ``rem_flops``, ``rem_bytes``,
     ``compute_rate``, ``bw_rate``, ``start_time`` and ``finish_time``.
@@ -107,7 +112,7 @@ class ExecTask:
         self,
         flops: float,
         bytes: float,
-        sm_count: float,
+        sm_count: float = 0.0,
         fixed_time: float = 0.0,
         max_bandwidth: float = math.inf,
         tag: str = "",
@@ -142,17 +147,6 @@ class ExecTask:
     def bytes_done(self) -> bool:
         """True when the memory dimension has finished."""
         return self.rem_bytes <= self._bytes_floor
-
-    def solo_time(self, device: "Device") -> float:
-        """Contention-free duration of this task on ``device``."""
-        compute = self.flops / device.compute_rate(self.sm_count)
-        bandwidth = min(device.effective_bandwidth, self.max_bandwidth)
-        memory = self.bytes / bandwidth
-        return max(compute, memory) + self.fixed_time
-
-    def bandwidth_demand(self, base_compute_rate: float) -> float:
-        """Bandwidth this task can usefully absorb right now (bytes/s)."""
-        return _over_request(self, base_compute_rate, 0.0)
 
 
 def waterfill(demands: list[float], capacity: float) -> list[float]:
@@ -239,8 +233,9 @@ def _waterfill_last(demand: float, remaining: float) -> float:
 
 
 def _over_request(task: ExecTask, rate: float, factor: float) -> float:
-    """``task.bandwidth_demand(rate)``; compute-bound tasks over-request by
-    ``1 / factor`` to absorb interference (``factor <= 0``: plain demand)."""
+    """Bandwidth ``task`` can usefully absorb at compute ``rate`` (bytes/s);
+    compute-bound tasks over-request by ``1 / factor`` to absorb
+    interference (``factor <= 0``: plain demand)."""
     max_bandwidth = task.max_bandwidth
     if task.rem_bytes <= task._bytes_floor:
         demand = 0.0
@@ -431,7 +426,7 @@ class Device:
     # Execution
     # ------------------------------------------------------------------ #
 
-    def submit(self, task: ExecTask) -> ExecTask:
+    def submit(self, task: ExecTask) -> None:
         """Begin executing ``task`` now; its callback fires on completion.
 
         Zero-work tasks normally complete immediately, but never on a
@@ -442,15 +437,9 @@ class Device:
         task.start_time = self.sim.now
         if not self._stalled and task.flops <= _EPS and task.bytes <= _EPS:
             self._finish_task(task)
-            return task
+            return
         self._active.append(task)
         self._reschedule()
-        return task
-
-    @property
-    def active_tasks(self) -> tuple[ExecTask, ...]:
-        """Tasks currently consuming device resources."""
-        return tuple(self._active)
 
     def _compute_scale(self) -> float:
         """Scale-down factor when streams oversubscribe SMs (plain streams)."""

@@ -42,11 +42,6 @@ class HostThread:
         return self._busy
 
     @property
-    def pending(self) -> int:
-        """Number of queued (not yet started) launch operations."""
-        return len(self._queue)
-
-    @property
     def busy_seconds(self) -> float:
         """Cumulative host time spent launching."""
         return self._busy_seconds

@@ -1,71 +1,28 @@
 """CUDA-stream and green-context abstractions on the simulated device.
 
-A :class:`Stream` executes submitted work items serially, like a CUDA stream.
-Binding a stream to an SM subset makes it a *green context* (the intra-process
-spatial-sharing primitive MuxWise builds on): work items run on exactly
-``sm_count`` SMs, and :meth:`Stream.resize` re-binds the stream to a different
-SM set at the cost of one stream synchronisation (microseconds), matching the
+A :class:`Stream` is a serial queue of :class:`~repro.gpu.device.ExecTask`
+items bound to an SM partition, like a CUDA stream on a *green context* (the
+intra-process spatial-sharing primitive MuxWise builds on).  A task runs on
+exactly the stream's ``sm_count`` SMs: the stream binds the task's
+``sm_count`` and ``trace_track`` when the task reaches the head of the queue,
+not when it is submitted, so a task queued behind :meth:`Stream.resize` runs
+on the post-resize partition.  A resize re-binds the stream to a different SM
+set at the cost of one stream synchronisation (microseconds), matching the
 paper's description of GreenContext reconfiguration.
 
-Work completion is exposed through :class:`OpHandle`, which behaves like a
-CUDA event: its ``done`` flag reads without blocking, and callbacks fire at
-the completion time.  (MuxWise's query-based synchronisation, §3.2.3, is
-modelled by the dispatcher in :mod:`repro.core.server`.)
+The task's own ``on_complete`` fires when it finishes, after the stream has
+released itself and before the next queued op starts.  (MuxWise's query-based
+synchronisation, §3.2.3, is modelled by the dispatcher in
+:mod:`repro.core.server`.)
 """
 
 from __future__ import annotations
 
-import math
 from collections import deque
 from typing import Callable
 
 from repro.gpu.device import Device, ExecTask
 from repro.trace.tracer import CAT_GREENCTX
-
-
-class Work:
-    """A work item described in resource terms (resolved to an ExecTask)."""
-
-    __slots__ = ("flops", "bytes", "fixed_time", "max_bandwidth", "tag")
-
-    def __init__(
-        self,
-        flops: float,
-        bytes: float,
-        fixed_time: float = 0.0,
-        max_bandwidth: float = math.inf,
-        tag: str = "",
-    ) -> None:
-        self.flops = flops
-        self.bytes = bytes
-        self.fixed_time = fixed_time
-        self.max_bandwidth = max_bandwidth
-        self.tag = tag
-
-
-class OpHandle:
-    """Completion handle for one submitted work item (CUDA-event-like)."""
-
-    def __init__(self, tag: str = "") -> None:
-        self.tag = tag
-        self.done = False
-        self.start_time: float | None = None
-        self.completion_time: float | None = None
-        self._callbacks: list[Callable[[float], None]] = []
-
-    def on_complete(self, callback: Callable[[float], None]) -> None:
-        """Register a callback; fires immediately if already complete."""
-        if self.done:
-            callback(self.completion_time or 0.0)
-        else:
-            self._callbacks.append(callback)
-
-    def _mark_done(self, time: float) -> None:
-        self.done = True
-        self.completion_time = time
-        callbacks, self._callbacks = self._callbacks, []
-        for callback in callbacks:
-            callback(time)
 
 
 class Stream:
@@ -79,10 +36,14 @@ class Stream:
         #: Trace row for this stream's kernels and resizes.
         self.trace_track = f"gpu/{device.name}/{name}"
         self._sm_count = sm_count
-        self._queue: deque[tuple[str, object, OpHandle]] = deque()
-        self._running: OpHandle | None = None
-        #: SM count the in-flight resize (if any) re-binds to.
+        #: Queued ops: a task, or the SM count of a resize.
+        self._queue: deque[ExecTask | int] = deque()
+        self._busy = False
+        #: The running task's own completion callback.
+        self._on_done: Callable[[float], None] | None = None
+        #: SM count and start time of the in-flight resize (if any).
         self._resize_to = sm_count
+        self._resize_start = 0.0
         # Busy-time accounting for the bubble-ratio metric (§4.4.2).
         self._busy_seconds = 0.0
         self._window_start = device.sim.now
@@ -93,14 +54,12 @@ class Stream:
         """SMs currently bound to this stream (its green-context size)."""
         return self._sm_count
 
-    def submit(self, work: Work) -> OpHandle:
-        """Enqueue a work item; runs after everything already queued."""
-        handle = OpHandle(tag=work.tag)
-        self._queue.append(("work", work, handle))
+    def submit(self, task: ExecTask) -> None:
+        """Enqueue ``task``; it runs after everything already queued."""
+        self._queue.append(task)
         self._pump()
-        return handle
 
-    def resize(self, sm_count: int) -> OpHandle:
+    def resize(self, sm_count: int) -> None:
         """Re-bind the stream to ``sm_count`` SMs (green-context resize).
 
         Takes effect after currently queued work drains, and costs one
@@ -108,10 +67,8 @@ class Stream:
         """
         if not 0 < sm_count <= self.device.total_sms:
             raise ValueError(f"sm_count {sm_count} out of range for {self.device.name}")
-        handle = OpHandle(tag="resize")
-        self._queue.append(("resize", sm_count, handle))
+        self._queue.append(sm_count)
         self._pump()
-        return handle
 
     # ------------------------------------------------------------------ #
     # Bubble accounting
@@ -140,44 +97,45 @@ class Stream:
     # ------------------------------------------------------------------ #
 
     def _pump(self) -> None:
-        if self._running is not None or not self._queue:
+        if self._busy or not self._queue:
             return
-        kind, payload, handle = self._queue.popleft()
+        op = self._queue.popleft()
         sim = self.device.sim
         now = sim.now
-        self._running = handle
-        handle.start_time = now
+        self._busy = True
         # Kernels and resizes (a stream synchronisation while it re-binds)
         # both occupy the stream, so neither counts as bubble time.
         self._current_op_start = now
-        if kind == "resize":
-            self._resize_to = payload
+        if not isinstance(op, ExecTask):
+            self._resize_to = op
+            self._resize_start = now
             sim.schedule_at(now + self.device.spec.greenctx_reconfig_time, self._finish_resize)
             return
-        work: Work = payload  # type: ignore[assignment]
-        task = ExecTask(
-            work.flops, work.bytes, self._sm_count, work.fixed_time, work.max_bandwidth,
-            work.tag or self.name, self.trace_track, self._op_done,
-        )
-        self.device.submit(task)
+        op.sm_count = self._sm_count
+        op.trace_track = self.trace_track
+        if not op.tag:
+            op.tag = self.name
+        self._on_done, op.on_complete = op.on_complete, self._op_done
+        self.device.submit(op)
 
     def _finish_resize(self) -> None:
-        handle = self._running
         old_sms, self._sm_count = self._sm_count, self._resize_to
         tracer = self.device.sim.tracer
         if tracer is not None:
             args = {"from_sms": old_sms, "to_sms": self._sm_count}
             now = self.device.sim.now
-            tracer.complete(self.trace_track, "resize", CAT_GREENCTX, handle.start_time, now, args)
+            tracer.complete(self.trace_track, "resize", CAT_GREENCTX, self._resize_start, now, args)
         self._op_done()
 
     def _op_done(self, _time: float = 0.0) -> None:
-        """The running op (kernel or resize) finished: release the stream."""
-        handle = self._running
+        """The running op (task or resize) finished: release the stream,
+        run the task's own callback, then start the next op."""
         now = self.device.sim.now
         if self._current_op_start is not None:
             self._busy_seconds += now - self._current_op_start
             self._current_op_start = None
-        self._running = None
-        handle._mark_done(now)
+        self._busy = False
+        on_done, self._on_done = self._on_done, None
+        if on_done is not None:
+            on_done(now)
         self._pump()

@@ -36,7 +36,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from repro.gpu.device import Device
-from repro.gpu.stream import Work
 from repro.models.config import ModelConfig
 
 #: Tokens (per GPU in the TP group) at which prefill linear layers reach half
@@ -96,16 +95,6 @@ class PhaseCost(NamedTuple):
             raw_flops=self.raw_flops * factor,
             bytes=self.bytes * factor,
             comm_time=self.comm_time * factor,
-        )
-
-    def work(self, tag: str = "", max_bandwidth: float = math.inf) -> Work:
-        """Convert to a stream work item."""
-        return Work(
-            flops=self.flops,
-            bytes=self.bytes,
-            fixed_time=self.comm_time,
-            max_bandwidth=max_bandwidth,
-            tag=tag,
         )
 
 

@@ -8,7 +8,6 @@ deterministic order (insertion order within the same priority class).
 
 from __future__ import annotations
 
-import itertools
 from typing import Any, Callable
 
 #: Default priority for ordinary events.
@@ -18,8 +17,6 @@ PRIORITY_NORMAL = 0
 PRIORITY_LATE = 10
 #: Priority for events that must fire before normal events at a timestamp.
 PRIORITY_EARLY = -10
-
-_sequence = itertools.count()
 
 
 class Event:
@@ -39,7 +36,8 @@ class Event:
     Attributes:
         time: Absolute simulation time (seconds) at which to fire.
         priority: Tie-break class; lower fires first at equal times.
-        seq: Monotonic insertion counter; preserves FIFO order for ties.
+        seq: Insertion counter of the owning simulator (each simulator
+            numbers its own events from 0); preserves FIFO order for ties.
         callback: Zero-argument callable invoked when the event fires.
         cancelled: Cancelled events are skipped when popped.
         owner: The simulator holding this event in its queue; notified on
@@ -70,8 +68,8 @@ class Event:
     def __init__(
         self,
         time: float,
-        priority: int = PRIORITY_NORMAL,
-        seq: int | None = None,
+        priority: int,
+        seq: int,
         callback: Callable[[], Any] | None = None,
         cancelled: bool = False,
         owner: Any = None,
@@ -80,7 +78,7 @@ class Event:
     ) -> None:
         self.time = time
         self.priority = priority
-        self.seq = next(_sequence) if seq is None else seq
+        self.seq = seq
         self.callback = callback
         self.cancelled = cancelled
         self.owner = owner

@@ -201,7 +201,7 @@ def plan_chain(
         elif rem_flops <= flops_floor:
             demand = math.inf
         else:
-            # ExecTask.bandwidth_demand, same division structure.
+            # device._over_request, same division structure.
             demand = rem_bytes / (rem_flops / rate)
         if demand <= _EPS or eff_bw <= _EPS:
             bw_rate = 0.0

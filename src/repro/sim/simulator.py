@@ -29,11 +29,12 @@ Example:
 from __future__ import annotations
 
 import heapq
+import itertools
 import math
 from contextlib import contextmanager
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator
 
-from repro.sim.events import PRIORITY_NORMAL, Event, _sequence
+from repro.sim.events import PRIORITY_NORMAL, Event
 
 _heappush = heapq.heappush
 
@@ -148,6 +149,8 @@ class Simulator:
         #: The ordering is exactly :class:`Event`'s own ``(time, priority,
         #: seq)`` order, so behaviour is byte-identical to heaping events.
         self._heap: list[tuple[float, int, int, Event]] = []
+        #: Source of ``seq``: numbers this simulator's events from 0.
+        self._sequence = itertools.count()
         self._event_count = 0
         self._cancelled_count = 0
         self._daemon_count = 0
@@ -264,7 +267,7 @@ class Simulator:
             time = now
         if scope is INHERIT_SCOPE:
             scope = self._current_scope
-        seq = next(_sequence)
+        seq = next(self._sequence)
         # Positional construction (see Event.__init__ for the slot order):
         # this runs once per scheduled event.
         event = Event(time, priority, seq, callback, False, self, daemon, scope)

@@ -1,49 +1,6 @@
-"""Unit tests for the ASCII chart helpers."""
+"""Unit tests for the ASCII chart helper."""
 
-
-from repro.bench.ascii import bar_chart, cdf_chart, line_chart
-
-
-class TestBarChart:
-    def test_bars_scale_to_peak(self):
-        text = bar_chart({"a": 10.0, "b": 5.0}, width=10)
-        lines = text.splitlines()
-        assert lines[0].count("#") == 10
-        assert lines[1].count("#") == 5
-
-    def test_empty(self):
-        assert bar_chart({}) == "(empty)"
-
-    def test_nan_rendered_as_na(self):
-        text = bar_chart({"a": float("nan"), "b": 1.0})
-        assert "(n/a)" in text
-
-    def test_zero_values(self):
-        text = bar_chart({"a": 0.0, "b": 0.0})
-        assert "#" not in text
-
-    def test_unit_suffix(self):
-        assert "ms" in bar_chart({"a": 3.0}, unit="ms")
-
-
-class TestLineChart:
-    def test_contains_markers_and_legend(self):
-        text = line_chart([1.0, 2.0, 3.0], {"up": [1.0, 2.0, 3.0], "down": [3.0, 2.0, 1.0]})
-        assert "*" in text and "o" in text
-        assert "up" in text and "down" in text
-
-    def test_empty_inputs(self):
-        assert line_chart([], {}) == "(empty)"
-        assert line_chart([1.0], {"s": [float("nan")]}) == "(no finite data)"
-
-    def test_constant_series_does_not_crash(self):
-        text = line_chart([1.0, 2.0], {"flat": [5.0, 5.0]})
-        assert "flat" in text
-
-    def test_axis_labels_show_extremes(self):
-        text = line_chart([0.0, 10.0], {"s": [0.0, 100.0]})
-        assert "100" in text
-        assert "10" in text
+from repro.bench.ascii import cdf_chart
 
 
 class TestCdfChart:

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.engine import MultiplexEngine
-from repro.gpu.stream import Work
+from repro.gpu.device import ExecTask
 from repro.serving.base import build_instance
 from repro.sim import Simulator
 
@@ -14,6 +14,16 @@ def setup(cfg_70b):
     instance = build_instance(sim, cfg_70b, cfg_70b.n_gpus, "engine-test")
     engine = MultiplexEngine(sim, instance, cfg_70b, decode_sms=48)
     return sim, instance, engine
+
+
+def timed_task(instance, sm_count, seconds, done=None, key=""):
+    """A compute-only task of ``seconds`` on ``sm_count`` SMs; records its
+    completion time as ``done[key]``."""
+    return ExecTask(
+        flops=instance.device.compute_rate(sm_count) * seconds,
+        bytes=0.0,
+        on_complete=None if done is None else lambda t: done.setdefault(key, t),
+    )
 
 
 class TestPartitioning:
@@ -52,8 +62,7 @@ class TestLaunching:
     def test_decode_launch_pays_graph_launch_time(self, setup, cfg_70b):
         sim, instance, engine = setup
         done = {}
-        work = Work(flops=instance.device.compute_rate(48) * 0.01, bytes=0.0)
-        engine.launch_decode(work, lambda t: done.setdefault("t", t))
+        engine.launch_decode(timed_task(instance, 48, 0.01, done, "t"))
         sim.run()
         assert done["t"] == pytest.approx(cfg_70b.launch.decode_launch() + 0.01, rel=1e-3)
 
@@ -61,8 +70,7 @@ class TestLaunching:
         sim, instance, engine = setup
         done = {}
         sms = engine.prefill_sms
-        work = Work(flops=instance.device.compute_rate(sms) * 0.01, bytes=0.0)
-        engine.launch_prefill_group(work, layer_count=8, on_done=lambda t: done.setdefault("t", t))
+        engine.launch_prefill_group(timed_task(instance, sms, 0.01, done, "t"), layer_count=8)
         sim.run()
         expected = cfg_70b.launch.prefill_layers_launch(8) + 0.01
         assert done["t"] == pytest.approx(expected, rel=1e-3)
@@ -74,12 +82,10 @@ class TestLaunching:
         instance = build_instance(sim, cfg_70b, cfg_70b.n_gpus, "nb")
         engine = MultiplexEngine(sim, instance, cfg_70b, decode_sms=48, layerwise=False)
         done = {}
-        prefill_work = Work(flops=instance.device.compute_rate(60) * 0.05, bytes=0.0)
         engine.launch_prefill_group(
-            prefill_work, layer_count=80, on_done=lambda t: None, whole_phase_layers=80
+            timed_task(instance, 60, 0.05), layer_count=80, whole_phase_layers=80
         )
-        decode_work = Work(flops=instance.device.compute_rate(48) * 0.001, bytes=0.0)
-        engine.launch_decode(decode_work, lambda t: done.setdefault("t", t))
+        engine.launch_decode(timed_task(instance, 48, 0.001, done, "t"))
         sim.run()
         full_launch = cfg_70b.launch.full_prefill_launch(80)
         # Decode completion is pushed behind the long prefill launch.
@@ -88,10 +94,8 @@ class TestLaunching:
     def test_concurrent_streams_overlap_execution(self, setup):
         sim, instance, engine = setup
         done = {}
-        decode_work = Work(flops=instance.device.compute_rate(48) * 0.1, bytes=0.0)
-        prefill_work = Work(flops=instance.device.compute_rate(engine.prefill_sms) * 0.1, bytes=0.0)
-        engine.launch_decode(decode_work, lambda t: done.setdefault("d", t))
-        engine.launch_prefill_group(prefill_work, 10, lambda t: done.setdefault("p", t))
+        engine.launch_decode(timed_task(instance, 48, 0.1, done, "d"))
+        engine.launch_prefill_group(timed_task(instance, engine.prefill_sms, 0.1, done, "p"), 10)
         sim.run()
         # Both finish around 0.1 s (+launches), i.e. they ran concurrently.
         assert done["d"] < 0.12
@@ -101,16 +105,14 @@ class TestLaunching:
 class TestBubbleAccounting:
     def test_bubble_ratio_reflects_idle_streams(self, setup):
         sim, instance, engine = setup
-        work = Work(flops=instance.device.compute_rate(48) * 0.1, bytes=0.0)
-        engine.launch_decode(work, lambda t: None)
+        engine.launch_decode(timed_task(instance, 48, 0.1))
         sim.run(until=0.4)
         # Decode stream busy 0.1/0.4; prefill stream fully idle.
         assert 0.5 < engine.bubble_ratio() <= 1.0
 
     def test_reset_bubble_accounting(self, setup):
         sim, instance, engine = setup
-        work = Work(flops=instance.device.compute_rate(48) * 0.1, bytes=0.0)
-        engine.launch_decode(work, lambda t: None)
+        engine.launch_decode(timed_task(instance, 48, 0.1))
         sim.run(until=0.2)
         engine.reset_bubble_accounting()
         assert engine.bubble_ratio() == 0.0

@@ -4,6 +4,7 @@
 import pytest
 
 from repro.gpu import A100, H100, Device, ExecTask, OutOfMemoryError
+from repro.models.costs import PhaseCost, phase_latency
 from repro.sim import Simulator
 
 
@@ -56,9 +57,10 @@ class TestSoloExecution:
     def test_compute_scales_with_sm_count(self):
         sim, device = make_device()
         flops = device.compute_rate(device.total_sms) * 0.1
-        full = ExecTask(flops=flops, bytes=0.0, sm_count=device.total_sms)
-        half = ExecTask(flops=flops, bytes=0.0, sm_count=device.total_sms // 2)
-        assert half.solo_time(device) == pytest.approx(2 * full.solo_time(device), rel=0.02)
+        cost = PhaseCost(flops, flops, 0.0, 0.0)
+        full = phase_latency(cost, device, device.total_sms)
+        half = phase_latency(cost, device, device.total_sms // 2)
+        assert half == pytest.approx(2 * full, rel=0.02)
 
     def test_max_bandwidth_caps_memory_rate(self):
         sim, device = make_device()
@@ -117,7 +119,7 @@ class TestContention:
         """Compute-bound tasks barely slow down under co-running."""
         sim, device = make_device(n_gpus=8)
         flops = device.compute_rate(48) * 0.2
-        solo = ExecTask(flops=flops, bytes=1e6, sm_count=48).solo_time(device)
+        solo = phase_latency(PhaseCost(flops, flops, 1e6, 0.0), device, 48)
         done = {}
         device.submit(ExecTask(flops=device.compute_rate(60) * 0.3, bytes=1e9, sm_count=60))
         device.submit(

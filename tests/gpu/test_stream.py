@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import pytest
 
-from repro.gpu import A100, Device, HostThread, LaunchModel, Stream, Work
+from repro.gpu import A100, Device, ExecTask, HostThread, LaunchModel, Stream
 from repro.gpu.launch import KERNELS_FIXED, KERNELS_PER_LAYER, GraphMemoryModel
 from repro.sim import Simulator
 
@@ -15,51 +15,81 @@ def make_stream(sm_count: int = 54):
     return sim, device, Stream(device, sm_count)
 
 
-def timed_work(device: Device, sm_count: int, seconds: float) -> Work:
-    return Work(flops=device.compute_rate(sm_count) * seconds, bytes=0.0)
+def timed_task(device: Device, sm_count: int, seconds: float, done: list | None = None) -> ExecTask:
+    """A compute-only task of ``seconds`` on ``sm_count`` SMs; its completion
+    time is appended to ``done``."""
+    return ExecTask(
+        flops=device.compute_rate(sm_count) * seconds,
+        bytes=0.0,
+        on_complete=None if done is None else done.append,
+    )
 
 
 class TestStream:
     def test_work_executes_on_partition(self):
         sim, device, stream = make_stream(54)
-        handle = stream.submit(timed_work(device, 54, 0.1))
+        done = []
+        stream.submit(timed_task(device, 54, 0.1, done))
         sim.run()
-        assert handle.done
-        assert handle.completion_time == pytest.approx(0.1, rel=1e-6)
+        assert len(done) == 1
+        assert done[0] == pytest.approx(0.1, rel=1e-6)
 
     def test_serial_execution_order(self):
         sim, device, stream = make_stream(54)
-        first = stream.submit(timed_work(device, 54, 0.1))
-        second = stream.submit(timed_work(device, 54, 0.1))
+        first, second = [], []
+        stream.submit(timed_task(device, 54, 0.1, first))
+        stream.submit(timed_task(device, 54, 0.1, second))
         sim.run()
-        assert first.completion_time == pytest.approx(0.1, rel=1e-6)
-        assert second.completion_time == pytest.approx(0.2, rel=1e-6)
+        assert first[0] == pytest.approx(0.1, rel=1e-6)
+        assert second[0] == pytest.approx(0.2, rel=1e-6)
 
     def test_query_is_nonblocking(self):
         sim, device, stream = make_stream(54)
-        handle = stream.submit(timed_work(device, 54, 0.1))
-        assert handle.done is False
+        done = []
+        stream.submit(timed_task(device, 54, 0.1, done))
+        assert done == []
         sim.run()
-        assert handle.done is True
+        assert len(done) == 1
 
-    def test_callback_fires_immediately_if_done(self):
+    def test_callback_runs_after_release_before_next_op(self):
+        """A task's callback sees the stream idle, and work it submits from
+        there queues behind ops that were already waiting."""
         sim, device, stream = make_stream(54)
-        handle = stream.submit(timed_work(device, 54, 0.05))
+        order = []
+
+        def first_done(_t):
+            order.append(("first", stream._busy))
+            stream.submit(timed_task(device, 54, 0.1, order))
+
+        stream.submit(ExecTask(flops=device.compute_rate(54) * 0.1, bytes=0.0, on_complete=first_done))
+        stream.submit(timed_task(device, 54, 0.1, order))
         sim.run()
-        seen = []
-        handle.on_complete(lambda t: seen.append(t))
-        assert seen == [handle.completion_time]
+        assert order[0] == ("first", False)
+        assert order[1:] == [pytest.approx(0.2, rel=1e-6), pytest.approx(0.3, rel=1e-6)]
 
     def test_resize_changes_partition_after_queued_work(self):
         sim, device, stream = make_stream(54)
-        stream.submit(timed_work(device, 54, 0.1))
+        stream.submit(timed_task(device, 54, 0.1))
         stream.resize(27)
-        handle = stream.submit(timed_work(device, 27, 0.1))
+        done = []
+        stream.submit(timed_task(device, 27, 0.1, done))
         sim.run()
         assert stream.sm_count == 27
-        assert handle.completion_time == pytest.approx(
-            0.1 + A100.greenctx_reconfig_time + 0.1, rel=1e-4
-        )
+        assert done[0] == pytest.approx(0.1 + A100.greenctx_reconfig_time + 0.1, rel=1e-4)
+
+    def test_task_binds_partition_when_it_starts(self):
+        """A task submitted before a resize but queued behind it runs on the
+        post-resize SM count: binding happens at start, not at submit."""
+        sim, device, stream = make_stream(54)
+        stream.submit(timed_task(device, 54, 0.1))
+        stream.resize(27)
+        task = timed_task(device, 27, 0.1)
+        stream.submit(task)
+        assert stream.sm_count == 54
+        sim.run()
+        assert task.sm_count == 27
+        assert task.trace_track == stream.trace_track
+        assert task.start_time == pytest.approx(0.1 + A100.greenctx_reconfig_time, rel=1e-6)
 
     def test_resize_validation(self):
         _, device, stream = make_stream()
@@ -70,14 +100,14 @@ class TestStream:
 
     def test_bubble_ratio_counts_idle_time(self):
         sim, device, stream = make_stream(54)
-        stream.submit(timed_work(device, 54, 0.5))
+        stream.submit(timed_task(device, 54, 0.5))
         sim.schedule(1.0, lambda: None)  # extend the window to t=1
         sim.run()
         assert stream.bubble_ratio() == pytest.approx(0.5, rel=0.02)
 
     def test_bubble_ratio_zero_when_always_busy(self):
         sim, device, stream = make_stream(54)
-        stream.submit(timed_work(device, 54, 1.0))
+        stream.submit(timed_task(device, 54, 1.0))
         sim.run()
         assert stream.bubble_ratio() == pytest.approx(0.0, abs=1e-6)
 
@@ -89,7 +119,7 @@ class TestStream:
         sim = Simulator()
         device = Device(sim, spec)
         stream = Stream(device, 54)
-        stream.submit(timed_work(device, 54, 0.1))
+        stream.submit(timed_task(device, 54, 0.1))
         stream.resize(27)
         sim.run()
         # Window is 0.15 s: 0.1 s of work + 0.05 s of resize, zero idle.
@@ -101,7 +131,7 @@ class TestStream:
         sim = Simulator()
         device = Device(sim, spec)
         stream = Stream(device, 54)
-        stream.submit(timed_work(device, 54, 0.1))
+        stream.submit(timed_task(device, 54, 0.1))
         sim.schedule(0.2, lambda: stream.resize(27))
         sim.run()
         # Busy 0.1 (work) + 0.05 (resize) out of a 0.25 s window.

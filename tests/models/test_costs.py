@@ -146,11 +146,3 @@ class TestPhaseCostAlgebra:
     def test_scaled(self):
         a = PhaseCost(1.0, 2.0, 3.0, 4.0)
         assert a.scaled(3).bytes == 9.0
-
-    def test_work_conversion(self, cm70):
-        cost = cm70.decode_iter([512] * 4)
-        work = cost.work(tag="t")
-        assert work.flops == cost.flops
-        assert work.bytes == cost.bytes
-        assert work.fixed_time == cost.comm_time
-        assert work.tag == "t"

@@ -43,6 +43,16 @@ class TestScheduling:
         sim.run()
         assert order == list("abcde")
 
+    def test_sequence_numbers_are_per_simulator(self):
+        """Each simulator numbers its own events from 0, whatever other
+        simulators in the process have scheduled before it."""
+        other = Simulator()
+        for _ in range(3):
+            other.schedule(1.0, lambda: None)
+        fresh = Simulator()
+        assert fresh.schedule(1.0, lambda: None).seq == 0
+        assert fresh.schedule(1.0, lambda: None).seq == 1
+
     def test_priority_overrides_insertion_order(self):
         sim = Simulator()
         order = []

@@ -114,11 +114,9 @@ for info in pkgutil.walk_packages(repro.__path__, "repro."):
     importlib.import_module(info.name)
 
 from repro.kvcache import radix
-from repro.sim import events
 from repro.workloads import request
 
 print(json.dumps({
-    "repro.sim.events._sequence": next(events._sequence),
     "repro.kvcache.radix._segment_uids": next(radix._segment_uids),
     "repro.workloads.request._request_ids": next(request._request_ids),
 }))

@@ -11,7 +11,7 @@ import pytest
 from repro.baselines import ChunkedPrefillServer
 from repro.bench import run_system
 from repro.core import MuxWiseServer
-from repro.gpu import A100, Device, Stream
+from repro.gpu import A100, Device, ExecTask, Stream
 from repro.sim import Simulator
 from repro.trace import (
     Tracer,
@@ -177,14 +177,12 @@ class TestBubbleCrossCheck:
         device = Device(sim, A100)
         stream = Stream(device, 54)
 
-        def work(seconds):
-            from repro.gpu import Work
+        def task(seconds):
+            return ExecTask(flops=device.compute_rate(54) * seconds, bytes=0.0)
 
-            return Work(flops=device.compute_rate(54) * seconds, bytes=0.0)
-
-        stream.submit(work(0.3))
+        stream.submit(task(0.3))
         sim.schedule(0.5, lambda: stream.resize(27))
-        sim.schedule(0.7, lambda: stream.submit(work(0.2)))
+        sim.schedule(0.7, lambda: stream.submit(task(0.2)))
         sim.schedule(1.2, lambda: None)  # idle tail extends the window
         sim.run()
         expected = stream.bubble_ratio()
