@@ -26,6 +26,10 @@ from repro.serving.batching import DecodeBatchMixin
 from repro.serving.config import ServingConfig
 from repro.sim import Simulator
 
+#: Share of the TBT SLO a temporal cycle may fill with decode plus prefill
+#: layers.
+SLACK_MARGIN = 0.9
+
 
 class WindServeServer(DecodeBatchMixin):
     """Stream-based PD multiplexing without compute partitioning."""
@@ -110,12 +114,11 @@ class TemporalMuxServer(DecodeBatchMixin):
 
     name = "TemporalMux"
 
-    def __init__(self, sim: Simulator, cfg: ServingConfig, slack_margin: float = 0.9) -> None:
+    def __init__(self, sim: Simulator, cfg: ServingConfig) -> None:
         super().__init__(sim, cfg)
         self.instance = build_instance(sim, cfg, cfg.n_gpus, name="temporal-inst")
         device = self.instance.device
         self.stream = Stream(device, device.total_sms, name="temporal")
-        self.slack_margin = slack_margin
         self.waiting = self.make_waiting_queue()
         self.running: list[RequestState] = []
         self._active_prefill: RequestState | None = None
@@ -157,7 +160,7 @@ class TemporalMuxServer(DecodeBatchMixin):
         if prefill is not None:
             remaining = model.num_layers - prefill.layers_done
             if batch:
-                slack = self.cfg.slo.tbt * self.slack_margin - decode_time
+                slack = self.cfg.slo.tbt * SLACK_MARGIN - decode_time
                 per_layer = phase_latency(
                     cost_model.prefill_layers([prefill.prefill_item()], 1), device, device.total_sms
                 )

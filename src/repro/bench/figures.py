@@ -1,0 +1,666 @@
+"""The paper's serving figures and tables as studies.
+
+Each figure is a ``run_*(scale, seed)`` returning a
+:class:`~repro.bench.report.FigureReport` whose payload holds the
+figure's results and its ``verdicts``, one per paper shape (who wins, by
+roughly what factor, where crossovers fall), and a ``render_*`` printing
+its tables (registered in :data:`repro.bench.studies.STUDIES`).  Every
+run goes through :func:`~repro.bench.runner.simulate` or one of the
+harnesses on top of it.  ``scale`` multiplies request and session counts
+(1.0 is the size the verdicts are checked at) and ``seed`` is added to
+each figure's fixed workload seeds.
+"""
+
+from __future__ import annotations
+
+import math
+
+from repro.bench.fleet import compare_policies, replica_scaling, run_fleet
+from repro.bench.characterize import CFG_70B
+from repro.bench.goodput import goodput_sweep
+from repro.bench.report import (
+    FigureReport,
+    latency_table,
+    series,
+    tail_latency_table,
+    throughput_table,
+)
+from repro.bench.runner import run_capped, run_system, simulate
+from repro.bench.systems import (
+    WORKLOAD_CHUNK_REUSE,
+    make_factory,
+    paper_systems,
+    tuned_token_budget,
+)
+from repro.cluster import FleetConfig
+from repro.core import MuxWiseServer
+from repro.gpu import A100, H100, H200
+from repro.models import LLAMA_8B, LLAMA_70B, QWEN3_235B
+from repro.serving import SLO, ServingConfig
+from repro.serving.metrics import percentile
+from repro.workloads import (
+    loogle_workload,
+    mixed_workload,
+    openthoughts_workload,
+    realworld_trace,
+    sharegpt_workload,
+    toolagent_workload,
+)
+
+CFG_8B = ServingConfig(model=LLAMA_8B, spec=A100, n_gpus=8)
+#: Llama-8B on one A100 (§4.3.1, §6 and the fleet replicas).
+CFG_8B_SINGLE = ServingConfig(model=LLAMA_8B, spec=A100, n_gpus=1)
+
+
+def _n(count: int, scale: float) -> int:
+    """``count`` requests or sessions at ``scale``."""
+    return max(1, int(count * scale))
+
+
+def _run_all(cfg: ServingConfig, workload, kind: str, drain_horizon: float, runs: list) -> dict:
+    """The paper's five systems on ``workload`` (budget tuned for ``kind``):
+    their summaries by name; the results join ``runs``."""
+    results = {
+        name: run_system(factory, cfg, workload, drain_horizon=drain_horizon)
+        for name, factory in paper_systems(cfg, kind).items()
+    }
+    runs += results.values()
+    return {name: result.summary for name, result in results.items()}
+
+
+def _goodput(names, budget: int, cfg: ServingConfig, workload, rates, runs: list) -> dict:
+    """Each named system's goodput over ``rates``; every run joins ``runs``."""
+    goodput = {}
+    for name in names:
+        sweep = goodput_sweep(name, make_factory(name, budget), cfg, workload, rates=rates)
+        runs += [point.result for point in sweep.points]
+        goodput[name] = sweep.goodput
+    return goodput
+
+
+def _mux_leads(summaries: dict, metric: str, slack: float) -> bool:
+    """MuxWise's ``metric`` is within ``slack`` of every other system's."""
+    mux = getattr(summaries["MuxWise"], metric)
+    return all(mux <= getattr(s, metric) * slack for s in summaries.values())
+
+
+# Fleet: on prefix-heavy multi-turn traces, prefix-affinity routing keeps
+# each session on the replica holding its KV history; N replicas at N x
+# the arrival rate behave like one replica at 1x.
+
+FLEET_RATE = 2.0
+_chunked = make_factory("chunked", 256)
+
+
+def run_fleet_study(scale: float = 1.0, seed: int = 0) -> FigureReport:
+    cfg = CFG_8B_SINGLE
+    workload = toolagent_workload(_n(25, scale), request_rate=3.0, seed=7 + seed)
+    policies = compare_policies(
+        _chunked, cfg, workload, ["round-robin", "prefix-affinity"], FleetConfig(replicas=3)
+    )
+    single = run_system(
+        _chunked, cfg, sharegpt_workload(_n(20, scale), rate=FLEET_RATE, seed=13 + seed)
+    )
+    matched = {
+        policy: run_fleet(
+            _chunked,
+            cfg,
+            sharegpt_workload(_n(80, scale), rate=4 * FLEET_RATE, seed=13 + seed),
+            FleetConfig(replicas=4, policy=policy),
+        )
+        for policy in ("least-outstanding", "prefix-affinity")
+    }
+    scaling = dict(replica_scaling(
+        _chunked,
+        cfg,
+        lambda rate: sharegpt_workload(_n(int(10 * rate), scale), rate=rate, seed=17 + seed),
+        replica_counts=[1, 2, 4],
+        per_replica_rate=FLEET_RATE,
+        fleet=FleetConfig(replicas=1, policy="least-outstanding"),
+    ))
+    # Goodput at the matched rate: the rate when the SLO holds, else 0.
+    goodput = {"single": FLEET_RATE if single.meets_slo else 0.0}
+    goodput.update({p: 4 * FLEET_RATE if r.meets_slo else 0.0 for p, r in matched.items()})
+    hit_rate = {policy: r.cache_hit_rate for policy, r in policies.items()}
+    verdicts = {
+        "affinity_more_cache_hits_than_round_robin": hit_rate["prefix-affinity"]
+        > hit_rate["round-robin"],
+        "every_policy_finishes_every_request": all(
+            r.summary.requests_finished == len(workload) for r in policies.values()
+        ),
+        "single_replica_meets_slo": single.meets_slo,
+    }
+    # 4 replicas at 4x the rate keep the SLO one replica keeps at 1x: the
+    # router adds no meaningful overhead at moderate load.
+    for policy in matched:
+        matches = goodput[policy] >= 4 * goodput["single"]
+        verdicts[f"{policy}_fleet_goodput_matches_single"] = matches
+    verdicts["scaling_meets_slo"] = all(r.meets_slo for r in scaling.values())
+    # Output throughput grows with the fleet (allowing 20% routing slack).
+    verdicts["throughput_scales_with_replicas"] = (
+        scaling[4].summary.output_throughput > 2.0 * scaling[1].summary.output_throughput * 0.8
+    )
+    payload = {"policies": policies, "goodput": goodput, "scaling": scaling, "verdicts": verdicts}
+    runs = [*policies.values(), single, *matched.values(), *scaling.values()]
+    return FigureReport.of(payload, runs)
+
+
+def render_fleet(report: FigureReport) -> str:
+    p, goodput = report.payload, report.payload["goodput"]
+    lines = [
+        f"  {policy:>16}: cache hit {r.cache_hit_rate:.3f}, ttft p99 {r.summary.ttft_p99:.3f}s"
+        for policy, r in p["policies"].items()
+    ]
+    lines += [
+        f"  single: {goodput['single']:.1f} req/s, fleet(4, {policy}): {value:.1f} req/s"
+        for policy, value in goodput.items()
+        if policy != "single"
+    ]
+    lines += [
+        f"  {count} replica(s): {r.summary.output_throughput:8.1f} out tok/s, "
+        f"slo={'yes' if r.meets_slo else 'no'}"
+        for count, r in p["scaling"].items()
+    ]
+    return "\n".join(lines)
+
+
+# Fig. 14: P99 TTFT and TBT of the five systems on the bursty real-world
+# replays.  MuxWise posts the best P99 TTFT and meets the TBT SLO;
+# chunked-prefill and NanoFlow violate it on the 70B multi-turn traces;
+# NanoFlow does not beat chunked-prefill.
+
+#: (label, deployment, trace, base request rate, trace duration s).
+FIG14_CASES = (
+    ("8b_conversation", CFG_8B, "Conversation", 2.0, 90.0),
+    ("8b_toolagent", CFG_8B, "Tool&Agent", 2.0, 90.0),
+    ("70b_conversation", CFG_70B, "Conversation", 0.8, 150.0),
+    ("70b_toolagent", CFG_70B, "Tool&Agent", 0.8, 150.0),
+)
+
+
+def run_fig14(scale: float = 1.0, seed: int = 0) -> FigureReport:
+    payload: dict = {}
+    verdicts = payload["verdicts"] = {}
+    runs: list = []
+    for label, cfg, kind, rate, duration in FIG14_CASES:
+        workload = realworld_trace(kind, duration * scale, rate, seed=140 + seed)
+        s = payload[label] = _run_all(cfg, workload, kind, 300.0, runs)
+        # MuxWise posts the best P99 TTFT across systems (within 10 % slack)...
+        verdicts[f"{label}_mux_best_ttft_p99"] = _mux_leads(s, "ttft_p99", 1.1)
+        # ...and meets the TBT SLO on every real-world case.
+        verdicts[f"{label}_mux_meets_slo"] = s["MuxWise"].slo_met
+        # NanoFlow does not beat chunked-prefill on these traces (§4.2.1).
+        verdicts[f"{label}_nanoflow_not_ahead_of_chunked"] = (
+            s["NanoFlow"].ttft_p99 >= s["Chunked"].ttft_p99 * 0.7
+        )
+        if cfg.model is LLAMA_70B:
+            # The chunked family breaks the 100 ms TBT SLO on 70B multi-turn,
+            verdicts[f"{label}_chunked_family_breaks_slo"] = (
+                not s["Chunked"].slo_met or not s["NanoFlow"].slo_met
+            )
+            # while static disaggregation keeps TBT in check.
+            verdicts[f"{label}_sglang_pd_meets_slo"] = s["SGLang-PD"].slo_met
+    return FigureReport.of(payload, runs)
+
+
+def render_fig14(report: FigureReport) -> str:
+    return "\n".join(
+        f"Fig14 {cfg.model.name} / {kind} @ ~{rate} req/s\n"
+        + tail_latency_table(report.payload[label])
+        for label, cfg, kind, rate, _ in FIG14_CASES
+    )
+
+
+# Fig. 15: Tool&Agent requests at increasing Poisson rates (§4.2.3).
+# Goodput is the highest rate where P99 TBT meets the SLO and the system
+# is stable.  Paper: Llama-8B MuxWise > SGLang-PD > LoongServe > Chunked >
+# NanoFlow (1.3x / 2.0x / 2.6x / 5.2x); Llama-70B likewise, NanoFlow never
+# meeting the SLO (1.62x / 2.62x / 3.06x / inf).
+
+FIG15_RATES = {
+    "8b": (CFG_8B, [3.0, 6.0, 10.0, 14.0, 18.0, 24.0, 30.0]),
+    "70b": (CFG_70B, [0.25, 0.5, 0.75, 1.0, 1.5, 2.0, 2.75, 3.5]),
+}
+
+
+def run_fig15(scale: float = 1.0, seed: int = 0) -> FigureReport:
+    def workload(rate: float):
+        # The trace grows with the rate so saturation has time to manifest
+        # (a fixed-size trace at a high rate drains before queues
+        # diverge), capped to keep the sweep's runtime bounded.
+        sessions = max(60, min(320, int(rate * 40)))
+        return toolagent_workload(_n(sessions, scale), request_rate=rate, seed=150 + seed)
+
+    payload: dict = {}
+    verdicts = payload["verdicts"] = {}
+    runs: list = []
+    for label, (cfg, rates) in FIG15_RATES.items():
+        sweeps = payload[label] = {}
+        for name, factory in paper_systems(cfg, "Tool&Agent").items():
+            sweep = goodput_sweep(name, factory, cfg, workload, rates=rates)
+            runs += [point.result for point in sweep.points]
+            sweeps[name] = {
+                "rates": [point.rate for point in sweep.points],
+                "tbt_p99": [point.result.summary.tbt_p99 for point in sweep.points],
+                "goodput": sweep.goodput,
+            }
+        g = {name: sweep["goodput"] for name, sweep in sweeps.items()}
+        mux, chunked = g["MuxWise"], g["Chunked"]
+        # MuxWise achieves the highest goodput of all systems...
+        verdicts[f"{label}_mux_highest_goodput"] = all(mux >= value for value in g.values())
+        # ...with meaningful margins over the chunked family (paper: 2.6-3.06x).
+        verdicts[f"{label}_mux_1.5x_chunked"] = not chunked > 0 or mux >= 1.5 * chunked
+        verdicts[f"{label}_mux_not_below_nanoflow"] = mux >= g["NanoFlow"]
+        # SGLang-PD is the strongest baseline (paper: 1.3-1.62x below MuxWise).
+        verdicts[f"{label}_sglang_pd_not_below_chunked"] = g["SGLang-PD"] >= chunked
+        verdicts[f"{label}_mux_not_below_sglang_pd"] = mux >= g["SGLang-PD"]
+    return FigureReport.of(payload, runs)
+
+
+def render_fig15(report: FigureReport) -> str:
+    lines = []
+    for label in FIG15_RATES:
+        lines.append(f"Llama-{label.upper()}:")
+        for name, sweep in report.payload[label].items():
+            ys = [min(t * 1e3, 999.0) for t in sweep["tbt_p99"]]
+            lines.append(series(f"Fig15 {name} P99 TBT (ms)", sweep["rates"], ys, "req/s", "ms"))
+            lines.append(f"{name}: goodput = {sweep['goodput']:.2f} req/s")
+    return "\n".join(lines)
+
+
+# Fig. 16: MuxWise vs chunked-prefill for Llama-8B and -70B on 8xH100 and
+# Qwen3-235B-A22B on 8xH200 (LoongServe lacks MoE support, and
+# disaggregation cannot host the weights per instance).  Paper: MuxWise
+# wins P99 TTFT (avg 2.28x) and P99 TBT (avg 1.81x) in every case.
+
+FIG16_CASES = (
+    ("8b_h100", ServingConfig(model=LLAMA_8B, spec=H100, n_gpus=8), 3.0),
+    ("70b_h100", ServingConfig(model=LLAMA_70B, spec=H100, n_gpus=8), 1.0),
+    ("qwen_h200", ServingConfig(model=QWEN3_235B, spec=H200, n_gpus=8), 1.0),
+)
+
+
+def run_fig16(scale: float = 1.0, seed: int = 0) -> FigureReport:
+    payload: dict = {}
+    verdicts = payload["verdicts"] = {}
+    runs = []
+    for label, cfg, rate in FIG16_CASES:
+        workload = realworld_trace("Tool&Agent", 120.0 * scale, rate, seed=160 + seed)
+        budget = tuned_token_budget(cfg, chunk_reused=WORKLOAD_CHUNK_REUSE["Tool&Agent"])
+        results = [
+            run_system(make_factory(name, budget), cfg, workload, drain_horizon=450.0)
+            for name in ("muxwise", "chunked")
+        ]
+        runs += results
+        mux, chunked = (result.summary for result in results)
+        payload[label] = {"budget": budget, "MuxWise": mux, "Chunked": chunked}
+        # MuxWise improves (or ties) both tail metrics.
+        verdicts[f"{label}_mux_ttft_p99_not_worse"] = mux.ttft_p99 <= chunked.ttft_p99
+        verdicts[f"{label}_mux_tbt_p99_within_5pct"] = mux.tbt_p99 <= chunked.tbt_p99 * 1.05
+        verdicts[f"{label}_mux_meets_slo"] = mux.slo_met
+    return FigureReport.of(payload, runs)
+
+
+def render_fig16(report: FigureReport) -> str:
+    lines = []
+    for label, cfg, _ in FIG16_CASES:
+        p = report.payload[label]
+        lines.append(f"Fig16 {cfg.model.name} on {cfg.spec.name} (chunked budget {p['budget']})")
+        lines.append(tail_latency_table({"MuxWise": p["MuxWise"], "Chunked": p["Chunked"]}))
+    return "\n".join(lines)
+
+
+# Fig. 17: ShareGPT, LooGLE and OpenThoughts on Llama-70B.  MuxWise leads
+# TTFT and meets the SLO everywhere; SGLang-PD can match its ShareGPT TBT
+# (it statically reserves more decode compute); LoongServe struggles on
+# OpenThoughts (short inputs, ultra-long outputs).  §4.3.1: on one A100
+# with Llama-8B and ShareGPT, MuxWise improves goodput ~1.2x over chunked.
+
+#: (label, workload, generator, requests, rate, seed).
+FIG17_CASES = (
+    ("sharegpt", "ShareGPT", sharegpt_workload, 120, 5.0, 170),
+    ("loogle", "LooGLE", loogle_workload, 25, 0.1, 171),
+    ("openthoughts", "OpenThoughts", openthoughts_workload, 35, 0.3, 172),
+)
+
+
+def run_fig17(scale: float = 1.0, seed: int = 0) -> FigureReport:
+    payload: dict = {}
+    verdicts = payload["verdicts"] = {}
+    runs: list = []
+    for label, kind, generate, count, rate, base_seed in FIG17_CASES:
+        workload = generate(_n(count, scale), rate=rate, seed=base_seed + seed)
+        s = payload[label] = _run_all(CFG_70B, workload, kind, 600.0, runs)
+        verdicts[f"{label}_mux_meets_slo"] = s["MuxWise"].slo_met
+        verdicts[f"{label}_mux_best_ttft_p99"] = _mux_leads(s, "ttft_p99", 1.1)
+    # SGLang-PD statically reserves more decode compute -> its TBT can
+    # undercut MuxWise's.
+    share = payload["sharegpt"]
+    verdicts["sharegpt_sglang_pd_tbt_p99_within_1.3x_mux"] = (
+        share["SGLang-PD"].tbt_p99 <= share["MuxWise"].tbt_p99 * 1.3
+    )
+    # LoongServe is weakest on short-input/long-output reasoning.
+    thoughts = payload["openthoughts"]
+    verdicts["openthoughts_loongserve_ttft_p99_not_below_mux"] = (
+        thoughts["LoongServe"].ttft_p99 >= thoughts["MuxWise"].ttft_p99
+    )
+    goodput = payload["single_gpu_goodput"] = _goodput(
+        ("muxwise", "chunked"),
+        tuned_token_budget(CFG_8B_SINGLE),
+        CFG_8B_SINGLE,
+        lambda rate: sharegpt_workload(_n(100, scale), rate=rate, seed=173 + seed),
+        [5.0, 8.0, 12.0, 16.0],
+        runs,
+    )
+    verdicts["single_gpu_mux_goodput_not_below_chunked"] = goodput["muxwise"] >= goodput["chunked"]
+    return FigureReport.of(payload, runs)
+
+
+def render_fig17(report: FigureReport) -> str:
+    lines = [
+        f"Fig17 {kind} @ {rate} req/s (Llama-70B, 8xA100)\n"
+        + tail_latency_table(report.payload[label])
+        for label, kind, _, _, rate, _ in FIG17_CASES
+    ]
+    goodput = report.payload["single_gpu_goodput"]
+    lines.append(
+        f"Fig17 single-GPU goodput: MuxWise {goodput['muxwise']:.1f} vs "
+        f"Chunked {goodput['chunked']:.1f} req/s"
+    )
+    return "\n".join(lines)
+
+
+# Fig. 18: MuxWise's partition decisions.  LooGLE gives most SMs to
+# prefill, OpenThoughts the most to decode, ShareGPT sits between but
+# leans prefill; under decode-side load swings MuxWise re-partitions
+# repeatedly (the paper saw all six configurations within 30 s of a
+# burst; the simulated decode is comfortable on smaller partitions, so
+# fewer suffice — the churn is what matters).
+
+
+def run_fig18(scale: float = 1.0, seed: int = 0) -> FigureReport:
+    workloads = {
+        "LooGLE": loogle_workload(_n(25, scale), rate=0.12, seed=180 + seed),
+        "ShareGPT": sharegpt_workload(_n(150, scale), rate=5.0, seed=181 + seed),
+        "OpenThoughts": openthoughts_workload(_n(40, scale), rate=0.4, seed=182 + seed),
+        "burst": openthoughts_workload(_n(150, scale), rate=1.2, seed=183 + seed),
+    }
+    logs, runs = {}, []
+    for name, workload in workloads.items():
+        server, stats = simulate(lambda sim: MuxWiseServer(sim, CFG_70B), workload)
+        logs[name] = server.partition_log  # (time, decode SMs, prefill SMs)
+        runs.append(stats)
+    burst = logs.pop("burst")
+    total = CFG_70B.spec.sms
+    share = {}
+    for name, log in logs.items():
+        entries = [decode for _, decode, prefill in log if prefill < total or decode > 0]
+        share[name] = sum(entries) / len(entries) / total if entries else 0.0
+    configs = sorted({decode for _, decode, _ in burst})
+    return FigureReport.of({
+        "decode_share": share,
+        "first_changes": {name: [(t, d) for t, d, _ in log[:15]] for name, log in logs.items()},
+        "burst_configs": configs,
+        "burst_repartitions": len(burst),
+        "verdicts": {
+            # LooGLE: most SMs to prefill => small decode share.
+            "loogle_decode_share_below_half": share["LooGLE"] < 0.5,
+            # OpenThoughts is the most decode-leaning of the three.
+            "openthoughts_decode_share_not_below_sharegpt": share["OpenThoughts"]
+            >= share["ShareGPT"],
+            "openthoughts_decode_share_not_below_loogle": share["OpenThoughts"] >= share["LooGLE"],
+            # ShareGPT lies between LooGLE and OpenThoughts, leaning prefill.
+            "sharegpt_decode_share_at_most_60pct": share["ShareGPT"] <= 0.6,
+            "burst_uses_2_configs": len(configs) >= 2,
+            "burst_repartitions_10_times": len(burst) >= 10,
+        },
+    }, runs)
+
+
+def render_fig18(report: FigureReport) -> str:
+    p = report.payload
+    lines = []
+    for name, changes in p["first_changes"].items():
+        xs, ys = [t for t, _ in changes], [d for _, d in changes]
+        lines.append(series(f"Fig18 {name} decode SMs (first 15 changes)", xs, ys, "time", "SMs"))
+        lines.append(f"{name}: mean decode share {p['decode_share'][name] * 100:.0f}%")
+    lines.append(
+        f"Fig18 dynamics: {len(p['burst_configs'])} decode configurations used "
+        f"({p['burst_configs']}), {p['burst_repartitions']} re-partitions"
+    )
+    return "\n".join(lines)
+
+
+# Fig. 19 + §4.4.2: MuxWise against two degraded engines on Tool&Agent at
+# two rates: (1) layer-wise execution off (full-phase launches), (2) also
+# query-based synchronisation off (blocking merges).  Disabling layer-wise
+# costs about a prefill launch; blocking merges degrade latency badly.
+# MuxWise's bubble ratio (paper: 7.7 % vs chunked's 4.5 %) stays small.
+
+FIG19_RATES = (1.0, 1.75)
+FIG19_VARIANTS = {
+    "MuxWise": {},
+    "-layerwise": {"layerwise": False},
+    "-layerwise-qsync": {"layerwise": False, "query_sync": False},
+}
+
+
+def run_fig19(scale: float = 1.0, seed: int = 0) -> FigureReport:
+    payload: dict = {}
+    verdicts = payload["verdicts"] = {}
+    runs = []
+    for rate in FIG19_RATES:
+        workload = toolagent_workload(_n(60, scale), request_rate=rate, seed=190 + seed)
+        results = {
+            name: run_system(lambda sim, c, kw=kw: MuxWiseServer(sim, c, **kw), CFG_70B, workload)
+            for name, kw in FIG19_VARIANTS.items()
+        }
+        runs += results.values()
+        payload[f"rate_{rate}"] = {name: r.summary for name, r in results.items()}
+        full, no_layerwise, no_qsync = (r.summary.tbt_p99 for r in results.values())
+        # Each removed mechanism makes the tail TBT no better...
+        verdicts[f"rate_{rate}_no_layerwise_tbt_p99_not_better"] = no_layerwise >= full * 0.95
+        verdicts[f"rate_{rate}_no_qsync_tbt_p99_not_better"] = no_qsync >= no_layerwise * 0.95
+        # ...and blocking merges are the big loss (hundreds of ms of stalls).
+        verdicts[f"rate_{rate}_blocking_merges_cost_1.3x"] = no_qsync >= full * 1.3
+    # The bubble window is measured while requests are in flight: up to
+    # the last arrival, then the run drains to summarise the SLO.
+    workload = toolagent_workload(_n(60, scale), request_rate=1.0, seed=191 + seed)
+    mux, _ = simulate(lambda sim: MuxWiseServer(sim, CFG_70B), workload, drain_horizon=0.0)
+    bubble = payload["bubble_ratio"] = mux.engine.bubble_ratio()
+    run_capped(mux.sim, None)
+    # Bubbles exist (fine-grained scheduling) but stay moderate, and they
+    # do not break the decode SLO.
+    verdicts["bubble_ratio_below_40pct"] = bubble < 0.40
+    verdicts["bubble_run_meets_slo"] = mux.metrics.summarize().slo_met
+    return FigureReport.of(payload, runs)
+
+
+def render_fig19(report: FigureReport) -> str:
+    lines = []
+    for rate in FIG19_RATES:
+        lines.append(f"Fig19 Tool&Agent @ {rate} req/s (Llama-70B)")
+        for name, s in report.payload[f"rate_{rate}"].items():
+            lines.append(
+                f"{name:<18} TBT p99 {s.tbt_p99 * 1e3:7.1f} ms   TTFT p99 {s.ttft_p99:7.2f} s"
+            )
+    lines.append(
+        f"Fig19 bubble ratio: MuxWise {report.payload['bubble_ratio'] * 100:.1f}% "
+        "(paper: 7.7% vs chunked 4.5%)"
+    )
+    return "\n".join(lines)
+
+
+# Fig. 20: a 50/50 ShareGPT + LooGLE mix with and without preemption.
+# Paper: preemption speeds up P99 TTFT per token ~1.96x (short requests
+# stop queueing behind ultra-long prefills) without starving long ones.
+
+#: Fig. 20's axis is TTFT *per token*, so the scheduling deadline scales
+#: with input length: short requests have little slack and are the ones
+#: preemption rescues.
+FIG20_CFG = ServingConfig(
+    model=LLAMA_70B, spec=A100, n_gpus=8, slo=SLO(tbt=0.100, ttft=5.0, ttft_per_token=0.02)
+)
+FIG20_PERCENTILES = (10, 25, 50, 75, 90, 99)
+
+
+def run_fig20(scale: float = 1.0, seed: int = 0) -> FigureReport:
+    requests = _n(120, scale)
+    payload: dict = {}
+    runs = []
+    for arm, preemption in (("with", True), ("without", False)):
+        server, stats = simulate(
+            lambda sim, p=preemption: MuxWiseServer(sim, FIG20_CFG, preemption=p),
+            mixed_workload(requests, rate=0.25, seed=200 + seed),
+        )
+        runs.append(stats)
+        values = sorted(
+            record.ttft_per_token
+            for record in server.metrics.records.values()
+            if record.first_token is not None
+        )
+        payload[arm] = {
+            "served": len(values),
+            "ttft_per_token": {pct: percentile(values, pct) for pct in FIG20_PERCENTILES},
+        }
+    with_p, without = payload["with"], payload["without"]
+    speedup = without["ttft_per_token"][99] / with_p["ttft_per_token"][99]
+    payload["p99_speedup"] = speedup
+    payload["verdicts"] = {
+        # Preemption improves the tail materially (a broad band around 1.96x).
+        "preemption_p99_speedup_1.5x": speedup >= 1.5,
+        # Both runs complete every request: preemption never starves victims.
+        "every_request_served": with_p["served"] == without["served"] == requests,
+    }
+    return FigureReport.of(payload, runs)
+
+
+def render_fig20(report: FigureReport) -> str:
+    p = report.payload
+    lines = []
+    for arm in ("with", "without"):
+        cdf = p[arm]["ttft_per_token"]
+        xs, ys = [float(pct) for pct in cdf], [v * 1e3 for v in cdf.values()]
+        lines.append(series(f"Fig20 {arm} preemption", xs, ys, "pct", "TTFT/token ms"))
+    lines.append(
+        f"P99 TTFT-per-token speedup from preemption: {p['p99_speedup']:.2f}x (paper: 1.96x)"
+    )
+    return "\n".join(lines)
+
+
+# Tables 3 and 4: avg/P50 TTFT, TBT, E2E and TPOT for Llama-70B on the
+# Conversation and Tool&Agent traces.  MuxWise leads (or ties) the
+# averages; its TBT average sits in the tens of milliseconds.
+
+TABLES34 = (("table3", "Conversation"), ("table4", "Tool&Agent"))
+
+
+def run_tables34(scale: float = 1.0, seed: int = 0) -> FigureReport:
+    payload: dict = {}
+    verdicts = payload["verdicts"] = {}
+    runs: list = []
+    for label, kind in TABLES34:
+        workload = realworld_trace(kind, 200.0 * scale, 1.0, seed=34 + seed)
+        s = payload[label] = _run_all(CFG_70B, workload, kind, 600.0, runs)
+        mux = s["MuxWise"]
+        # MuxWise outperforms the baselines across the averages (the paper
+        # allows the odd P50-TBT outlier).
+        verdicts[f"{label}_mux_best_ttft_avg"] = _mux_leads(s, "ttft_avg", 1.05)
+        verdicts[f"{label}_mux_best_e2e_avg"] = _mux_leads(s, "e2e_avg", 1.10)
+        verdicts[f"{label}_mux_tbt_avg_10_to_60ms"] = 0.010 <= mux.tbt_avg <= 0.060
+        # TPOT is a smoothed metric: it tracks but never beats worst-token
+        # TBT pathologies, which is why the paper prefers TBT.
+        verdicts[f"{label}_mux_tpot_defined"] = not math.isnan(mux.tpot_avg)
+        verdicts[f"{label}_mux_tpot_tracks_tbt_p50"] = mux.tpot_avg >= mux.tbt_p50 * 0.8
+    return FigureReport.of(payload, runs)
+
+
+def render_tables34(report: FigureReport) -> str:
+    return "\n".join(
+        f"Table {label[-1]}: Llama-70B / {kind}\n" + latency_table(report.payload[label])
+        for label, kind in TABLES34
+    )
+
+
+# Table 5: each system on Tool&Agent near its own sustainable rate.
+# MuxWise posts the highest token throughput and utilisation;
+# chunked-prefill sits far below (the SLO-compliant budget starves the GPU).
+
+#: Per-system operating rates (req/s) approximating each one's goodput on
+#: the 70B Tool&Agent setting, from the Fig. 15 sweeps.
+TABLE5_RATES = {
+    "MuxWise": 1.5, "Chunked": 0.25, "NanoFlow": 0.25, "LoongServe": 0.5, "SGLang-PD": 1.0
+}
+
+
+def run_table5(scale: float = 1.0, seed: int = 0) -> FigureReport:
+    results = {
+        name: run_system(
+            factory,
+            CFG_70B,
+            toolagent_workload(_n(70, scale), request_rate=TABLE5_RATES[name], seed=155 + seed),
+            drain_horizon=900.0,
+        )
+        for name, factory in paper_systems(CFG_70B, "Tool&Agent").items()
+    }
+    throughput = {name: r.summary.useful_throughput for name, r in results.items()}
+    # The paper's Nsight GPU-util metric also reflects intra-SM efficiency,
+    # which raw SM occupancy cannot: chunked keeps SMs resident while doing
+    # little work per cycle.  So compare useful tokens delivered per
+    # occupied SM-second.
+    efficiency = {
+        name: throughput[name] / max(1e-9, r.sm_utilization) for name, r in results.items()
+    }
+    mux = throughput["MuxWise"]
+    return FigureReport.of({
+        "systems": results,
+        "verdicts": {
+            "mux_highest_useful_throughput": all(
+                mux > throughput[name] for name in ("Chunked", "NanoFlow", "SGLang-PD")
+            ),
+            # Paper: ~3.3x over chunked for 70B (7430 vs 2269).
+            "mux_2x_chunked_throughput": mux >= 2.0 * throughput["Chunked"],
+            "mux_more_efficient_than_chunked": efficiency["MuxWise"] > efficiency["Chunked"],
+            "mux_more_efficient_than_nanoflow": efficiency["MuxWise"] > efficiency["NanoFlow"],
+        },
+    }, results.values())
+
+
+def render_table5(report: FigureReport) -> str:
+    table = throughput_table(report.payload["systems"])
+    return "Table 5: Llama-70B / Tool&Agent at per-system goodput\n" + table
+
+
+# §6: WindServe-style plain-stream multiplexing (no SM partitioning, no
+# bubble management; paper: MuxWise 1.61x goodput on ShareGPT / Llama-8B
+# / one A100) and Tropical-style temporal-only multiplexing (layer-wise
+# prefill in decode slack; at least ~20 % worse than MuxWise).
+
+
+def run_variants(scale: float = 1.0, seed: int = 0) -> FigureReport:
+    runs: list = []
+    goodput = _goodput(
+        ("muxwise", "windserve", "temporal"),
+        256,
+        CFG_8B_SINGLE,
+        lambda rate: sharegpt_workload(_n(100, scale), rate=rate, seed=210 + seed),
+        [6.0, 10.0, 14.0, 18.0, 24.0],
+        runs,
+    )
+    return FigureReport.of({
+        "goodput": goodput,
+        "verdicts": {
+            "mux_goodput_not_below_windserve": goodput["muxwise"] >= goodput["windserve"],
+            "mux_goodput_not_below_temporal": goodput["muxwise"] >= goodput["temporal"],
+        },
+    }, runs)
+
+
+def render_variants(report: FigureReport) -> str:
+    goodput = report.payload["goodput"]
+    return (
+        f"WindServe comparison: MuxWise {goodput['muxwise']:.1f} vs WindServe "
+        f"{goodput['windserve']:.1f} req/s (paper: 1.61x)\n"
+        f"Temporal-only comparison: MuxWise {goodput['muxwise']:.1f} vs TemporalMux "
+        f"{goodput['temporal']:.1f} req/s (paper: >= 20% worse)"
+    )

@@ -18,7 +18,7 @@ Two studies back the tiered-KV work:
   prefixes instead of recomputing them — the returned ledger's
   ``restored_tokens`` is the acceptance signal.
 
-Both studies are deterministic: same (bandwidths, scale, seed) → identical
+Both studies are deterministic: same (scale, seed) → identical
 :meth:`KVTiersStudy.as_dict` payload, which is what the perf-harness
 fingerprint and the CI study-smoke job rely on.
 """
@@ -39,7 +39,7 @@ from repro.models.config import LLAMA_8B
 from repro.serving.config import ServingConfig
 from repro.workloads import conversation_workload
 
-#: Interconnect bandwidths swept by default (bytes/sec): commodity TCP,
+#: Interconnect bandwidths swept (bytes/sec, ascending): commodity TCP,
 #: fast Ethernet RDMA, PCIe-class, NVLink-class.
 DEFAULT_BANDWIDTHS: tuple[float, ...] = (2e9, 16e9, 128e9, 300e9)
 
@@ -115,9 +115,7 @@ def _sweep_workload(scale: float, seed: int):
 
 
 def bandwidth_sweep(
-    bandwidths: tuple[float, ...] = DEFAULT_BANDWIDTHS,
-    scale: float = 1.0,
-    seed: int = 0,
+    scale: float = 1.0, seed: int = 0
 ) -> tuple[list[BandwidthPoint], RunStats]:
     """Mux (once) vs disagg (per bandwidth) on the conversation trace.
 
@@ -131,7 +129,7 @@ def bandwidth_sweep(
     stats = mux.stats
 
     points: list[BandwidthPoint] = []
-    for bandwidth in sorted(bandwidths):
+    for bandwidth in DEFAULT_BANDWIDTHS:
         engine = TransferEngine(
             TransferConfig(
                 links=(TransferLink("interconnect", bandwidth, LINK_LATENCY),)
@@ -203,15 +201,9 @@ def failover_restore_study(scale: float = 1.0, seed: int = 0) -> dict[str, int]:
     return ledger
 
 
-def run_kv_tiers_study(
-    bandwidths: tuple[float, ...] | None = None,
-    scale: float = 1.0,
-    seed: int = 0,
-) -> KVTiersStudy:
+def run_kv_tiers_study(scale: float = 1.0, seed: int = 0) -> KVTiersStudy:
     """Run both studies and fold them into one deterministic report."""
-    points, stats = bandwidth_sweep(
-        tuple(bandwidths) if bandwidths else DEFAULT_BANDWIDTHS, scale, seed
-    )
+    points, stats = bandwidth_sweep(scale, seed)
     failover = failover_restore_study(scale, seed)
     stats += RunStats(
         failover["events_processed"], failover["peak_event_queue"], bool(failover["drained"])

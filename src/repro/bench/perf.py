@@ -311,7 +311,6 @@ def run_perf(
     scale: float = 1.0,
     repeats: int = 1,
     tiers: list[str] | None = None,
-    tier_scenarios: tuple[str, ...] = SMOKE_SCENARIOS,
 ) -> PerfReport:
     """Time the canonical scenarios and fingerprint their results.
 
@@ -320,7 +319,7 @@ def run_perf(
     wall-clock (fingerprints must agree across repeats — a mismatch means
     the simulation is non-deterministic, which is itself a bug).
     ``tiers`` names entries of :data:`TIER_SCALES` to additionally run at
-    their scale, restricted to ``tier_scenarios`` (the fast ones — tiers
+    their scale, restricted to :data:`SMOKE_SCENARIOS` (the fast ones — tiers
     exist to measure how throughput holds up as workloads grow, not to
     re-run the slowest studies 10x larger).
     """
@@ -361,6 +360,6 @@ def run_perf(
         report.scenarios[name] = best
     for tier in tiers or []:
         report.tiers[tier] = run_perf(
-            scenarios=list(tier_scenarios), scale=TIER_SCALES[tier], repeats=repeats
+            scenarios=list(SMOKE_SCENARIOS), scale=TIER_SCALES[tier], repeats=repeats
         )
     return report

@@ -7,10 +7,49 @@ labelled series for the figures.
 
 from __future__ import annotations
 
+import dataclasses
 import math
+from dataclasses import dataclass, field
+from typing import Any, Iterable
 
-from repro.bench.runner import RunResult
+from repro.bench.runner import RunResult, RunStats
 from repro.serving.metrics import Summary
+
+
+@dataclass(frozen=True)
+class FigureReport:
+    """One paper figure or table as a study report.
+
+    ``payload`` holds the figure's series and per-system results, which
+    its render reads directly, and under ``"verdicts"`` the yes/no
+    verdict per paper shape; :meth:`as_dict` turns it into plain JSON
+    values (result dataclasses become dicts).  ``extras`` is the
+    simulator load of the runs behind it.
+    """
+
+    payload: dict[str, Any]
+    extras: dict[str, float] = field(default_factory=dict)
+
+    @classmethod
+    def of(cls, payload: dict[str, Any], runs: Iterable[Any] = ()) -> "FigureReport":
+        """The report with ``extras`` summed over ``runs``: run results
+        (anything with a ``stats``) or bare :class:`RunStats`."""
+        stats = [getattr(run, "stats", run) for run in runs]
+        return cls(payload, sum(stats, RunStats()).as_extras() if stats else {})
+
+    def as_dict(self) -> dict[str, Any]:
+        return {**_plain(self.payload), "extras": dict(sorted(self.extras.items()))}
+
+
+def _plain(value: Any) -> Any:
+    """``value`` with every dataclass, tuple and dict key made JSON-plain."""
+    if dataclasses.is_dataclass(value):
+        value = dataclasses.asdict(value)
+    if isinstance(value, dict):
+        return {str(key): _plain(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_plain(item) for item in value]
+    return value
 
 
 def _fmt(value: float, scale: float = 1.0, digits: int = 1) -> str:

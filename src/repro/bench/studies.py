@@ -3,7 +3,10 @@
 A study is one ``run(scale, seed)`` returning a report whose
 ``as_dict()`` is the byte-stable payload, plus the yes/no ``verdicts`` it
 must pass, a human-readable ``render`` and the scale its CI smoke run
-uses.  Everything that drives studies goes through :data:`STUDIES`:
+uses.  The paper's figures and tables are studies too
+(:mod:`repro.bench.characterize`, :mod:`repro.bench.figures`): each
+verdict is one of the paper's shapes, checked at ``smoke_scale`` 1.0.
+Everything that drives studies goes through :data:`STUDIES`:
 
 * ``python -m repro study <name> [--scale S --seed N --json]`` runs one,
   prints its report and exits 1 when any verdict fails;
@@ -19,9 +22,11 @@ import math
 from dataclasses import dataclass
 from typing import Any, Callable
 
+from repro.bench import characterize as ch
+from repro.bench import figures as fig
 from repro.bench.hetero import HeteroStudy, run_hetero_study
 from repro.bench.kv_tiers import KVTiersStudy, run_kv_tiers_study
-from repro.bench.report import tier_table
+from repro.bench.report import FigureReport, tier_table
 from repro.bench.scenarios import ScenariosStudy, run_scenarios_study
 from repro.bench.spec import SpecStudy, run_spec_study
 from repro.bench.tenancy import (
@@ -164,15 +169,18 @@ def _render_scenarios(study: ScenariosStudy) -> str:
     return "\n".join(lines)
 
 
+def _figure(
+    run: Callable[[float, int], FigureReport], render: Callable[[FigureReport], str]
+) -> Study:
+    """A paper figure or table: its run computes its verdicts into the
+    payload, and every verdict holds at scale 1.0."""
+    return Study(run, lambda report: report.payload["verdicts"], render, smoke_scale=1.0)
+
+
 #: Every study, by CLI name.
 STUDIES: dict[str, Study] = {
     "tenancy": Study(compare_isolation, _tenancy_verdicts, _render_tenancy, smoke_scale=0.25),
-    "kvtiers": Study(
-        lambda scale, seed: run_kv_tiers_study(scale=scale, seed=seed),
-        _kvtiers_verdicts,
-        _render_kvtiers,
-        smoke_scale=0.05,
-    ),
+    "kvtiers": Study(run_kv_tiers_study, _kvtiers_verdicts, _render_kvtiers, smoke_scale=0.05),
     "spec": Study(
         lambda scale, seed: run_spec_study(scale=scale, seed=seed),
         _spec_verdicts,
@@ -186,4 +194,22 @@ STUDIES: dict[str, Study] = {
         _render_scenarios,
         smoke_scale=0.25,
     ),
+    "fig3": _figure(ch.run_fig3, ch.render_fig3),
+    "fig5": _figure(ch.run_fig5, ch.render_fig5),
+    "fig6": _figure(ch.run_fig6, ch.render_fig6),
+    "fig11": _figure(ch.run_fig11, ch.render_fig11),
+    "fig13": _figure(ch.run_fig13, ch.render_fig13),
+    "estimator": _figure(ch.run_estimator, ch.render_estimator),
+    "overheads": _figure(ch.run_overheads, ch.render_overheads),
+    "fleet": _figure(fig.run_fleet_study, fig.render_fleet),
+    "fig14": _figure(fig.run_fig14, fig.render_fig14),
+    "fig15": _figure(fig.run_fig15, fig.render_fig15),
+    "fig16": _figure(fig.run_fig16, fig.render_fig16),
+    "fig17": _figure(fig.run_fig17, fig.render_fig17),
+    "fig18": _figure(fig.run_fig18, fig.render_fig18),
+    "fig19": _figure(fig.run_fig19, fig.render_fig19),
+    "fig20": _figure(fig.run_fig20, fig.render_fig20),
+    "tables34": _figure(fig.run_tables34, fig.render_tables34),
+    "table5": _figure(fig.run_table5, fig.render_table5),
+    "variants": _figure(fig.run_variants, fig.render_variants),
 }

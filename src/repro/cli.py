@@ -8,18 +8,21 @@ Subcommands::
     python -m repro cluster    --replicas 4 --policy prefix-affinity --rate 4.0
     python -m repro chaos      --replicas 4 --seed 0   # fault-injection run
     python -m repro perf       --output BENCH_perf.json   # simulator benchmark
-    python -m repro study      tenancy --scale 0.5   # a registered study + its verdicts
+    python -m repro study      fig15   # a registered study or paper figure + its verdicts
     python -m repro profile capture --output prof.json   # fit a latency profile
     python -m repro table1     # Table-1 statistics of the generated traces
     python -m repro specs      # supported models and GPUs
 
 The run commands accept ``--model``, ``--gpu`` and ``--gpus`` to pick the
 deployment (defaults: Llama-70B on 8xA100, the paper's main testbed).
-``study`` runs one entry of :data:`repro.bench.studies.STUDIES` (tenancy,
-kvtiers, spec, hetero, scenarios) and exits 1 when any verdict fails.
+``study`` runs one entry of :data:`repro.bench.studies.STUDIES` and exits 1
+when any verdict fails: the system studies (tenancy, kvtiers, spec, hetero,
+scenarios) and the paper's figures and tables (fig3 ... fig20, tables34,
+table5, estimator, overheads, fleet, variants).
 
-Each handler imports the harness modules it uses, so ``specs``, ``table1``
-and ``--help`` load neither numpy nor :mod:`repro.bench`.
+Each handler imports the harness modules it uses, so ``table1`` and
+``--help`` load neither numpy nor :mod:`repro.bench`, and ``specs`` loads
+only the system table (:mod:`repro.bench.systems`).
 """
 
 from __future__ import annotations
@@ -28,14 +31,6 @@ import argparse
 import json
 import sys
 
-from repro.baselines import (
-    ChunkedPrefillServer,
-    LoongServeServer,
-    NanoFlowServer,
-    SGLangPDServer,
-    TemporalMuxServer,
-    WindServeServer,
-)
 from repro.cluster import (
     POLICIES,
     AdmissionConfig,
@@ -43,7 +38,6 @@ from repro.cluster import (
     FleetConfig,
     HealthConfig,
 )
-from repro.core import HybridPDServer, MuxWiseServer
 from repro.gpu.specs import SPECS_BY_NAME
 from repro.models.config import MODELS_BY_NAME
 from repro.serving.config import ServingConfig
@@ -59,17 +53,6 @@ from repro.workloads import (
     toolagent_workload,
 )
 from repro.workloads.request import Workload
-
-SYSTEMS = {
-    "muxwise": MuxWiseServer,
-    "chunked": ChunkedPrefillServer,
-    "nanoflow": NanoFlowServer,
-    "sglang-pd": SGLangPDServer,
-    "loongserve": LoongServeServer,
-    "windserve": WindServeServer,
-    "temporal": TemporalMuxServer,
-    "hybrid-pd": HybridPDServer,
-}
 
 MODEL_ALIASES = {
     "8b": "Llama-8B",
@@ -129,15 +112,14 @@ def build_workload(args: argparse.Namespace, rate: float | None = None) -> Workl
     raise SystemExit(f"unknown workload {args.workload!r}")
 
 
-def make_factory(name: str, token_budget: int):
-    """System factory by CLI name."""
-    try:
-        cls = SYSTEMS[name.lower()]
-    except KeyError:
-        raise SystemExit(f"unknown system {name!r}; choose from {sorted(SYSTEMS)}")
-    if cls in (ChunkedPrefillServer, NanoFlowServer):
-        return lambda sim, cfg: cls(sim, cfg, token_budget=token_budget)
-    return lambda sim, cfg: cls(sim, cfg)
+def __getattr__(name: str):
+    """``SYSTEMS`` and ``make_factory``, resolved from :mod:`repro.bench.systems`
+    on first use so the parser loads no serving system."""
+    if name in ("SYSTEMS", "make_factory"):
+        from repro.bench import systems
+
+        return getattr(systems, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def make_tracer(args: argparse.Namespace):
@@ -158,6 +140,7 @@ def make_tracer(args: argparse.Namespace):
 def cmd_run(args: argparse.Namespace) -> int:
     from repro.bench.report import latency_table, tail_latency_table, throughput_table
     from repro.bench.runner import RunResult, simulate
+    from repro.bench.systems import make_factory
     from repro.workloads.serialization import save_records
 
     cfg = build_config(args)
@@ -187,6 +170,7 @@ def cmd_run(args: argparse.Namespace) -> int:
 def cmd_compare(args: argparse.Namespace) -> int:
     from repro.bench.report import tail_latency_table, throughput_table
     from repro.bench.runner import run_system
+    from repro.bench.systems import make_factory
 
     cfg = build_config(args)
     workload = build_workload(args)
@@ -203,6 +187,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
 def cmd_goodput(args: argparse.Namespace) -> int:
     from repro.bench.goodput import goodput_sweep
+    from repro.bench.systems import make_factory
 
     cfg = build_config(args)
     rates = [float(r) for r in args.rates.split(",")]
@@ -228,6 +213,7 @@ def cmd_goodput(args: argparse.Namespace) -> int:
 def cmd_cluster(args: argparse.Namespace) -> int:
     from repro.bench.fleet import run_fleet
     from repro.bench.report import latency_table, tail_latency_table
+    from repro.bench.systems import make_factory
 
     cfg = build_config(args)
     workload = build_workload(args)
@@ -287,6 +273,7 @@ def cmd_chaos(args: argparse.Namespace) -> int:
     command twice and diffing the bytes.
     """
     from repro.bench.chaos import run_chaos
+    from repro.bench.systems import make_factory
     from repro.faults import FaultPlan, default_chaos_plan
 
     cfg = build_config(args)
@@ -471,6 +458,7 @@ def cmd_profile(args: argparse.Namespace) -> int:
     """
     from repro.bench.report import tail_latency_table, throughput_table
     from repro.bench.runner import run_system
+    from repro.bench.systems import make_factory
     from repro.profiles import capture_profile, load_profile, save_profile
 
     if args.action == "show":
@@ -529,6 +517,8 @@ def cmd_table1(args: argparse.Namespace) -> int:
 
 
 def cmd_specs(_args: argparse.Namespace) -> int:
+    from repro.bench.systems import SYSTEMS
+
     print("Models:")
     for name, model in MODELS_BY_NAME.items():
         kind = "MoE" if model.is_moe else "dense"
@@ -672,7 +662,12 @@ def build_parser() -> argparse.ArgumentParser:
     perf_p.set_defaults(func=cmd_perf)
 
     study_p = sub.add_parser("study", help="run a registered study and check its verdicts")
-    study_p.add_argument("name", help="which study (tenancy|kvtiers|spec|hetero|scenarios)")
+    study_p.add_argument(
+        "name",
+        help="which study: tenancy, kvtiers, spec, hetero, scenarios, or a paper figure "
+        "or table: fig3, fig5, fig6, fig11, fig13, estimator, overheads, fleet, fig14, "
+        "fig15, fig16, fig17, fig18, fig19, fig20, tables34, table5, variants",
+    )
     study_p.add_argument("--scale", type=float, default=1.0, help="workload scale factor")
     study_p.add_argument("--seed", type=int, default=0, help="workload RNG seed")
     study_p.add_argument(

@@ -4,7 +4,7 @@ A :class:`Fleet` stands up ``replicas`` independent copies of any serving
 system (MuxWise or a baseline) inside one shared
 :class:`~repro.sim.Simulator`.  Each replica owns its GPUs, KV cache and
 metrics exactly as in a single-server run — the per-replica model stays the
-one validated by the paper benchmarks — and a front-end
+one validated by the paper figure studies — and a front-end
 :class:`~repro.cluster.router.Router` spreads arrivals across them, with
 optional admission control and autoscaling.
 

@@ -32,6 +32,10 @@ from repro.serving.config import ServingConfig
 from repro.sim import Simulator
 from repro.trace.tracer import CAT_SCHED
 
+#: Share of the TBT SLO a decode partition is sized against; the rest is
+#: headroom for estimator error.
+SLO_MARGIN = 0.9
+
 
 @dataclass
 class PrefillJob:
@@ -73,7 +77,6 @@ class MuxWiseServer(DecodeBatchMixin):
         layerwise: bool = True,
         query_sync: bool = True,
         preemption: bool = True,
-        slo_margin: float = 0.9,
     ) -> None:
         super().__init__(sim, cfg)
         self.instance = build_instance(sim, cfg, cfg.n_gpus, name=f"{self.name}-inst")
@@ -85,7 +88,6 @@ class MuxWiseServer(DecodeBatchMixin):
         self.layerwise = layerwise
         self.query_sync = query_sync
         self.preemption = preemption
-        self.slo_margin = slo_margin
         self.partition_options = decode_partition_options(cfg.spec)
         self.engine = MultiplexEngine(
             sim, self.instance, cfg, decode_sms=self.partition_options[0], layerwise=layerwise
@@ -335,7 +337,7 @@ class MuxWiseServer(DecodeBatchMixin):
         job = self.active_job or self.preempted_job
         prefill_new = float(job.new_tokens) if job else 0.0
         prefill_reused = float(job.reused_tokens) if job else 0.0
-        budget = self.cfg.slo.tbt * self.slo_margin - self.cfg.launch.decode_launch()
+        budget = self.cfg.slo.tbt * SLO_MARGIN - self.cfg.launch.decode_launch()
         for sm_count in self.partition_options:
             worst = self.estimator.worst_case_decode(
                 batch_size, sum_context, sm_count, prefill_new, prefill_reused
@@ -356,7 +358,7 @@ class MuxWiseServer(DecodeBatchMixin):
         tokens it yields, which is what frees SMs back to prefill.
         """
         scale = self.spec_decode.expected_tokens_per_step()
-        budget = self.cfg.slo.tbt * scale * self.slo_margin - self.cfg.launch.decode_launch()
+        budget = self.cfg.slo.tbt * scale * SLO_MARGIN - self.cfg.launch.decode_launch()
         device = self.instance.device
         for sm_count in self.partition_options:
             if phase_latency(cost, device, sm_count) <= budget:

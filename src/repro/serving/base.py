@@ -44,7 +44,6 @@ def build_instance(
     n_gpus: int,
     name: str,
     cross_request_reuse: bool = True,
-    extra_reserved: float = 0.0,
 ) -> Instance:
     """Construct an instance: device + weights + KV pool + cost model.
 
@@ -56,7 +55,7 @@ def build_instance(
         name = f"{cfg.name_prefix}{name}"
     device = Device(sim, cfg.spec, n_gpus=n_gpus, name=name)
     device.alloc_memory(cfg.model.weight_bytes)
-    reserve = device.mem_capacity * cfg.activation_reserve_fraction + extra_reserved
+    reserve = device.mem_capacity * cfg.activation_reserve_fraction
     if device.mem_free < reserve:
         raise OutOfMemoryError(f"{name}: no memory left for activations")
     device.alloc_memory(reserve)

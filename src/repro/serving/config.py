@@ -108,14 +108,12 @@ class ServingConfig:
         """Provisioned board power of this deployment (watts, all GPUs)."""
         return self.spec.tdp_watts * self.n_gpus
 
-    def kv_pool_bytes(self, instance_gpus: int, extra_reserved: float = 0.0) -> float:
+    def kv_pool_bytes(self, instance_gpus: int) -> float:
         """KV-cache pool size for an instance spanning ``instance_gpus`` GPUs.
 
-        Each instance holds a full weight replica plus activation reserve;
-        ``extra_reserved`` covers system-specific costs (captured CUDA
-        graphs, green-context metadata).
+        Each instance holds a full weight replica plus activation reserve.
         """
         total = self.spec.mem_bytes * instance_gpus
         reserve = total * self.activation_reserve_fraction
-        pool = total - self.model.weight_bytes - reserve - extra_reserved
+        pool = total - self.model.weight_bytes - reserve
         return max(0.0, pool)

@@ -1,7 +1,8 @@
 """Integration tests: the paper's headline comparisons at test scale.
 
 These runs are deliberately small (tens of requests) so the suite stays
-fast; the full-scale reproductions live in benchmarks/.
+fast; the full-scale reproductions are the figure studies
+(``python -m repro study <name>``, :mod:`repro.bench.figures`).
 """
 
 import pytest

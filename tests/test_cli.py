@@ -167,7 +167,11 @@ class TestParser:
 
 
 class TestColdStart:
-    """``specs`` and ``--help`` import neither numpy nor the harness."""
+    """``specs`` and ``--help`` import neither numpy nor the harness.
+
+    ``specs`` lists the systems, so it loads the system table and nothing
+    else of :mod:`repro.bench`.
+    """
 
     RUN = """
 import json, runpy, sys
@@ -179,9 +183,13 @@ except SystemExit as exc:
 print(json.dumps([code, sorted(m for m in sys.modules if m == "numpy" or m.startswith("repro.bench"))]))
 """
 
-    @pytest.mark.parametrize("argv", [["specs"], ["--help"]], ids=" ".join)
-    def test_loads_neither_numpy_nor_bench(self, argv, fresh_python):
-        assert fresh_python(self.RUN.format(argv=argv)) == [0, []]
+    @pytest.mark.parametrize(
+        "argv,bench",
+        [(["specs"], ["repro.bench", "repro.bench.systems"]), (["--help"], [])],
+        ids=["specs", "--help"],
+    )
+    def test_loads_neither_numpy_nor_bench(self, argv, bench, fresh_python):
+        assert fresh_python(self.RUN.format(argv=argv)) == [0, bench]
 
 
 class TestAgenticRagCli:
