@@ -65,11 +65,14 @@ class ChunkedPrefillServer(DecodeBatchMixin):
         self._step_in_flight = True
         decode_batch = [s for s in self.running if not s.finished]
         decode_batch = decode_batch[: self.cfg.max_decode_batch]
-        if decode_batch:
-            # Elide runs of decode-only iterations; falls through to the
-            # scalar body with the then-current batch when anything other
-            # than a steady decode chain is due (see _decode_fast_loop).
-            decode_batch = self._decode_fast_loop(self.instance, decode_batch)
+        if decode_batch and self._decode_fast_loop(
+            self.instance,
+            decode_batch,
+            lambda: self._on_step_done(decode_batch, None, 0, False),
+        ):
+            # A stretch of decode-only iterations is pending; its
+            # continuation completes them (see _decode_fast_loop).
+            return
 
         chunk_tokens = 0
         prefill_state = None
@@ -145,7 +148,7 @@ class ChunkedPrefillServer(DecodeBatchMixin):
         chunk_tokens: int,
         completes_prefill: bool,
     ) -> None:
-        finished, preempted = self.emit_decode_iteration(self.instance, decode_batch)
+        finished, preempted = self.emit_decoded(self.instance, decode_batch)
         self._retire_decoded(self.instance, finished, preempted)
 
         if prefill_state is not None and chunk_tokens > 0:

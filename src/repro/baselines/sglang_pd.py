@@ -139,13 +139,14 @@ class SGLangPDServer(DecodeBatchMixin):
         batch = [s for s in self.running if not s.finished][: self.cfg.max_decode_batch]
         if not batch:
             return
+        self._decode_inflight = True
         # The decode device is never multiplexed, so between queued events
         # (prefill completions, migrations, arrivals) its batch produces
         # pure solo chains — ideal fast-path territory.
-        batch = self._decode_fast_loop(self.decode_inst, batch)
-        if not batch:
+        if self._decode_fast_loop(
+            self.decode_inst, batch, lambda: self._on_decode_done(batch)
+        ):
             return
-        self._decode_inflight = True
         cost = self.decode_step_cost(self.decode_inst, batch)
         task = ExecTask(
             flops=cost.flops,
@@ -159,7 +160,7 @@ class SGLangPDServer(DecodeBatchMixin):
 
     def _on_decode_done(self, batch: list[RequestState]) -> None:
         self._decode_inflight = False
-        finished, preempted = self.emit_decode_iteration(self.decode_inst, batch)
+        finished, preempted = self.emit_decoded(self.decode_inst, batch)
         self._retire_decoded(self.decode_inst, finished, preempted)
         self._maybe_decode()
 

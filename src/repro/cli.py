@@ -338,8 +338,9 @@ def cmd_perf(args: argparse.Namespace) -> int:
     else:
         print(
             f"{'scenario':<20} {'events':>10} {'peak queue':>10} {'wall (s)':>9} "
-            f"{'events/s':>12} {'elided':>8} {'stretches':>9} {'ledger':>9}  "
-            "bails head/busy/prefill/plan/pages"
+            f"{'events/s':>12} {'pushes':>9} {'cancels':>8} {'elided':>8} "
+            f"{'stretches':>9} {'ledger':>9}  "
+            "bails head/busy/prefill/plan/pages/partition"
         )
         for name, s in sorted(report.scenarios.items()):
             print(_perf_row(name, s))
@@ -389,11 +390,14 @@ def _perf_row(name: str, s) -> str:
     c = s.counters
     bails = "/".join(
         str(c.get(key, 0))
-        for key in ("bail_head", "bail_busy", "bail_prefill", "bail_plan", "bail_pages")
+        for key in (
+            "bail_head", "bail_busy", "bail_prefill", "bail_plan", "bail_pages", "bail_partition"
+        )
     )
     return (
         f"{name:<20} {s.events:>10} {s.peak_event_queue:>10} "
-        f"{s.wall_s:>9.3f} {s.events_per_sec:>12.0f} {c.get('chains_elided', 0):>8} "
+        f"{s.wall_s:>9.3f} {s.events_per_sec:>12.0f} {c.get('pushes', 0):>9} "
+        f"{c.get('cancels', 0):>8} {c.get('chains_elided', 0):>8} "
         f"{c.get('stretches', 0):>9} {c.get('ledger_writes', 0):>9}  {bails}"
     )
 

@@ -306,6 +306,13 @@ class Fleet:
             retry=self.config.retry,
             ingress=self.config.ingress,
         )
+        # Between unscoped events a replica's events reach another replica
+        # only through Router.on_completion, which dispatches only while
+        # the router holds a queued or held request: until then each
+        # replica's decode stretches need only watch their own scope (see
+        # repro.sim.fastpath).
+        router = self.router
+        sim.set_isolation(lambda: not router.queue and not router._held)
         for index in range(self.config.replicas):
             self.add_replica(
                 spec=self.config.skus[index] if self.config.skus is not None else None

@@ -121,6 +121,11 @@ class SoloRunPredictor:
         self._decode_nearest: dict[float, tuple[int, np.ndarray]] = {}
         #: Bumped by every fit, so caches of predictions can tell they are stale.
         self.generation = 0
+        #: Whether every decode prediction is non-decreasing in the context
+        #: sum: each fitted context coefficient is >= 0, so ``sum_reused``
+        #: enters the dot product only through a non-negative product and
+        #: every rounded operation after it is monotone.
+        self.decode_monotone = True
         self._decode_row = np.array([0.0, 0.0, 1.0])  # reused feature row
 
     # ------------------------------------------------------------------ #
@@ -151,6 +156,7 @@ class SoloRunPredictor:
             theta, *_ = np.linalg.lstsq(features, target, rcond=None)
             self._decode_theta[sm_count] = theta
         self._decode_nearest.clear()
+        self.decode_monotone = all(theta[0] >= 0.0 for theta in self._decode_theta.values())
         self.generation += 1
 
     @property
@@ -297,6 +303,43 @@ class ContentionTolerantEstimator:
             return solo
         key = self.guard.key(prefill_new, prefill_reused, batch_size, sum_reused, sm_count)
         return solo * self.guard.lookup(key)
+
+    def first_decode_fit(
+        self,
+        options: list[int],
+        budget: float,
+        batch_size: int,
+        sum_reused: float,
+        prefill_new: float = 0.0,
+        prefill_reused: float = 0.0,
+    ) -> int:
+        """The first partition of ``options`` whose :meth:`worst_case_decode`
+        is within ``budget`` (the last option when none is).
+
+        The guard cell's token and batch buckets do not depend on the
+        partition, so they are computed once for all options.
+        """
+        solo = self.solo_decode
+        if prefill_new <= 0 and prefill_reused <= 0:
+            for sm_count in options:
+                if solo(batch_size, sum_reused, sm_count) <= budget:
+                    return sm_count
+            return options[-1]
+        guard = self.guard
+        cells = guard._cells
+        bucketed = (
+            token_bucket(prefill_new),
+            token_bucket(prefill_reused),
+            batch_bucket(batch_size),
+            token_bucket(sum_reused),
+        )
+        for sm_count in options:
+            worst = solo(batch_size, sum_reused, sm_count) * cells.get(
+                GuardKey(*bucketed, sm_count), guard.default
+            )
+            if worst <= budget:
+                return sm_count
+        return options[-1]
 
     def observe_decode(
         self,

@@ -20,16 +20,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Callable
 
 from repro.core.engine import MultiplexEngine
 from repro.core.estimator import ContentionTolerantEstimator
 from repro.gpu.device import ExecTask
 from repro.gpu.specs import decode_partition_options
 from repro.models.costs import PhaseCost, PrefillItem, phase_latency
-from repro.serving.base import RequestState, build_instance
+from repro.serving.base import Instance, RequestState, build_instance
 from repro.serving.batching import DecodeBatchMixin
 from repro.serving.config import ServingConfig
-from repro.sim import Simulator
+from repro.sim import Simulator, fastpath
+from repro.sim.fastpath import ChainPlan
 from repro.trace.tracer import CAT_SCHED
 
 #: Share of the TBT SLO a decode partition is sized against; the rest is
@@ -53,6 +55,11 @@ class PrefillJob:
     #: the job is built, so they are summed once).
     new_tokens: int = field(init=False)
     reused_tokens: int = field(init=False)
+    #: Solo-run latency of the whole prefill by (partition size, predictor
+    #: generation); ``items`` never changes, so each is predicted once.
+    solo_latency: dict[tuple[int, int], float] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         self.new_tokens = sum(item.new for item in self.items)
@@ -197,9 +204,17 @@ class MuxWiseServer(DecodeBatchMixin):
             )
         else:
             t_decode = self.cfg.slo.tbt / 2.0
-        t_prefill = self.estimator.solo_prefill(job.items, prefill_sms)
+        t_prefill = self._solo_prefill(job, prefill_sms)
         n_pl = math.ceil(t_decode * job.total_layers / max(t_prefill, 1e-6))
         return max(1, min(remaining, n_pl))
+
+    def _solo_prefill(self, job: PrefillJob, prefill_sms: int) -> float:
+        """The estimator's solo prefill latency of ``job``, memoised on it."""
+        key = (prefill_sms, self.estimator.predictor.generation)
+        latency = job.solo_latency.get(key)
+        if latency is None:
+            latency = job.solo_latency[key] = self.estimator.solo_prefill(job.items, prefill_sms)
+        return latency
 
     def _launch_group(self) -> None:
         job = self.active_job
@@ -273,7 +288,7 @@ class MuxWiseServer(DecodeBatchMixin):
             )
         ]
         t_newcomer = self.estimator.solo_prefill(new_items, prefill_sms)
-        t_active_total = self.estimator.solo_prefill(job.items, prefill_sms)
+        t_active_total = self._solo_prefill(job, prefill_sms)
         t_active_remaining = t_active_total * job.remaining_layers / job.total_layers
         now = self.sim.now
         # Tier-aware deadlines: with tenancy enabled each request's TTFT
@@ -335,16 +350,15 @@ class MuxWiseServer(DecodeBatchMixin):
 
     def _choose_decode_partition(self, batch_size: int, sum_context: float) -> int:
         job = self.active_job or self.preempted_job
-        prefill_new = float(job.new_tokens) if job else 0.0
-        prefill_reused = float(job.reused_tokens) if job else 0.0
         budget = self.cfg.slo.tbt * SLO_MARGIN - self.cfg.launch.decode_launch()
-        for sm_count in self.partition_options:
-            worst = self.estimator.worst_case_decode(
-                batch_size, sum_context, sm_count, prefill_new, prefill_reused
-            )
-            if worst <= budget:
-                return sm_count
-        return self.partition_options[-1]
+        return self.estimator.first_decode_fit(
+            self.partition_options,
+            budget,
+            batch_size,
+            sum_context,
+            float(job.new_tokens) if job else 0.0,
+            float(job.reused_tokens) if job else 0.0,
+        )
 
     def _choose_spec_partition(self, cost: PhaseCost) -> int:
         """Best-fit decode partition for a speculative draft+verify step.
@@ -374,6 +388,14 @@ class MuxWiseServer(DecodeBatchMixin):
         batch = [s for s in self.running if not s.finished][: self.cfg.max_decode_batch]
         if not batch:
             return
+        if self._decode_fast_loop(
+            self.instance, batch, lambda: self._on_decode_done(self.sim.now)
+        ):
+            # A stretch of decode-only iterations is pending; its
+            # continuation completes them through _on_decode_done.
+            self._decode_inflight = True
+            self._inflight = (batch, math.nan, None, self.sim.now)
+            return
         if self.spec_decode is None:
             lens = self.decode_context_lens(batch)
             sum_context = float(sum(lens))
@@ -397,6 +419,80 @@ class MuxWiseServer(DecodeBatchMixin):
         self._inflight = (batch, sum_context, self.active_job, self.sim.now)
         self.engine.launch_decode(task)
 
+    # ------------------------------------------------------------------ #
+    # Decode stretches (the fast loop's MuxWise hooks)
+    # ------------------------------------------------------------------ #
+
+    def _fastpath_prefill_admissible(self, batch_len: int) -> bool:
+        # Any prefill work, running, preempted or queued, can co-run with
+        # the next decode iteration and feeds the partition choice.
+        return (
+            self.active_job is not None
+            or self.preempted_job is not None
+            or self._preemptor_state is not None
+            or bool(self.waiting)
+        )
+
+    def _decode_lane_busy(self, instance: Instance) -> bool:
+        engine = self.engine
+        return (
+            super()._decode_lane_busy(instance)
+            or not instance.host.idle
+            or not engine.decode_stream.idle
+            or not engine.prefill_stream.idle
+        )
+
+    def _decode_planner(
+        self, instance: Instance, batch_size: int, total_ctx: int, limit: int
+    ) -> Callable[[int, float, float | None], ChainPlan | None] | None:
+        """Host launch, then a lone task on the decode partition.
+
+        A stretch stops before an iteration whose partition differs from
+        the current one.  With no co-runner the choice depends only on
+        solo predictions, which grow with the context when the predictor
+        is monotone: the partition chosen at the first and at the largest
+        context the stretch can reach is chosen at every iteration in
+        between, so the per-iteration choice is skipped.
+        """
+        counters = self.sim.counters
+        choose = self._choose_decode_partition
+        sm_count = self.engine.decode_sms
+        if choose(batch_size, float(total_ctx)) != sm_count:
+            counters.bail_partition += 1
+            return None
+        steady = self.estimator.predictor.decode_monotone and (
+            choose(batch_size, float(total_ctx + (limit - 1) * batch_size)) == sm_count
+        )
+        device = instance.device
+        cost_of = self._decode_only_cost
+        plan_chain = fastpath.plan_chain
+        launch = self.cfg.launch.decode_launch()
+        first = total_ctx
+
+        def plan(ctx: int, now: float, since: float | None) -> ChainPlan | None:
+            if not steady and ctx != first and choose(batch_size, float(ctx)) != sm_count:
+                counters.bail_partition += 1
+                return None
+            cost = cost_of(instance, batch_size, ctx)
+            chain = plan_chain(
+                device, cost.flops, cost.bytes, cost.comm_time, now,
+                sm_count=sm_count, launch=launch, since=since,
+            )
+            if chain is None:
+                counters.bail_plan += 1
+            return chain
+
+        return plan
+
+    def _replay_launch(self, plans: list[ChainPlan]) -> None:
+        # HostThread._pump and Stream._op_done, in iteration order.
+        host = self.instance.host
+        stream = self.engine.decode_stream
+        launch = self.cfg.launch.decode_launch()
+        for plan in plans:
+            host._busy_seconds += launch
+            stream._busy_seconds += plan.completion - plan.submit
+
     def _on_decode_done(self, _time: float) -> None:
         batch, sum_context, job, submit_time = self._inflight
         self._inflight = None
@@ -413,7 +509,7 @@ class MuxWiseServer(DecodeBatchMixin):
                 float(job.new_tokens),
                 float(job.reused_tokens),
             )
-        finished, preempted = self.emit_decode_iteration(self.instance, batch)
+        finished, preempted = self.emit_decoded(self.instance, batch)
         self._retire_decoded(self.instance, finished, preempted)
         self._maybe_start_decode()
         self._pump_prefill()

@@ -42,6 +42,11 @@ class HostThread:
         return self._busy
 
     @property
+    def idle(self) -> bool:
+        """True when no launch operation is in flight or queued."""
+        return not self._busy and not self._queue
+
+    @property
     def busy_seconds(self) -> float:
         """Cumulative host time spent launching."""
         return self._busy_seconds

@@ -54,6 +54,11 @@ class Stream:
         """SMs currently bound to this stream (its green-context size)."""
         return self._sm_count
 
+    @property
+    def idle(self) -> bool:
+        """True when no task or resize is running or queued."""
+        return not self._busy and not self._queue
+
     def submit(self, task: ExecTask) -> None:
         """Enqueue ``task``; it runs after everything already queued."""
         self._queue.append(task)

@@ -288,12 +288,7 @@ class CostModel:
         kv_read = total_ctx * model.kv_bytes_per_token_layer
         total_bytes = weight_bytes + kv_read + kv_write + activations
 
-        return PhaseCost(
-            flops=flops,
-            raw_flops=linear_raw + attn_raw,
-            bytes=total_bytes,
-            comm_time=comm_time,
-        )
+        return PhaseCost(flops, linear_raw + attn_raw, total_bytes, comm_time)
 
     def decode_head(self, batch_size: int) -> PhaseCost:
         """LM head of one decode iteration (graph-captured path, raw rate)."""
@@ -314,16 +309,18 @@ class CostModel:
     def decode_iter_totals(self, batch_size: int, total_ctx: int) -> PhaseCost:
         """:meth:`decode_iter` from pre-reduced totals (see
         :meth:`decode_layer_totals`)."""
-        layer = self.decode_layer_totals(batch_size, total_ctx)
-        head = self.decode_head(batch_size)
+        layer_flops, layer_raw, layer_bytes, layer_comm = self.decode_layer_totals(
+            batch_size, total_ctx
+        )
+        head_flops, head_raw, head_bytes, head_comm = self.decode_head(batch_size)
         num_layers = self.model.num_layers
-        # ``layer.scaled(num_layers) + head`` with a single PhaseCost
-        # construction; each field is the same multiply-then-add.
+        # ``layer.scaled(num_layers) + head`` with a single (positional)
+        # PhaseCost construction; each field is the same multiply-then-add.
         return PhaseCost(
-            flops=layer.flops * num_layers + head.flops,
-            raw_flops=layer.raw_flops * num_layers + head.raw_flops,
-            bytes=layer.bytes * num_layers + head.bytes,
-            comm_time=layer.comm_time * num_layers + head.comm_time,
+            layer_flops * num_layers + head_flops,
+            layer_raw * num_layers + head_raw,
+            layer_bytes * num_layers + head_bytes,
+            layer_comm * num_layers + head_comm,
         )
 
     # ------------------------------------------------------------------ #

@@ -17,7 +17,7 @@ the accepted counts — both collapse to the historical single-token path
 when speculation is off.
 
 :meth:`DecodeBatchMixin._decode_fast_loop` is the one decode fast loop: it
-elides the device event chains of steady decode-only iterations (see
+covers steady decode-only iterations with one continuation event (see
 :mod:`repro.sim.fastpath`) for every server that calls it.
 """
 
@@ -25,11 +25,13 @@ from __future__ import annotations
 
 from collections import deque
 from functools import cached_property
+from typing import Callable
 
 from repro.kvcache.pool import PoolExhaustedError
 from repro.models.costs import DECODE_LAYER_OVERHEAD, PhaseCost, phase_latency
 from repro.serving.base import Instance, RequestState, ServingSystem
-from repro.sim import fastpath
+from repro.sim import SimulationError, fastpath
+from repro.sim.fastpath import ChainPlan
 
 
 class DecodeBatchMixin(ServingSystem):
@@ -40,13 +42,21 @@ class DecodeBatchMixin(ServingSystem):
     waiting: deque[RequestState]
     running: list[RequestState]
 
+    #: Token times of the stretch whose continuation is firing, for the
+    #: server's completion handler (see :meth:`emit_decoded`).
+    _stretch_times: list[float] | None = None
+    #: End of the last stretch whose next iteration was planned and could
+    #: not join it; that iteration runs on the scalar path.
+    _stretch_cut_at = -1.0
+
     @cached_property
     def _fastpath_min_delta(self) -> float:
         """Lower bound on any decode chain's completion delta.
 
         completion = retire + comm_time + launch with retire > now and
-        comm_time >= num_layers * DECODE_LAYER_OVERHEAD, so a queued event
-        at or before ``now`` plus this bound defeats any plan.
+        comm_time >= num_layers * DECODE_LAYER_OVERHEAD, so an event that
+        can reach the server at or before ``now`` plus this bound defeats
+        any plan.
         """
         cfg = self.cfg
         return cfg.model.num_layers * DECODE_LAYER_OVERHEAD + cfg.launch.decode_launch()
@@ -54,6 +64,16 @@ class DecodeBatchMixin(ServingSystem):
     def _fastpath_prefill_admissible(self, batch_len: int) -> bool:
         """Would the scalar step fuse prefill work with a batch this size?"""
         return False
+
+    def _decode_lane_busy(self, instance: Instance) -> bool:
+        """Is anything on the decode task's path still running?
+
+        The scalar chain of a decode-only iteration is a lone task on an
+        idle device; a server whose launch path has more parts (a host
+        thread, streams) checks those too.
+        """
+        device = instance.device
+        return bool(device._active) or device._stalled
 
     def _decode_only_cost(
         self, instance: Instance, batch_size: int, total_ctx: int
@@ -64,6 +84,38 @@ class DecodeBatchMixin(ServingSystem):
         server that transforms its decode cost overrides this too.
         """
         return instance.cost_model.decode_iter_totals(batch_size, total_ctx)
+
+    def _decode_planner(
+        self, instance: Instance, batch_size: int, total_ctx: int, limit: int
+    ) -> Callable[[int, float, float | None], ChainPlan | None] | None:
+        """The planner of one stretch's iterations, or None for no stretch.
+
+        The stretch decodes ``batch_size`` requests holding ``total_ctx``
+        context tokens for at most ``limit`` iterations.  The planner maps
+        an iteration's ``(total_ctx, start, since)`` to its chain plan, or
+        to None — having counted why — where the stretch stops.  The
+        default plans a task on the whole device with the decode launch
+        folded into its serialized tail.
+        """
+        device = instance.device
+        cost_of = self._decode_only_cost
+        plan_chain = fastpath.plan_chain
+        launch = self.cfg.launch.decode_launch()
+        counters = self.sim.counters
+
+        def plan(ctx: int, now: float, since: float | None) -> ChainPlan | None:
+            cost = cost_of(instance, batch_size, ctx)
+            chain = plan_chain(
+                device, cost.flops, cost.bytes, cost.comm_time + launch, now, since=since
+            )
+            if chain is None:
+                counters.bail_plan += 1
+            return chain
+
+        return plan
+
+    def _replay_launch(self, plans: list[ChainPlan]) -> None:
+        """Replay the launch-path accounting of a stretch's iterations."""
 
     def requeue(self, state: RequestState) -> None:
         """Send a request whose KV was released back to the queue head.
@@ -107,9 +159,9 @@ class DecodeBatchMixin(ServingSystem):
         """Retire one decode iteration's finished and preempted requests.
 
         Finished requests leave the running batch and finish; preempted
-        ones leave it and are requeued for recompute.  Called by
-        :meth:`_decode_fast_loop` and by every server's scalar completion
-        handler.
+        ones leave it and are requeued for recompute.  Called by every
+        server's scalar completion handler, which a stretch's continuation
+        runs too.
         """
         for state in finished:
             self.running.remove(state)
@@ -119,104 +171,165 @@ class DecodeBatchMixin(ServingSystem):
             self.requeue(state)
 
     def _decode_fast_loop(
-        self, instance: Instance, batch: list[RequestState]
-    ) -> list[RequestState]:
-        """Vectorized decode: elide device event chains for steady batches.
+        self,
+        instance: Instance,
+        batch: list[RequestState],
+        resume: Callable[[], None],
+    ) -> bool:
+        """Cover the next decode-only iterations of ``batch`` with one stretch.
 
-        Runs as many decode-only iterations as can be proven equivalent to
-        the scalar path (plain decode, no prefill admissible, device idle,
-        each chain's completion strictly before the next queued event).
-        Consecutive iterations form a *stretch*: their chains are planned
-        and committed one by one, and their token effects — KV growth and
-        ledger writes — are applied once per request when the stretch
-        ends (:meth:`_apply_stretch`).  A stretch ends at the iteration in
-        which a batch member finishes, before KV growth would exceed the
-        free plus evictable pages, and where the queue head, ``until`` or
-        the event cap stops elision.  An armed preemption storm or a
-        cache ``spill`` hook runs each elided iteration through the real
-        :meth:`emit_decode_iteration`, as does an iteration the page
-        budget cannot cover (which preempts).  Returns the current batch
-        (possibly empty) for the scalar path to continue with —
-        byte-identical state to the scalar path having just reached this
-        simulation time.
+        Plans as many iterations as can be proven equivalent to the scalar
+        path (plain decode, no prefill admissible, decode path idle, each
+        completion strictly before the scope's :meth:`Simulator.horizon`)
+        and schedules one continuation at the last completion.  A stretch
+        ends at the iteration in which a batch member finishes, before KV
+        growth would exceed the free plus evictable pages, where the
+        server's plan stops (a MuxWise partition change), and where the
+        horizon, ``until`` or the event cap stops elision.  An armed
+        preemption storm, a cache ``spill`` hook or an iteration the page
+        budget cannot cover makes it a one-iteration stretch emitted
+        through :meth:`emit_decode_iteration`.
+
+        Returns True when the continuation is scheduled: when it fires it
+        commits the chains, then calls ``resume`` — the server's scalar
+        completion handler for ``batch``, whose :meth:`emit_decoded` call
+        applies the stretch's tokens.  False: the caller runs the
+        iteration on the scalar path.
         """
         sim = self.sim
-        if self.spec_decode is not None or not fastpath.decode_fastpath_active(sim):
-            return batch
+        now = sim.now
+        if (
+            self.spec_decode is not None
+            or not fastpath.decode_fastpath_active(sim)
+            # Same state, same plan: it would be rejected again.
+            or now == self._stretch_cut_at
+        ):
+            return False
         counters = sim.counters
-        # Bail before touching the cost model when a queued event is near:
-        # this keeps the fast path near-free on busy multi-replica runs
-        # where elision rarely engages.
+        if self._fastpath_prefill_admissible(len(batch)):
+            counters.bail_prefill += 1
+            return False
+        if self._decode_lane_busy(instance):
+            counters.bail_busy += 1
+            return False
+        horizon = sim.horizon(sim.current_scope)
+        # Bail before touching the cost model when an event is near: this
+        # keeps the fast path near-free where elision rarely engages.
         min_delta = self._fastpath_min_delta
-        if sim._fastpath_head_time() <= sim.now + min_delta:
+        if horizon <= now + min_delta:
             counters.bail_head += 1
-            return batch
-        device = instance.device
+            return False
+        # Nothing below changes the batch, the queue or the device until
+        # the continuation fires, so the checks above hold for every
+        # iteration of the stretch.
         cache = instance.cache
-        launch_time = self.cfg.launch.decode_launch()
-        max_batch = self.cfg.max_decode_batch
+        if self._storm_pending or cache.spill is not None:
+            stretch, limit = False, 1
+        else:
+            limit = min(s.request.output_tokens - s.generated for s in batch)
+            limit = cache.extend_limit([s.lease for s in batch], limit)
+            stretch = limit > 0
+            if not stretch:
+                counters.bail_pages += 1
+                limit = 1
+        size = len(batch)
         total_ctx = 0
         for s in batch:
             total_ctx += s._input_tokens + s.generated
+        planner = self._decode_planner(instance, size, total_ctx, limit)
+        if planner is None:
+            return False
+        until = sim._run_until
+        budget = sim._run_cap - sim._fired_in_run
+        plans: list[ChainPlan] = []
+        times: list[float] = []
+        since: float | None = None
+        events = 0
+        cut = False
         while True:
-            if self._fastpath_prefill_admissible(len(batch)):
-                counters.bail_prefill += 1
-                return batch
-            if device._active or device._stalled:
-                counters.bail_busy += 1
-                return batch
-            # Nothing below changes the batch, the queue or the device
-            # until the stretch's effects are applied, so the checks above
-            # hold for every iteration of the stretch.
-            if self._storm_pending or cache.spill is not None:
-                stretch, limit = False, 1
-            else:
-                limit = min(s.request.output_tokens - s.generated for s in batch)
-                limit = cache.extend_limit([s.lease for s in batch], limit)
-                stretch = limit > 0
-                if not stretch:
-                    counters.bail_pages += 1
-                    limit = 1
-            size = len(batch)
-            times: list[float] = []
-            while True:
-                cost = self._decode_only_cost(instance, size, total_ctx)
-                plan = fastpath.plan_chain(
-                    device, cost.flops, cost.bytes, cost.comm_time + launch_time, sim.now
-                )
-                if plan is None or not fastpath.chain_allowed(sim, plan):
-                    counters.bail_plan += 1
-                    break
-                fastpath.commit_chain(sim, device, plan)
-                times.append(sim.now)
-                # Every batch member grows by exactly one token.
-                total_ctx += size
-                if len(times) == limit:
-                    break
-                if sim._fastpath_head_time() <= sim.now + min_delta:
-                    counters.bail_head += 1
-                    break
-            if not times:
-                return batch
-            counters.chains_elided += len(times)
-            if stretch:
-                finished = self._apply_stretch(instance, batch, times)
-                preempted: list[RequestState] = []
-            else:
-                finished, preempted = self.emit_decode_iteration(instance, batch)
-            if finished or preempted:
-                self._retire_decoded(instance, finished, preempted)
-                batch = [s for s in self.running if not s.finished][:max_batch]
-                if not batch:
-                    return batch
-                total_ctx = 0
-                for s in batch:
-                    total_ctx += s._input_tokens + s.generated
-            if len(times) < limit:
-                return batch
-            if sim._fastpath_head_time() <= sim.now + min_delta:
+            plan = planner(total_ctx, now, since)
+            if plan is None:
+                cut = True
+                break
+            events += plan.events
+            end = plan.completion
+            if not (end < horizon and end <= until and events <= budget):
+                counters.bail_plan += 1
+                cut = True
+                break
+            plans.append(plan)
+            times.append(end)
+            # Every batch member grows by exactly one token.
+            total_ctx += size
+            if len(times) == limit:
+                break
+            now = end
+            since = plan.retire_time
+            if horizon <= now + min_delta:
                 counters.bail_head += 1
-                return batch
+                break
+        if not plans:
+            return False
+        counters.chains_elided += len(plans)
+        sim.begin_stretch(
+            times[-1],
+            lambda: self._finish_stretch(
+                instance, plans, times if stretch else None, resume, cut
+            ),
+        )
+        return True
+
+    def _finish_stretch(
+        self,
+        instance: Instance,
+        plans: list[ChainPlan],
+        times: list[float] | None,
+        resume: Callable[[], None],
+        cut: bool,
+    ) -> None:
+        """The stretch's continuation: commit its chains, then resume.
+
+        ``cut``: the stretch stopped at an iteration it planned and could
+        not take, so nothing can change that plan before ``resume`` starts
+        that iteration, which then skips the loop.
+        """
+        sim = self.sim
+        sim.end_stretch()
+        if cut:
+            self._stretch_cut_at = sim.now
+        # This event is one of the stretch's elided events.
+        sim._event_count -= 1
+        sim._fired_in_run -= 1
+        device = instance.device
+        commit_chain = fastpath.commit_chain
+        for plan in plans:
+            commit_chain(sim, device, plan)
+        self._replay_launch(plans)
+        if sim._fired_in_run > sim._run_cap:
+            # Other scopes' events used the budget up before ``t_K``.
+            raise SimulationError(
+                f"the {sim._run_cap}-event cap fell inside the decode stretch of "
+                f"scope {sim.current_scope!r} ending at {sim.now:.9f}: the scalar "
+                "run stops earlier (rerun with REPRO_FASTPATH=0)"
+            )
+        self._stretch_times = times
+        resume()
+
+    def emit_decoded(
+        self, instance: Instance, batch: list[RequestState]
+    ) -> tuple[list[RequestState], list[RequestState]]:
+        """Account the tokens of the decode work that just completed.
+
+        That is one iteration (:meth:`emit_decode_iteration`), or, when a
+        stretch's continuation called the completion handler, the whole
+        stretch (:meth:`_apply_stretch`).  Returns ``(finished,
+        preempted)``.
+        """
+        times = self._stretch_times
+        if times is None:
+            return self.emit_decode_iteration(instance, batch)
+        self._stretch_times = None
+        return self._apply_stretch(instance, batch, times), []
 
     def _apply_stretch(
         self, instance: Instance, batch: list[RequestState], times: list[float]

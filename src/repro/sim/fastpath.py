@@ -1,56 +1,70 @@
 """Vectorized decode-step batching — the simulator's decode fast path.
 
 A steady decode batch produces a long run of *solo chains* on its device:
-submit -> one or two phase-change updates -> completion, with nothing else
-in the event queue before the completion fires.  The scalar path pays three
-heap pushes/pops, an ``ExecTask``, two closures and a handful of dict
-operations per generated token batch.  This module collapses each chain
-into straight-line arithmetic: :func:`plan_chain` dry-runs the device's
-fluid model for a lone task and :func:`commit_chain` replays the exact same
-per-interval accounting against the device, charges the elided events to
-the simulator's counters, and jumps the clock to the completion time.
+(host launch ->) submit -> one or two phase-change updates -> completion,
+with nothing else able to reach its server before the completion fires.
+The scalar path pays several heap pushes/pops, an ``ExecTask``, closures
+and a handful of dict operations per generated token batch.  This module
+collapses each chain into straight-line arithmetic: :func:`plan_chain`
+dry-runs the device's fluid model for a lone task and :func:`commit_chain`
+replays the exact same per-interval accounting against the device and
+charges the elided events to the simulator's counters.
+
+The serving loop (``DecodeBatchMixin._decode_fast_loop``) strings
+consecutive decode-only iterations into a *stretch*.  It plans every
+iteration at the stretch's start and schedules **one continuation event**
+in its server's scope at the last completion ``t_K``; the clock never
+jumps.  When the continuation fires it commits the chains in order,
+applies the stretch's token effects once per request (through
+``RadixCache.extend_many`` and ``MetricsCollector.on_batch_tokens``) and
+runs the server's own scalar completion handler: retire, then start the
+next iteration.
 
 Byte-identity contract (enforced by ``tests/sim/test_fastpath_equivalence``
 and the golden fingerprints in ``tests/bench/test_perf.py``):
 
-* The planner replicates ``Device._reallocate`` / ``_advance_to_now`` /
-  ``_task_horizon`` for the single-task case *operation for
-  operation* — same divisions, same comparison epsilons, same clamp and
-  floor order — so every float it produces is bit-equal to the scalar
-  chain's.  Accounting deltas are replayed as individual ``+=`` in scalar
-  order (float addition is not associative).
-* A chain is elided only when its completion time lies strictly before the
-  raw queue head (cancelled entries included), within the run's ``until``
-  horizon, and within its ``max_events`` budget.  Anything else — an event
-  due mid-chain, a tie at the completion instant, a cancelled head, a cap
-  about to trip — flushes back to the scalar path, which reproduces the
-  boundary behaviour with perfect fidelity.
-* Elided events count toward ``processed_events`` and the run's fired-event
-  budget; the queue high-water mark gets one ``len(heap) + 1`` candidate
-  per iteration, exactly the depth the scalar chain would have reached
-  (the chain keeps at most one event queued at any instant).
-
-Token emission, request finishing, preemption, cache growth and metric
-recording are *not* emulated here.  The serving loop
-(``DecodeBatchMixin._decode_fast_loop``) strings consecutive decode-only
-iterations into a *stretch*: it plans and commits each iteration's chain
-in turn, then applies the stretch's token effects once per request
-through ``RadixCache.extend_many`` and ``MetricsCollector.on_batch_tokens``.
-
-* A stretch ends at the iteration in which any batch member finishes, before
-  KV growth would need more than free plus evictable pages, and wherever
-  :func:`chain_allowed` (or the loop's queue-head bound) stops elision.
-  Nothing else can change inside it: no event fires and no request
-  retires.
-* Gaps are exact: a request's first gap is ``t1 - last_token`` and every
-  later one ``t_i - t_(i-1)`` — the subtractions the scalar path makes.
-* Eviction is exact: the growing tails are pinned, so the sequential
+* The planner replicates ``HostThread`` / ``Device._reallocate`` /
+  ``_advance_to_now`` / ``_task_horizon`` for the single-task case
+  *operation for operation* — same additions for the launch and the
+  serialized tail, same divisions, same comparison epsilons, same clamp
+  and floor order — so every float it produces is bit-equal to the
+  scalar chain's.  Accounting deltas are replayed as individual ``+=`` in
+  scalar order (float addition is not associative).
+* **Horizon.**  ``t_K`` must lie strictly before
+  :meth:`Simulator.horizon` of the server's scope, within the run's
+  ``until`` and within its ``max_events`` budget.  For an unscoped server
+  (a single system) the horizon is the raw queue head, cancelled entries
+  included, so nothing at all fires inside its stretch.  For a fleet
+  replica it is the earliest event that can reach *that* replica: its own
+  scope's next event or the next unscoped one (arrival, retry, fault,
+  daemon tick).
+* **Isolation.**  Between unscoped events one replica's events reach
+  another only through ``Router.on_completion``, which dispatches only
+  when the router holds a queued or held request.  ``Fleet`` therefore
+  declares its replicas isolated (``Simulator.set_isolation``) only while
+  the router holds none; otherwise the horizon is the raw head.  The rule
+  is enforced, not assumed: scheduling into a scope — or an unscoped
+  event — at or before that scope's pending stretch end raises
+  ``SimulationError`` naming the scope, the time and the stretch end.
+* **Events.**  During a decode-only iteration the scalar chain keeps
+  exactly one event of its server queued (host finish, update or
+  completion) and cancels nothing, so the single continuation leaves
+  ``len(heap)`` — and the queue high-water mark — the same at every other
+  push.  The continuation counts as one fired event and the stretch's
+  other events are charged on commit, so ``processed_events`` matches
+  too.  Other replicas' events commute with the stretch; one tied at
+  exactly ``t_K`` fires after the continuation (its seq is older),
+  which no replica's results can observe.
+* **Tokens.**  A stretch ends at the iteration in which a batch member
+  finishes and before KV growth would need more than free plus evictable
+  pages, so no request retires inside it.  Gaps are exact: a request's
+  first gap is ``t1 - last_token`` and every later one ``t_i - t_(i-1)``.
+  Eviction is exact: the growing tails are pinned, so the sequential
   rounds evict the shortest LRU prefix of victims covering the total page
-  demand, which one ``_ensure_free_pages(total)`` call evicts too, in the
-  same order.
-* An armed preemption storm, a radix ``spill`` hook (whose calls carry the
-  eviction clock) or an iteration the page budget cannot cover runs each
-  elided iteration through the real per-iteration emission instead.
+  demand, which one ``_ensure_free_pages(total)`` call evicts too.  An
+  armed preemption storm, a radix ``spill`` hook (whose calls carry the
+  eviction clock) or an iteration the page budget cannot cover runs as a
+  one-iteration stretch through the real per-iteration emission.
   Speculative decoding and traced runs never reach the loop.
 
 The fast path is ON by default; set ``REPRO_FASTPATH=0`` (or use
@@ -128,27 +142,30 @@ class ChainPlan:
     """Outcome of dry-running one solo task chain on an idle device.
 
     Attributes:
+        submit: Absolute time the task reaches the device.
         completion: Absolute time the completion callback would fire.
         retire_time: Absolute time of the final phase-change update (the
             device's ``_last_advance`` after the chain).
-        events: Simulator events the scalar chain would fire (updates + 1
-            completion).
+        events: Simulator events the scalar chain would fire (host launch,
+            if any, + updates + 1 completion).
         idle_delta: Bandwidth-capacity integral of the idle gap before the
             submit, or None when the gap is empty.
         steps: Per-update accounting deltas ``(bw_capacity, sm_seconds,
             bytes_served)`` in scalar ``+=`` order.
     """
 
-    __slots__ = ("completion", "retire_time", "events", "idle_delta", "steps")
+    __slots__ = ("submit", "completion", "retire_time", "events", "idle_delta", "steps")
 
     def __init__(
         self,
+        submit: float,
         completion: float,
         retire_time: float,
         events: int,
         idle_delta: float | None,
         steps: list[tuple[float, float, float]],
     ) -> None:
+        self.submit = submit
         self.completion = completion
         self.retire_time = retire_time
         self.events = events
@@ -162,36 +179,50 @@ def plan_chain(
     bytes_: float,
     fixed_time: float,
     now: float,
+    sm_count: float | None = None,
+    launch: float | None = None,
+    since: float | None = None,
 ) -> ChainPlan | None:
-    """Dry-run the solo chain of one full-SM task submitted at ``now``.
+    """Dry-run the solo chain of one task on ``sm_count`` SMs.
 
     Mirrors ``Device.submit`` -> ``_on_update``* -> ``_finish_task`` for a
-    lone task occupying all SMs on an idle, unstalled device.  Returns
-    ``None`` when the chain falls outside the replicated regime (zero-work
-    task, non-finite horizon, degenerate float step) — callers then take
-    the scalar path.  The device is not mutated.
+    lone task on an idle, unstalled device.  ``sm_count`` defaults to the
+    whole device.  With ``launch`` the task is submitted by a host launch
+    of that many seconds started at ``now`` (``HostThread.enqueue``: one
+    more event, submit at ``now + launch``); otherwise it is submitted at
+    ``now``.  ``since`` is the device's last advance (default: its live
+    ``_last_advance``), so consecutive iterations plan before any commits.
+    Returns ``None`` when the chain falls outside the replicated regime
+    (zero-work task, non-finite horizon, degenerate float step) — callers
+    then take the scalar path.  The device is not mutated.
     """
     rem_flops = float(flops)
     rem_bytes = float(bytes_)
     if rem_flops <= _EPS and rem_bytes <= _EPS:
         # Zero-work tasks complete synchronously inside submit().
         return None
-    # ExecTask.__post_init__ floors.
+    # ExecTask.__init__ floors.
     flops_floor = max(_EPS, 1e-9 * rem_flops)
     bytes_floor = max(_EPS, 1e-9 * rem_bytes)
     eff_bw = device.effective_bandwidth
-    sm = device.total_sms
-    # _reallocate's single-task fast path: sm_count == total_sms, so the
+    sm = device.total_sms if sm_count is None else sm_count
+    if not 0 < sm <= device.total_sms:
+        return None
+    # _reallocate's single-task fast path: sm_count <= total_sms, so the
     # oversubscription scale is exactly 1.0 and multiplying by it is the
     # float identity — rate and occupancy reduce to the bare products.
     rate = device._flops_per_sm * sm
 
+    events = 0
+    if launch is not None:
+        # HostThread._pump schedules its finish at ``now + duration``.
+        now = now + launch
+        events = 1
     # Device._advance_to_now for the idle gap preceding the submit.
-    dt0 = now - device._last_advance
+    dt0 = now - (device._last_advance if since is None else since)
     idle_delta = eff_bw * dt0 if dt0 > 0 else None
 
     steps: list[tuple[float, float, float]] = []
-    events = 0
     cur = now
     for _ in range(_MAX_CHAIN_ROUNDS):
         # _reallocate: occupancy, bandwidth demand, water-filled rate.
@@ -248,32 +279,17 @@ def plan_chain(
     # _finish_task: completion scheduled fixed_time after the retiring
     # update (schedule(0.0) clamps to the current instant).
     completion = cur + fixed_time if fixed_time > 0 else cur
-    return ChainPlan(completion, cur, events + 1, idle_delta, steps)
-
-
-def chain_allowed(sim: "Simulator", plan: ChainPlan) -> bool:
-    """May ``plan`` be elided without reordering against the event queue?
-
-    Strict inequality against the *raw* head (cancelled entries included):
-    a tie would need the scalar heap's (priority, seq) order, and a
-    cancelled head must be dropped by the run loop itself to keep the
-    cancellation counters and queue depth byte-identical.
-    """
-    if not plan.completion < sim._fastpath_head_time():
-        return False
-    if plan.completion > sim._run_until:
-        return False
-    if sim._fired_in_run + plan.events > sim._run_cap:
-        return False
-    return True
+    return ChainPlan(now, completion, cur, events + 1, idle_delta, steps)
 
 
 def commit_chain(sim: "Simulator", device: "Device", plan: ChainPlan) -> None:
-    """Apply an allowed plan: device accounting, event budget, clock.
+    """Apply a planned chain: device accounting and the event budget.
 
-    Deltas are replayed as individual ``+=`` in the scalar chain's order —
-    float addition is not associative, and the utilisation integrals are
-    fingerprinted.
+    Called by a stretch's continuation, in iteration order.  Deltas are
+    replayed as individual ``+=`` in the scalar chain's order — float
+    addition is not associative, and the utilisation integrals are
+    fingerprinted.  The clock is not touched: the continuation fires at
+    the stretch's last completion.
     """
     if plan.idle_delta is not None:
         device._bw_capacity_seconds += plan.idle_delta
@@ -285,9 +301,3 @@ def commit_chain(sim: "Simulator", device: "Device", plan: ChainPlan) -> None:
     device._last_advance = plan.retire_time
     sim._event_count += plan.events
     sim._fired_in_run += plan.events
-    # The scalar chain keeps at most one event queued at any instant
-    # (update XOR completion), so ``len + 1`` is the depth it reached.
-    queue_len = len(sim._heap) + 1
-    if queue_len > sim._max_queue:
-        sim._max_queue = queue_len
-    sim.now = plan.completion

@@ -16,6 +16,12 @@ Two refinements support fault injection (:mod:`repro.faults`):
   scoped callback keep its scope).  :meth:`cancel_scope` then cancels an
   entire cascade at once, which is how a replica kill silences the dead
   system's in-flight device updates, host callbacks and completions.
+* **Stretch horizons** — :meth:`horizon` bounds how far the decode fast
+  path (:mod:`repro.sim.fastpath`) may run one scope ahead as a single
+  continuation event.  A fleet that declares its replicas isolated
+  (:meth:`set_isolation`) lets a replica's stretch ignore other
+  replicas' events; :meth:`schedule_at` then rejects any event that
+  would reach a scope at or before its pending stretch end.
 
 Example:
     >>> sim = Simulator()
@@ -54,6 +60,8 @@ class SimulationError(RuntimeError):
 
 #: Names of the :class:`WorkCounters` tallies, in report order.
 COUNTER_NAMES = (
+    "pushes",
+    "cancels",
     "chains_elided",
     "stretches",
     "ledger_writes",
@@ -62,22 +70,26 @@ COUNTER_NAMES = (
     "bail_prefill",
     "bail_plan",
     "bail_pages",
+    "bail_partition",
 )
 
 
 class WorkCounters:
-    """Deterministic work counters of the decode fast loop.
+    """Deterministic work counters of the event core and decode fast loop.
 
     Machine-independent tallies of *how* a run was computed, next to its
-    event count: decode chains elided (``chains_elided``), decode-only
-    stretches applied (``stretches``), per-request token-ledger writes
-    (``ledger_writes``: one per request per emission call, however many
-    tokens it carries) and the fast loop's bails back to the scalar path
-    by reason — queue head too near (``bail_head``), device busy
-    (``bail_busy``), prefill admissible (``bail_prefill``), chain plan
-    rejected (``bail_plan``), and iterations that fell back to
-    per-request emission because the KV page budget could not cover one
-    more token per request (``bail_pages``).  Turning the fast path off
+    event count: events scheduled on the heap (``pushes``) and queued
+    events cancelled (``cancels``), decode chains elided
+    (``chains_elided``), decode-only stretches applied (``stretches``),
+    per-request token-ledger writes (``ledger_writes``: one per request
+    per emission call, however many tokens it carries) and the fast
+    loop's bails back to the scalar path by reason — the stretch horizon
+    too near (``bail_head``), device or launch path busy (``bail_busy``),
+    prefill admissible (``bail_prefill``), chain plan rejected
+    (``bail_plan``), iterations that fell back to per-request emission
+    because the KV page budget could not cover one more token per
+    request (``bail_pages``), and MuxWise stretches ended by a change of
+    decode partition (``bail_partition``).  Turning the fast path off
     moves them and nothing else, so they stay out of result
     fingerprints.
     """
@@ -178,6 +190,14 @@ class Simulator:
         self.counters = WorkCounters()
         for collector in _counter_collectors:
             collector.append(self.counters)
+        #: Fleet-provided test "may one scope's events reach another scope
+        #: only through unscoped events right now?" (see :meth:`horizon`).
+        self._isolation: Callable[[], bool] | None = None
+        #: Unscoped heap entries, kept only while an isolation test is
+        #: installed; fired and cancelled entries are dropped lazily.
+        self._unscoped: list[tuple[float, int, int, Event]] | None = None
+        #: Scope -> end time of its pending decode stretch.
+        self._stretch_ends: dict[str | None, float] = {}
 
     def attach_tracer(self, tracer: "Tracer | None") -> None:
         """Attach (or detach, with ``None``) a :class:`repro.trace.Tracer`.
@@ -267,22 +287,119 @@ class Simulator:
             time = now
         if scope is INHERIT_SCOPE:
             scope = self._current_scope
+        ends = self._stretch_ends
+        if ends:
+            if scope is None:
+                self._check_stretches(time)
+            else:
+                end = ends.get(scope)
+                if end is not None and time <= end:
+                    self._check_stretches(time, scope)
         seq = next(self._sequence)
+        self.counters.pushes += 1
         # Positional construction (see Event.__init__ for the slot order):
         # this runs once per scheduled event.
         event = Event(time, priority, seq, callback, False, self, daemon, scope)
         heap = self._heap
-        _heappush(heap, (time, priority, seq, event))
+        entry = (time, priority, seq, event)
+        _heappush(heap, entry)
         if scope is not None:
             bucket = self._scope_index.get(scope)
             if bucket is None:
                 bucket = self._scope_index[scope] = set()
             bucket.add(event)
+        elif self._unscoped is not None:
+            self._push_unscoped(entry)
         if daemon:
             self._daemon_count += 1
         if len(heap) > self._max_queue:
             self._max_queue = len(heap)
         return event
+
+    # ------------------------------------------------------------------ #
+    # Stretch horizons (the decode fast path; see repro.sim.fastpath)
+    # ------------------------------------------------------------------ #
+
+    def set_isolation(self, isolated: Callable[[], bool] | None) -> None:
+        """Install the test that scopes are isolated right now (None: never).
+
+        ``isolated()`` must return True only while no scoped event can
+        reach another scope except through an unscoped event: a fleet
+        returns True while its router holds no queued or held request.
+        """
+        self._isolation = isolated
+        if isolated is None:
+            self._unscoped = None
+        elif self._unscoped is None:
+            self._unscoped = [entry for entry in self._heap if entry[3].scope is None]
+            heapq.heapify(self._unscoped)
+
+    def _push_unscoped(self, entry: tuple[float, int, int, Event]) -> None:
+        unscoped = self._unscoped
+        # Unscoped events mostly fire in time order, so dropping the fired
+        # and cancelled head here keeps the side heap near its live size
+        # even when no horizon is asked for.
+        while unscoped and (unscoped[0][3].owner is None or unscoped[0][3].cancelled):
+            heapq.heappop(unscoped)
+        _heappush(unscoped, entry)
+
+    def horizon(self, scope: str | None) -> float:
+        """Earliest time an event can reach ``scope`` (+inf when none can).
+
+        For ``scope=None``, or while scopes are not isolated, this is the
+        raw queue head, cancelled entries included: a cancelled head bounds
+        a stretch, and the run loop drops it with exact fidelity.  For an
+        isolated scope it is the earlier of the earliest live unscoped
+        event (arrivals, retries, faults, daemon ticks) and the earliest
+        event of the scope itself.
+        """
+        heap = self._heap
+        head = heap[0][0] if heap else math.inf
+        isolated = self._isolation
+        if scope is None or isolated is None or not isolated():
+            return head
+        unscoped = self._unscoped
+        while unscoped and (unscoped[0][3].owner is None or unscoped[0][3].cancelled):
+            heapq.heappop(unscoped)
+        bound = unscoped[0][0] if unscoped else math.inf
+        bucket = self._scope_index.get(scope)
+        if bucket:
+            for event in bucket:
+                if event.time < bound:
+                    bound = event.time
+        return bound
+
+    def begin_stretch(self, end: float, callback: Callable[[], Any]) -> Event:
+        """Schedule the continuation of the current scope's decode stretch.
+
+        Until it fires at ``end``, scheduling an event into this scope —
+        or an unscoped event — at or before ``end`` raises
+        :class:`SimulationError`: such an event would have reached the
+        scope inside the stretch.  (A tie at ``end`` would fire in the
+        scalar path's order, not the continuation's, so it is rejected
+        too.)
+        """
+        scope = self._current_scope
+        if scope in self._stretch_ends:
+            raise SimulationError(f"scope {scope!r} already has a pending stretch")
+        event = self.schedule_at(end, callback)
+        self._stretch_ends[scope] = end
+        return event
+
+    def end_stretch(self) -> None:
+        """The current scope's stretch continuation fired (called by it)."""
+        del self._stretch_ends[self._current_scope]
+
+    def _check_stretches(self, time: float, scope: str | None = None) -> None:
+        """Raise if an event at ``time`` into ``scope`` (None: unscoped)
+        would reach a scope inside its pending stretch."""
+        for pending, end in self._stretch_ends.items():
+            if time <= end and (scope is None or scope == pending):
+                raise SimulationError(
+                    f"event scheduled at {time:.9f} into scope {scope!r} from "
+                    f"scope {self._current_scope!r} would reach scope "
+                    f"{pending!r} inside its decode stretch ending at {end:.9f}"
+                )
 
     def cancel_scope(self, name: str) -> int:
         """Cancel every pending event tagged with scope ``name``.
@@ -409,21 +526,19 @@ class Simulator:
             self._running = False
             self._run_until = math.inf
             self._run_cap = math.inf
+        if self._stretch_ends:
+            # Only the event cap stops a run inside a stretch (a stretch
+            # ends within ``until``).  Other scopes' events fired past the
+            # point where the scalar run would have stopped, so the partial
+            # state is not the scalar one.
+            scope, end = next(iter(self._stretch_ends.items()))
+            raise SimulationError(
+                f"the {max_events}-event cap stopped the run with scope {scope!r} "
+                f"inside a decode stretch ending at {end:.9f}: the state is not the "
+                "scalar path's (rerun with REPRO_FASTPATH=0)"
+            )
         if stopped_at_until and self.now < until:
             self.now = until
-
-    def _fastpath_head_time(self) -> float:
-        """Raw time of the queue head (cancelled entries included), or +inf.
-
-        Used by the decode fast path as the conservative bound on how far a
-        chain may be elided.  Cancelled entries are deliberately *not*
-        skipped: doing so would pop them earlier than the scalar run loop
-        does and change the queue-depth high-water mark.  A cancelled head
-        simply forces a flush back to the scalar path, which drops it with
-        exact fidelity.
-        """
-        heap = self._heap
-        return heap[0][0] if heap else math.inf
 
     def _drop_cancelled_head(self) -> None:
         while self._heap and self._heap[0][3].cancelled:
@@ -438,6 +553,7 @@ class Simulator:
         that cancel aggressively (e.g. the device's rolling update events).
         """
         self._cancelled_count += 1
+        self.counters.cancels += 1
         if event.daemon:
             self._daemon_count -= 1
         if event.scope is not None:

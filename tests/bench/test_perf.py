@@ -100,6 +100,8 @@ GOLDEN_RESULTS_SCALE_10 = {
 #: work, not the simulation.  Regenerate from ``python -m repro perf --scale
 #: 0.05 --scenarios single_goodput``.
 GOLDEN_COUNTERS_SINGLE = {
+    "pushes": 75,
+    "cancels": 0,
     "chains_elided": 1369,
     "stretches": 14,
     "ledger_writes": 134,
@@ -108,7 +110,40 @@ GOLDEN_COUNTERS_SINGLE = {
     "bail_prefill": 11,
     "bail_plan": 4,
     "bail_pages": 0,
+    "bail_partition": 0,
 }
+
+#: Decode stretches on fleets: each replica's stretch is bounded by the
+#: next event that can reach it, not by the fleet-wide queue head.  The
+#: chunked ``fleet_4_replicas`` scenario at ``GOLDEN_SCALE`` and a small
+#: 4-replica MuxWise fleet (:func:`_muxwise_fleet_counters`); the scalar
+#: path schedules 6102 and 18107 events on them.
+GOLDEN_FLEET_COUNTERS = {
+    "fleet_4_replicas": {"chains_elided": 1827, "stretches": 138, "pushes": 759},
+    "muxwise_fleet": {"chains_elided": 4013, "stretches": 259, "pushes": 3292},
+}
+
+
+def _muxwise_fleet_counters() -> dict[str, int]:
+    """Work counters of 60 ShareGPT requests on 4 MuxWise replicas."""
+    from repro.bench.fleet import run_fleet
+    from repro.cluster import FleetConfig
+    from repro.core import MuxWiseServer
+    from repro.gpu.specs import A100
+    from repro.models.config import LLAMA_8B
+    from repro.serving.config import ServingConfig
+    from repro.sim import WorkCounters, collect_counters
+    from repro.workloads import sharegpt_workload
+
+    cfg = ServingConfig(model=LLAMA_8B, spec=A100, n_gpus=1)
+    with collect_counters() as counters:
+        run_fleet(
+            MuxWiseServer,
+            cfg,
+            sharegpt_workload(60, rate=6.0, seed=13),
+            FleetConfig(replicas=4, policy="prefix-affinity"),
+        )
+    return WorkCounters.total(counters)
 
 
 @pytest.fixture(scope="module")
@@ -141,6 +176,16 @@ class TestWorkCounters:
         # Counters stay out of the fingerprint view and the JSON report.
         assert report.fingerprints() == {"single_goodput": GOLDEN_RESULTS["single_goodput"]}
         assert "counters" not in report.to_json()
+
+    def test_fleet_counters_pinned(self):
+        with fastpath.enabled():
+            report = run_perf(scenarios=["fleet_4_replicas"], scale=GOLDEN_SCALE)
+            measured = {
+                "fleet_4_replicas": report.scenarios["fleet_4_replicas"].counters,
+                "muxwise_fleet": _muxwise_fleet_counters(),
+            }
+        for name, golden in GOLDEN_FLEET_COUNTERS.items():
+            assert {key: measured[name][key] for key in golden} == golden, name
 
     def test_scalar_path_elides_nothing(self):
         with fastpath.disabled():

@@ -3,6 +3,14 @@
 Also registers the ``ci-deep`` Hypothesis profile: ten times the default
 example budget, for suites that leave ``max_examples`` to the profile.
 Select it with ``pytest --hypothesis-profile=ci-deep``.
+
+``--shard K/N`` runs only the K-th of N shards of the collected tests
+(1-based), split by ``zlib.crc32`` of each node id: the split is stable
+across runs and machines, and the N shards together run every test once.
+Two shards in two processes use both vCPUs of a small machine:
+
+    PYTHONPATH=src python -m pytest -q --shard 1/2 &
+    PYTHONPATH=src python -m pytest -q --shard 2/2
 """
 
 from __future__ import annotations
@@ -11,6 +19,7 @@ import json
 import os
 import subprocess
 import sys
+import zlib
 from pathlib import Path
 
 import pytest
@@ -22,6 +31,41 @@ from repro.serving import ServingConfig
 from repro.sim import Simulator
 
 settings.register_profile("ci-deep", max_examples=10 * settings.default.max_examples)
+
+
+def pytest_addoption(parser: pytest.Parser) -> None:
+    parser.addoption(
+        "--shard",
+        default=None,
+        metavar="K/N",
+        help="run only the K-th of N shards (1-based), split by crc32 of each node id",
+    )
+
+
+def _parse_shard(value: str) -> tuple[int, int]:
+    """``"K/N"`` -> ``(K, N)``, with 1 <= K <= N."""
+    try:
+        index, count = (int(part) for part in value.split("/"))
+    except ValueError:
+        raise pytest.UsageError(f"--shard expects K/N, got {value!r}") from None
+    if not 1 <= index <= count:
+        raise pytest.UsageError(f"--shard {value}: K must be in 1..N")
+    return index, count
+
+
+def pytest_collection_modifyitems(config: pytest.Config, items: list[pytest.Item]) -> None:
+    value = config.getoption("--shard")
+    if value is None:
+        return
+    index, count = _parse_shard(value)
+    keep: list[pytest.Item] = []
+    drop: list[pytest.Item] = []
+    for item in items:
+        shard = zlib.crc32(item.nodeid.encode("utf-8")) % count + 1
+        (keep if shard == index else drop).append(item)
+    items[:] = keep
+    if drop:
+        config.hook.pytest_deselected(items=drop)
 
 
 @pytest.fixture

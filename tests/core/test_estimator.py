@@ -140,6 +140,38 @@ class TestWorstCase:
         assert worst == pytest.approx(solo * 1.5, rel=0.01)
 
 
+class TestFirstDecodeFit:
+    """``first_decode_fit`` is the partition scan over ``worst_case_decode``
+    that MuxWise's dispatcher used to run, with the guard buckets hoisted."""
+
+    @staticmethod
+    def _scan(estimator, options, budget, *args):
+        for sm_count in options:
+            if estimator.worst_case_decode(args[0], args[1], sm_count, *args[2:]) <= budget:
+                return sm_count
+        return options[-1]
+
+    @pytest.mark.parametrize("prefill", [(0.0, 0.0), (4096.0, 0.0), (300.0, 9000.0)])
+    def test_matches_the_worst_case_scan(self, cfg_70b, prefill):
+        estimator = ContentionTolerantEstimator(calibrated_predictor(cfg_70b))
+        options = [16, 32, 48, 64, 80, 96]
+        # A refined cell, so the guard is not the default everywhere.
+        estimator.observe_decode(32, 32 * 3000.0, 48, 1.0, 4096.0, 0.0)
+        for bs in (1, 8, 32, 128):
+            for ctx in (256, 3000, 40_000):
+                for budget in (0.005, 0.02, 0.05, 1.0):
+                    args = (bs, float(bs * ctx), *prefill)
+                    expected = self._scan(estimator, options, budget, *args)
+                    assert estimator.first_decode_fit(options, budget, *args) == expected
+
+    def test_monotone_flag_follows_the_fitted_context_coefficients(self):
+        predictor = SoloRunPredictor()
+        predictor.fit_decode(_decode_samples([16, 48], slope=1e-8))
+        assert predictor.decode_monotone
+        predictor.fit_decode(_decode_samples([32], slope=-1e-8))
+        assert not predictor.decode_monotone
+
+
 def _decode_samples(sm_counts, slope):
     """Exact-fit decode samples: latency = slope * sum_reused + 1e-4 * bs + 5e-3."""
     return [

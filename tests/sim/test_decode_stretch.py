@@ -148,17 +148,17 @@ def test_pool_exhaustion_falls_back_and_preempts():
 
 
 def test_preemption_storm_falls_back(monkeypatch):
-    # Probe: emissions the fast loop routes through emit_decode_iteration
-    # with a storm armed.
+    # Probe: emissions a stretch's continuation routes through
+    # emit_decode_iteration with a storm armed.
     inside = []
     storm_emits = []
-    loop = DecodeBatchMixin._decode_fast_loop
+    finish = DecodeBatchMixin._finish_stretch
     emit = DecodeBatchMixin.emit_decode_iteration
 
-    def looping(self, instance, batch):
+    def finishing(self, *args):
         inside.append(True)
         try:
-            return loop(self, instance, batch)
+            return finish(self, *args)
         finally:
             inside.pop()
 
@@ -167,7 +167,7 @@ def test_preemption_storm_falls_back(monkeypatch):
             storm_emits.append(len(batch))
         return emit(self, instance, batch)
 
-    monkeypatch.setattr(DecodeBatchMixin, "_decode_fast_loop", looping)
+    monkeypatch.setattr(DecodeBatchMixin, "_finish_stretch", finishing)
     monkeypatch.setattr(DecodeBatchMixin, "emit_decode_iteration", emitting)
 
     def storms(sim, server):

@@ -15,21 +15,38 @@ caller of the shared decode fast loop: a server can reach the loop by
 inheritance (NanoFlow through chunked prefill), and one that prices its
 steps differently must price the elided ones the same way.  Every server
 whose scheduler calls the loop must really elide chains through it.
+
+A third layer runs fleets, where a replica's stretch is bounded by the
+next event that can reach *that* replica: MuxWise and chunked fleets,
+fleets whose router holds session followers or queued requests (whose
+stretches must fall back to the fleet-wide queue head), and a planted
+cross-replica event into a pending stretch, which must raise.
 """
+
+from collections import Counter
 
 import pytest
 
 from repro.baselines import ChunkedPrefillServer
 from repro.bench.perf import SCENARIOS, _digest
-from repro.bench.runner import run_system
+from repro.bench.runner import run_capped, run_system
 from repro.bench.sinks import ListSink
 from repro.cli import SYSTEMS, make_factory
+from repro.cluster import AdmissionConfig, Fleet, FleetConfig
+from repro.core import MuxWiseServer
 from repro.gpu.specs import A100
 from repro.models.config import LLAMA_8B
 from repro.serving.batching import DecodeBatchMixin
 from repro.serving.config import ServingConfig
-from repro.sim import fastpath
-from repro.workloads import sharegpt_workload
+from repro.sim import (
+    SimulationError,
+    Simulator,
+    WorkCounters,
+    collect_counters,
+    fastpath,
+    make_sim,
+)
+from repro.workloads import conversation_workload, sharegpt_workload
 
 #: Same scale as the golden fingerprints: small enough to run every
 #: scenario twice, large enough to exercise batching, caching and faults.
@@ -123,3 +140,180 @@ class TestMetricStreamEquivalence:
             workload = sharegpt_workload(40, rate=6.0, seed=13)
             untapped = run_system(_chunked, cfg, workload)
         assert tapped.result.summary.as_dict() == untapped.summary.as_dict()
+
+
+# --------------------------------------------------------------------- #
+# Decode stretches on fleets
+# --------------------------------------------------------------------- #
+
+
+def _muxwise(sim, cfg):
+    return MuxWiseServer(sim, cfg)
+
+
+class _FleetRun:
+    """One fleet run with every replica's token stream tapped.
+
+    Records the fleet's isolation answers as the stretch horizons asked
+    for them: True lets a replica's stretch ignore the other replicas'
+    events, False bounds it by the fleet-wide queue head.
+    """
+
+    def __init__(self, factory, workload, config, plant=None):
+        self.sinks = []
+
+        def tapped(sim, cfg):
+            server = factory(sim, cfg)
+            server.metrics.sink = ListSink()
+            self.sinks.append(server.metrics.sink)
+            return server
+
+        cfg = ServingConfig(model=LLAMA_8B, spec=A100, n_gpus=1)
+        self.sim = sim = make_sim()
+        self.fleet = fleet = Fleet(sim, tapped, cfg, config)
+        isolated = sim._isolation
+        self.isolation = Counter()
+
+        def watched():
+            answer = isolated()
+            self.isolation[answer] += 1
+            return answer
+
+        sim.set_isolation(watched)
+        if plant is not None:
+            plant(sim, fleet)
+        fleet.submit(workload)
+        run_capped(sim, workload.requests[-1].arrival_time + 3600.0)
+        self.counters = sim.counters.as_dict()
+        self.digest = _digest(
+            {
+                "summary": fleet.summarize().as_dict(),
+                "per_replica": {
+                    n: s.as_dict() for n, s in sorted(fleet.per_replica_summaries().items())
+                },
+                "sm_utilization": fleet.sm_utilization(),
+                "bandwidth_utilization": fleet.bandwidth_utilization(),
+                "bubble_ratio": [
+                    r.system.engine.bubble_ratio()
+                    for r in fleet.replicas
+                    if hasattr(r.system, "engine")
+                ],
+                "router": fleet.router.conservation(),
+            }
+        )
+        self.events = sim.processed_events
+        self.peak_event_queue = sim.max_event_queue
+        self.streams = [sink.records for sink in self.sinks]
+
+
+def _fleet_both(factory, workload, config) -> tuple[_FleetRun, _FleetRun]:
+    """Run a fleet fast and scalar; the two must agree byte for byte."""
+    with fastpath.enabled():
+        fast = _FleetRun(factory, workload, config)
+    with fastpath.disabled():
+        scalar = _FleetRun(factory, workload, config)
+    assert fast.digest == scalar.digest
+    assert fast.events == scalar.events
+    assert fast.peak_event_queue == scalar.peak_event_queue
+    assert sum(len(stream) for stream in fast.streams) > 100
+    assert fast.streams == scalar.streams
+    assert fast.counters["chains_elided"] > 0
+    assert scalar.counters["chains_elided"] == 0
+    # The stretches replace scheduled events; the fired count is charged.
+    assert fast.counters["pushes"] < scalar.counters["pushes"]
+    return fast, scalar
+
+
+AFFINITY = FleetConfig(replicas=4, policy="prefix-affinity")
+
+
+def test_single_muxwise_replica_matches_scalar():
+    runs = {}
+    for on in (True, False):
+        with fastpath.enabled() if on else fastpath.disabled():
+            with collect_counters() as counters:
+                tapped = _StreamedRun(_muxwise)
+        runs[on] = (tapped, WorkCounters.total(counters))
+    (fast, fast_counters), (scalar, _) = runs[True], runs[False]
+    assert fast.result.summary.as_dict() == scalar.result.summary.as_dict()
+    # Events and the queue high-water mark, utilisations and extras.
+    assert fast.result.stats == scalar.result.stats
+    assert fast.result.sm_utilization == scalar.result.sm_utilization
+    assert fast.result.bandwidth_utilization == scalar.result.bandwidth_utilization
+    assert fast.result.extras == scalar.result.extras
+    assert len(fast.sink.records) > 100
+    assert fast.sink.records == scalar.sink.records
+    assert fast_counters["chains_elided"] > 0
+
+
+def test_muxwise_fleet_stretches_past_other_replicas():
+    fast, _ = _fleet_both(_muxwise, sharegpt_workload(80, rate=6.0, seed=13), AFFINITY)
+    # Replicas were isolated when their stretches were planned.
+    assert fast.isolation[True] > 0
+
+
+def test_chunked_fleet_matches_scalar():
+    fast, _ = _fleet_both(_chunked, sharegpt_workload(120, rate=12.0, seed=13), AFFINITY)
+    assert fast.isolation[True] > 0
+
+
+def test_held_session_follower_falls_back():
+    # Multi-turn sessions: the router holds each later turn until the
+    # previous one completes, so stretches must fall back to the fleet-wide
+    # queue head while a follower is held.
+    workload = conversation_workload(
+        12, 3.0, seed=5, turn_decode_estimate=0.0, think_time_mean=0.05
+    )
+    fast, _ = _fleet_both(_muxwise, workload, AFFINITY)
+    assert fast.isolation[False] > 0 and fast.isolation[True] > 0
+
+
+def test_admission_queueing_falls_back():
+    config = FleetConfig(
+        replicas=4,
+        policy="least-outstanding",
+        admission=AdmissionConfig(max_outstanding_per_replica=2, mode="queue"),
+    )
+    fast, _ = _fleet_both(_chunked, sharegpt_workload(120, rate=12.0, seed=13), config)
+    assert fast.fleet.router.requests_queued > 0
+    assert fast.isolation[False] > 0
+
+
+def test_cross_scope_schedule_into_a_pending_stretch_raises(monkeypatch):
+    """Another replica's event reaching a replica inside its stretch is a
+    broken isolation promise, and must fail loudly, not silently diverge."""
+    planted = []
+    begin = Simulator.begin_stretch
+
+    def begin_and_plant(sim, end, callback):
+        event = begin(sim, end, callback)
+        victim = sim.current_scope
+        if planted or victim is None:
+            return event
+        others = [
+            r.scope
+            for r in fleet_box[0].replicas
+            if r.scope != victim and r.scope not in sim._stretch_ends
+        ]
+        if others:
+            planted.append((victim, end))
+            # From another replica's scope, reach into the stretch.
+            sim.schedule_at(
+                sim.now,
+                lambda: sim.schedule_at(end, lambda: None, scope=victim),
+                scope=others[0],
+            )
+        return event
+
+    fleet_box = []
+    monkeypatch.setattr(Simulator, "begin_stretch", begin_and_plant)
+    with fastpath.enabled(), pytest.raises(SimulationError) as raised:
+        _FleetRun(
+            _muxwise,
+            sharegpt_workload(40, rate=6.0, seed=13),
+            AFFINITY,
+            plant=lambda sim, fleet: fleet_box.append(fleet),
+        )
+    victim, end = planted[0]
+    message = str(raised.value)
+    assert repr(victim) in message and f"{end:.9f}" in message

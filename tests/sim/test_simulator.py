@@ -236,3 +236,66 @@ class TestRunControl:
         sim.schedule(1.0, lambda: chain(3))
         sim.run()
         assert times == [1.0, 2.0, 3.0, 4.0]
+
+
+class TestStretchHorizon:
+    """``Simulator.horizon`` and the pending-stretch guard of the decode
+    fast path (``repro.sim.fastpath``)."""
+
+    @staticmethod
+    def _fleet_like(isolated: bool) -> Simulator:
+        sim = Simulator()
+        sim.set_isolation(lambda: isolated)
+        sim.schedule_at(5.0, lambda: None)  # an unscoped arrival
+        sim.schedule_at(1.0, lambda: None, scope="b")  # another replica
+        sim.schedule_at(3.0, lambda: None, scope="a")  # this replica
+        return sim
+
+    def test_unscoped_horizon_is_the_raw_head(self):
+        sim = self._fleet_like(isolated=True)
+        assert sim.horizon(None) == 1.0
+        # A cancelled head still bounds it: the run loop drops it itself.
+        sim.schedule_at(0.5, lambda: None).cancel()
+        assert sim.horizon(None) == 0.5
+
+    def test_isolated_scope_sees_only_its_own_and_unscoped_events(self):
+        sim = self._fleet_like(isolated=True)
+        assert sim.horizon("a") == 3.0
+        assert sim.horizon("b") == 1.0
+        assert sim.horizon("c") == 5.0
+        # Fired and cancelled unscoped events no longer bound it.
+        sim.schedule_at(2.0, lambda: None).cancel()
+        assert sim.horizon("c") == 5.0
+
+    def test_without_isolation_every_scope_sees_the_raw_head(self):
+        sim = self._fleet_like(isolated=False)
+        assert sim.horizon("a") == sim.horizon("c") == 1.0
+        plain = Simulator()
+        plain.schedule_at(1.0, lambda: None, scope="b")
+        assert plain.horizon("a") == 1.0
+
+    def test_reaching_into_a_pending_stretch_raises(self):
+        sim = Simulator()
+        fired = []
+        with sim.scope("a"):
+            sim.begin_stretch(2.0, lambda: (sim.end_stretch(), fired.append(sim.now)))
+        assert "a" in sim._stretch_ends
+        with pytest.raises(SimulationError, match=r"'a' inside its decode stretch ending at 2\.0"):
+            sim.schedule_at(1.5, lambda: None, scope="a")
+        with pytest.raises(SimulationError, match="ending at 2.000000000"):
+            sim.schedule_at(2.0, lambda: None, scope=None)
+        # Other scopes, and anything after the stretch, are free.
+        sim.schedule_at(1.0, lambda: None, scope="b")
+        sim.schedule_at(2.5, lambda: None, scope="a")
+        sim.run()
+        assert fired == [2.0] and not sim._stretch_ends
+
+    def test_counters_tally_pushes_and_cancels(self):
+        sim = Simulator()
+        events = [sim.schedule(float(i), lambda: None) for i in range(4)]
+        events[0].cancel()
+        events[0].cancel()
+        sim.run()
+        events[1].cancel()  # already fired: not a queued cancellation
+        assert sim.counters.pushes == 4
+        assert sim.counters.cancels == 1
