@@ -23,6 +23,10 @@ Each scenario also reports the deterministic decode fast-loop work
 counters of every simulator it built (:class:`repro.sim.WorkCounters`).
 They say how a result was computed, not what it is, so they are printed
 next to the event count but kept out of fingerprints and the JSON report.
+With ``by_kind`` (``repro perf --by-kind``) the heap pushes and cancels are
+also split by the scheduled callback's qualified name; the tally wraps
+``Simulator.schedule_at`` and ``Simulator._note_cancelled`` only while such
+a run lasts.
 
 Request/segment ids are process-global counters, so fingerprints never
 include raw ids — only id-free aggregates, which are invariant under the
@@ -34,8 +38,11 @@ from __future__ import annotations
 import hashlib
 import json
 import time
+from collections import Counter
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
-from typing import Callable
+from functools import partial
+from typing import Callable, Iterator
 
 from repro.baselines import ChunkedPrefillServer
 from repro.bench.chaos import _jsonable, run_chaos
@@ -51,7 +58,7 @@ from repro.cluster import FleetConfig, HealthConfig
 from repro.gpu.specs import A100
 from repro.models.config import LLAMA_8B
 from repro.serving.config import ServingConfig
-from repro.sim import WorkCounters, collect_counters
+from repro.sim import Simulator, WorkCounters, collect_counters
 from repro.workloads import sharegpt_workload
 
 #: Schema version of BENCH_perf.json; bump on incompatible layout changes.
@@ -197,6 +204,8 @@ class ScenarioTiming:
     peak_event_queue: int
     wall_s: float
     counters: dict[str, int] = field(default_factory=dict)
+    #: ``{"pushes": {kind: n}, "cancels": {kind: n}}`` when run ``by_kind``.
+    by_kind: dict[str, dict[str, int]] = field(default_factory=dict)
 
     @property
     def events_per_sec(self) -> float:
@@ -306,11 +315,53 @@ class PerfReport:
         return problems
 
 
+def callback_kind(callback: Callable | None) -> str:
+    """The qualified name a push or cancel is tallied under."""
+    while isinstance(callback, partial):
+        callback = callback.func
+    if callback is None:
+        return "<none>"
+    return getattr(callback, "__qualname__", type(callback).__qualname__)
+
+
+@contextmanager
+def count_by_kind() -> Iterator[dict[str, Counter]]:
+    """Tally heap pushes and cancels by callback kind inside the block.
+
+    Wraps ``Simulator.schedule_at`` (every counted push goes through it)
+    and ``Simulator._note_cancelled`` (every counted cancel), and restores
+    both on exit, so runs without the tally pay nothing.
+    """
+    tally = {"pushes": Counter(), "cancels": Counter()}
+    schedule_at = Simulator.schedule_at
+    note_cancelled = Simulator._note_cancelled
+    pushes = tally["pushes"]
+    cancels = tally["cancels"]
+
+    def counted_schedule_at(self, time, callback, *args, **kwargs):
+        event = schedule_at(self, time, callback, *args, **kwargs)
+        pushes[callback_kind(callback)] += 1
+        return event
+
+    def counted_note_cancelled(self, event):
+        cancels[callback_kind(event.callback)] += 1
+        note_cancelled(self, event)
+
+    Simulator.schedule_at = counted_schedule_at
+    Simulator._note_cancelled = counted_note_cancelled
+    try:
+        yield tally
+    finally:
+        Simulator.schedule_at = schedule_at
+        Simulator._note_cancelled = note_cancelled
+
+
 def run_perf(
     scenarios: list[str] | None = None,
     scale: float = 1.0,
     repeats: int = 1,
     tiers: list[str] | None = None,
+    by_kind: bool = False,
 ) -> PerfReport:
     """Time the canonical scenarios and fingerprint their results.
 
@@ -321,7 +372,8 @@ def run_perf(
     ``tiers`` names entries of :data:`TIER_SCALES` to additionally run at
     their scale, restricted to :data:`SMOKE_SCENARIOS` (the fast ones — tiers
     exist to measure how throughput holds up as workloads grow, not to
-    re-run the slowest studies 10x larger).
+    re-run the slowest studies 10x larger).  ``by_kind`` splits each
+    scenario's pushes and cancels by callback kind (:func:`count_by_kind`).
     """
     if repeats < 1:
         raise ValueError("repeats must be >= 1")
@@ -337,7 +389,8 @@ def run_perf(
             raise ValueError(f"unknown scenario {name!r}; choose from {sorted(SCENARIOS)}")
         best: ScenarioTiming | None = None
         for _ in range(repeats):
-            with collect_counters() as counters:
+            tally_kinds = count_by_kind() if by_kind else nullcontext({})
+            with collect_counters() as counters, tally_kinds as kinds:
                 start = time.perf_counter()
                 payload, extras = scenario(scale)
                 wall = time.perf_counter() - start
@@ -348,6 +401,7 @@ def run_perf(
                 peak_event_queue=int(extras.get("peak_event_queue", 0)),
                 wall_s=wall,
                 counters=WorkCounters.total(counters),
+                by_kind={name: dict(tally) for name, tally in kinds.items()},
             )
             if best is not None and best.fingerprint != timing.fingerprint:
                 raise RuntimeError(
@@ -360,6 +414,9 @@ def run_perf(
         report.scenarios[name] = best
     for tier in tiers or []:
         report.tiers[tier] = run_perf(
-            scenarios=list(SMOKE_SCENARIOS), scale=TIER_SCALES[tier], repeats=repeats
+            scenarios=list(SMOKE_SCENARIOS),
+            scale=TIER_SCALES[tier],
+            repeats=repeats,
+            by_kind=by_kind,
         )
     return report

@@ -332,7 +332,9 @@ def cmd_perf(args: argparse.Namespace) -> int:
         for tier in tiers:
             if tier not in TIER_SCALES:
                 raise SystemExit(f"unknown tier {tier!r}; choose from {sorted(TIER_SCALES)}")
-    report = run_perf(scenarios=names, scale=args.scale, repeats=args.repeats, tiers=tiers)
+    report = run_perf(
+        scenarios=names, scale=args.scale, repeats=args.repeats, tiers=tiers, by_kind=args.by_kind
+    )
     if args.fingerprint:
         print(report.fingerprint_json())
     else:
@@ -342,12 +344,24 @@ def cmd_perf(args: argparse.Namespace) -> int:
             f"{'stretches':>9} {'ledger':>9}  "
             "bails head/busy/prefill/plan/pages/partition"
         )
+        print(
+            f"{'':<20} realloc lone/pair/general, co-run stretches, "
+            "co-run bails state/partition/group/horizon/pages/plan"
+        )
         for name, s in sorted(report.scenarios.items()):
             print(_perf_row(name, s))
         for tier_name, tier in sorted(report.tiers.items()):
             print(f"-- tier {tier_name} (scale {tier.scale:g}) --")
             for name, s in sorted(tier.scenarios.items()):
                 print(_perf_row(name, s))
+        if args.by_kind:
+            for label, scenarios in [("", report.scenarios)] + [
+                (f" (tier {tier_name})", tier.scenarios)
+                for tier_name, tier in sorted(report.tiers.items())
+            ]:
+                for name, s in sorted(scenarios.items()):
+                    print(f"\n{name}{label}: heap pushes / cancels by callback kind")
+                    print(_by_kind_table(s.by_kind))
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(report.to_json())
@@ -394,11 +408,29 @@ def _perf_row(name: str, s) -> str:
             "bail_head", "bail_busy", "bail_prefill", "bail_plan", "bail_pages", "bail_partition"
         )
     )
+    realloc = "/".join(
+        str(c.get(key, 0)) for key in ("realloc_lone", "realloc_pair", "realloc_general")
+    )
+    corun = "/".join(
+        str(c.get(f"corun_bail_{reason}", 0))
+        for reason in ("state", "partition", "group", "horizon", "pages", "plan")
+    )
     return (
         f"{name:<20} {s.events:>10} {s.peak_event_queue:>10} "
         f"{s.wall_s:>9.3f} {s.events_per_sec:>12.0f} {c.get('pushes', 0):>9} "
         f"{c.get('cancels', 0):>8} {c.get('chains_elided', 0):>8} "
-        f"{c.get('stretches', 0):>9} {c.get('ledger_writes', 0):>9}  {bails}"
+        f"{c.get('stretches', 0):>9} {c.get('ledger_writes', 0):>9}  {bails}\n"
+        f"{'':<20} {realloc}, {c.get('corun_stretches', 0)}, {corun}"
+    )
+
+
+def _by_kind_table(by_kind: dict[str, dict[str, int]]) -> str:
+    """Pushes and cancels per callback kind, most pushed first."""
+    pushes = by_kind.get("pushes", {})
+    cancels = by_kind.get("cancels", {})
+    kinds = sorted(set(pushes) | set(cancels), key=lambda k: (-pushes.get(k, 0), k))
+    return "\n".join(
+        f"  {pushes.get(kind, 0):>9} {cancels.get(kind, 0):>8}  {kind}" for kind in kinds
     )
 
 
@@ -656,6 +688,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     perf_p.add_argument(
         "--baseline", default=None, metavar="PATH", help="compare against a committed BENCH_perf.json"
+    )
+    perf_p.add_argument(
+        "--by-kind",
+        action="store_true",
+        help="also print heap pushes and cancels per callback kind",
     )
     perf_p.add_argument(
         "--max-regression",

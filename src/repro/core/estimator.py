@@ -190,7 +190,17 @@ class SoloRunPredictor:
         return max(1e-6, base * fitted_sm / sm_count)
 
     def predict_decode(self, batch_size: int, sum_reused: float, sm_count: int) -> float:
-        """Solo-run latency of one decode iteration on ``sm_count`` SMs."""
+        """Solo-run latency of one decode iteration on ``sm_count`` SMs.
+
+        numpy's 3-element ``row @ theta`` rounds like the FMA chain
+        ``fma(x2, t2, fma(x1, t1, x0 * t0))`` (no difference in 120,000
+        sampled calibrated predictions on a 2-vCPU x86-64 container with
+        Python 3.11.7), while the plain Python sum ``x0*t0 + x1*t1 + x2*t2``
+        differs in about 6% of them.  Python 3.11 has no ``math.fma``, so
+        the dot product stays numpy's; ``tests/core/test_estimator.py``
+        pins calibrated predictions so a build that rounds differently
+        fails there rather than moving fingerprints.
+        """
         _, theta = self._nearest(self._decode_theta, self._decode_nearest, sm_count)
         # _decode_features() in a reused row: same values, same bits from ``@``.
         row = self._decode_row

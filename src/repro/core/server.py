@@ -20,18 +20,21 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable
 
 from repro.core.engine import MultiplexEngine
 from repro.core.estimator import ContentionTolerantEstimator
 from repro.gpu.device import ExecTask
+from repro.gpu.launch import DECODE_LAUNCH_LABEL, prefill_launch_label
 from repro.gpu.specs import decode_partition_options
 from repro.models.costs import PhaseCost, PrefillItem, phase_latency
 from repro.serving.base import Instance, RequestState, build_instance
 from repro.serving.batching import DecodeBatchMixin
 from repro.serving.config import ServingConfig
-from repro.sim import Simulator, fastpath
-from repro.sim.fastpath import ChainPlan
+from repro.sim import SimulationError, Simulator, fastpath
+from repro.sim.fastpath import K_COMPLETE, K_HOST, K_UPDATE, Bail, ChainPlan, CoRunPlan, Lane
+from repro.sim.simulator import V_FIRE, Footprint
 from repro.trace.tracer import CAT_SCHED
 
 #: Share of the TBT SLO a decode partition is sized against; the rest is
@@ -60,6 +63,8 @@ class PrefillJob:
     solo_latency: dict[tuple[int, int], float] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
+    #: Cost of one layer of the batch (``items`` is fixed), computed once.
+    layer_cost: PhaseCost | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self.new_tokens = sum(item.new for item in self.items)
@@ -198,9 +203,16 @@ class MuxWiseServer(DecodeBatchMixin):
         if not self.layerwise:
             return remaining
         decode_lens = self.decode_context_lens([s for s in self.running if not s.finished])
-        if decode_lens:
+        return self._layer_group(job, remaining, len(decode_lens), sum(decode_lens), prefill_sms)
+
+    def _layer_group(
+        self, job: PrefillJob, remaining: int, n_running: int, running_ctx: int, prefill_sms: int
+    ) -> int:
+        """``N_PL`` for ``n_running`` running requests holding ``running_ctx``
+        context tokens, clamped to the ``remaining`` layers."""
+        if n_running:
             t_decode = self.estimator.solo_decode(
-                len(decode_lens), float(sum(decode_lens)), self.engine.decode_sms
+                n_running, float(running_ctx), self.engine.decode_sms
             )
         else:
             t_decode = self.cfg.slo.tbt / 2.0
@@ -216,6 +228,14 @@ class MuxWiseServer(DecodeBatchMixin):
             latency = job.solo_latency[key] = self.estimator.solo_prefill(job.items, prefill_sms)
         return latency
 
+    def _layers_cost(self, job: PrefillJob, count: int) -> PhaseCost:
+        """``cost_model.prefill_layers(job.items, count)``, with the one
+        layer's cost computed once per job."""
+        layer = job.layer_cost
+        if layer is None:
+            layer = job.layer_cost = self.instance.cost_model.prefill_layer(job.items)
+        return layer.scaled(count)
+
     def _launch_group(self) -> None:
         job = self.active_job
         if job is None or job.remaining_layers <= 0:
@@ -227,7 +247,7 @@ class MuxWiseServer(DecodeBatchMixin):
             )
             self._log_partition()
         count = self._group_size(job, prefill_sms)
-        cost = self.instance.cost_model.prefill_layers(job.items, count)
+        cost = self._layers_cost(job, count)
         completes = job.layers_done + count >= job.total_layers
         if completes:
             cost = cost + self.instance.cost_model.prefill_head(len(job.states))
@@ -492,6 +512,379 @@ class MuxWiseServer(DecodeBatchMixin):
         for plan in plans:
             host._busy_seconds += launch
             stream._busy_seconds += plan.completion - plan.submit
+
+    # ------------------------------------------------------------------ #
+    # Co-run stretches: decode iterations beside prefill layer groups
+    # ------------------------------------------------------------------ #
+
+    def _corun_stretch(
+        self, instance: Instance, batch: list[RequestState], resume: Callable[[], None]
+    ) -> bool:
+        """Plan the next decode iterations together with the in-flight
+        prefill job's layer groups and cover them with one stretch.
+
+        The dry run (:class:`repro.sim.fastpath.CoRunPlan`) takes over the
+        prefill lane — a group in host launch, on the device or in its
+        serialized tail, whose one live event becomes the plan's shadow —
+        and makes the server's own decisions at every completion:
+        ``observe_decode``, the decode partition and cost at each decode
+        completion, ``_group_size`` and the layer costs at each group
+        completion.  The stretch ends at the last decode completion before
+        a partition change, before the job's last group completes, at the
+        iteration a batch member finishes, at the KV page budget, and
+        strictly before the horizon, ``until`` and the event cap.
+        """
+        sim = self.sim
+        counters = sim.counters
+        job = self.active_job
+        engine = self.engine
+        device = instance.device
+        host = instance.host
+        decode_stream = engine.decode_stream
+        prefill_stream = engine.prefill_stream
+        cache = instance.cache
+        if job is None:
+            # Prefill is queued, not running: the scalar step admits it.
+            counters.bail_prefill += 1
+            return False
+        if (
+            not self.layerwise
+            or not self.query_sync
+            or job.group_in_flight <= 0
+            or job.preempt_requested
+            or self.preempted_job is not None
+            or self._preemptor_state is not None
+            or self._storm_pending
+            or cache.spill is not None
+            or device._stalled
+            or decode_stream._busy
+            or decode_stream._queue
+            or prefill_stream._queue
+            or host._queue
+            or len(device._active) > 1
+        ):
+            counters.corun_bail_state += 1
+            return False
+        # The prefill lane: a group in host launch, on the device, or in
+        # its serialized tail; its one live event is the shadow.
+        if host._busy:
+            action = host._current[0]
+            if (
+                getattr(action, "func", None) != prefill_stream.submit
+                or prefill_stream._busy
+                or device._active
+            ):
+                counters.corun_bail_state += 1
+                return False
+            group = action.args[0]
+            shadow = host._finish_event
+            kind = K_HOST
+        elif prefill_stream._busy and prefill_stream._on_done is not None:
+            group = prefill_stream._task
+            if device._active:
+                if device._active[0] is not group:
+                    counters.corun_bail_state += 1
+                    return False
+                shadow = device._update_event
+                kind = K_UPDATE
+            else:
+                shadow = group.completion
+                kind = K_COMPLETE
+        else:
+            counters.corun_bail_state += 1
+            return False
+        if shadow is None or shadow.cancelled or shadow.owner is None:
+            counters.corun_bail_state += 1
+            return False
+        now = sim.now
+        size = len(batch)
+        ctx = 0
+        for s in batch:
+            ctx += s._input_tokens + s.generated
+        sm = engine.decode_sms
+        choose = self._choose_decode_partition
+        if choose(size, float(ctx)) != sm:
+            counters.corun_bail_partition += 1
+            return False
+        horizon = sim.horizon(sim.current_scope, exclude=shadow)
+        min_delta = self._fastpath_min_delta
+        if horizon <= now + min_delta:
+            counters.bail_head += 1
+            return False
+        limit = min(s.request.output_tokens - s.generated for s in batch)
+        limit = cache.extend_limit([s.lease for s in batch], limit)
+        if limit <= 0:
+            counters.corun_bail_pages += 1
+            return False
+
+        plan = CoRunPlan(device, host, now)
+        decode_lane = Lane(decode_stream.sm_count, False, None, decode_stream._busy_seconds, None)
+        prefill_lane = Lane(
+            prefill_stream.sm_count,
+            prefill_stream._busy,
+            prefill_stream._current_op_start,
+            prefill_stream._busy_seconds,
+            None,
+        )
+        lanes = (decode_lane, prefill_lane)
+        copy = fastpath.clone_task(group)
+        prefill_label = prefill_launch_label(True)
+        if kind == K_HOST:
+            plan.host_busy = True
+            plan.host_op = (prefill_lane, copy, prefill_label)
+            plan.host_start = host._current[2]
+            plan.host_entry = plan.adopt(shadow, K_HOST)
+        else:
+            prefill_lane.task = copy
+            if kind == K_UPDATE:
+                plan.active = [copy]
+                plan.update = plan.adopt(shadow, K_UPDATE)
+            else:
+                plan.adopt(shadow, K_COMPLETE, copy)
+
+        estimator = self.estimator
+        # _choose_decode_partition with the active job, unrolled.
+        fit = estimator.first_decode_fit
+        options = self.partition_options
+        tbt_budget = self.cfg.slo.tbt * SLO_MARGIN - self.cfg.launch.decode_launch()
+        cost_model = instance.cost_model
+        cost_of = self._decode_only_cost
+        launch_model = self.cfg.launch
+        launch = launch_model.decode_launch()
+        total_sms = device.total_sms
+        prefill_sms = engine.prefill_sms
+        new_tokens = float(job.new_tokens)
+        reused_tokens = float(job.reused_tokens)
+        total_layers = job.total_layers
+        running = [s for s in self.running if not s.finished]
+        n_running = len(running)
+        running_ctx = 0
+        for s in running:
+            running_ctx += s._input_tokens + s.generated
+        until = sim._run_until
+        event_budget = sim._run_cap - sim._fired_in_run
+
+        def on_group_done(_t: float, j: PrefillJob = job) -> None:
+            self._on_group_done(j)
+
+        def start_decode(ctx: int) -> ExecTask:
+            cost = cost_of(instance, size, ctx)
+            task = ExecTask(cost.flops, cost.bytes, fixed_time=cost.comm_time, tag="decode-iter")
+            iters.append((float(ctx), plan.now))
+            plan.launch(launch, decode_lane, task, DECODE_LAUNCH_LABEL)
+            return task
+
+        iters: list[tuple[float, float]] = []
+        times: list[float] = []
+        layers_done = job.layers_done
+        in_flight = job.group_in_flight
+        current = copy
+        final = None
+        cut = True
+        try:
+            dtask = start_decode(ctx)
+            while True:
+                entry = plan.next_completion()
+                if entry.arg is dtask:
+                    end = entry.time
+                    if not (end < horizon and end <= until and plan.fired + 1 <= event_budget):
+                        counters.corun_bail_horizon += 1
+                        break
+                    plan.live.remove(entry)
+                    plan.now = end
+                    plan.fired += 1
+                    times.append(end)
+                    final = (
+                        plan.snapshot((dtask, current), lanes),
+                        layers_done, in_flight, current, len(times),
+                    )
+                    if len(times) == limit:
+                        cut = False
+                        break
+                    plan.ops.append((end, V_FIRE, entry))
+                    plan.release(decode_lane)
+                    # _on_decode_done, then _maybe_start_decode.
+                    sum_context, submitted = iters[-1]
+                    if job.new_tokens > 0:
+                        estimator.observe_decode(
+                            size, sum_context, sm, end - submitted - launch,
+                            new_tokens, reused_tokens,
+                        )
+                    ctx += size
+                    running_ctx += size
+                    if fit(options, tbt_budget, size, float(ctx), new_tokens, reused_tokens) != sm:
+                        counters.corun_bail_partition += 1
+                        break
+                    if horizon <= end + min_delta:
+                        counters.corun_bail_horizon += 1
+                        break
+                    dtask = start_decode(ctx)
+                    continue
+                # A layer group completes: _on_group_done, then _launch_group.
+                if layers_done + in_flight >= total_layers:
+                    counters.corun_bail_group += 1
+                    break
+                plan.take(entry)
+                plan.release(prefill_lane)
+                layers_done += in_flight
+                in_flight = 0
+                if total_sms - sm != prefill_sms:
+                    counters.corun_bail_partition += 1
+                    break
+                # _group_size at the planned instant: no group in flight.
+                count = self._layer_group(
+                    job, total_layers - layers_done, n_running, running_ctx, prefill_sms
+                )
+                cost = self._layers_cost(job, count)
+                if layers_done + count >= total_layers:
+                    cost = cost + cost_model.prefill_head(len(job.states))
+                in_flight = count
+                current = ExecTask(
+                    cost.flops,
+                    cost.bytes,
+                    fixed_time=cost.comm_time,
+                    tag="prefill-group",
+                    on_complete=on_group_done,
+                )
+                plan.launch(
+                    launch_model.prefill_layers_launch(count), prefill_lane, current, prefill_label
+                )
+        except Bail:
+            counters.corun_bail_plan += 1
+        if final is None:
+            return False
+        snap, layers_done, in_flight, current, steps = final
+        plan.restore(snap)
+        # One launch per iteration: the last planned one is ``steps - 1``.
+        del times[steps:]
+        del iters[steps:]
+        counters.chains_elided += steps
+        counters.corun_stretches += 1
+        if plan.shadow.shadow is not None and plan.shadow not in plan.live:
+            # The plan fires or cancels the shadow inside the stretch.
+            plan.shadow.shadow.callback = None
+        footprint = Footprint(plan.ops, plan.live, plan.cancelled)
+        state = (plan, lanes, group, copy, current, layers_done, in_flight, iters[-1], cut)
+        sim.begin_stretch(
+            times[-1],
+            lambda: self._finish_corun(instance, batch, times, footprint, state),
+            footprint,
+        )
+        return True
+
+    def _finish_corun(
+        self,
+        instance: Instance,
+        batch: list[RequestState],
+        times: list[float],
+        footprint: Footprint,
+        state: tuple,
+    ) -> None:
+        """The co-run stretch's continuation: rebuild the replica as the
+        scalar path holds it at the last planned decode completion, then
+        run that completion's scalar tail."""
+        plan, lanes, group, copy, current, layers_done, in_flight, last_iter, cut = state
+        decode_lane, prefill_lane = lanes
+        sim = self.sim
+        now = sim.now
+        sim.end_stretch()
+        if cut:
+            self._stretch_cut_at = now
+        device = instance.device
+        host = instance.host
+        engine = self.engine
+        decode_stream = engine.decode_stream
+        prefill_stream = engine.prefill_stream
+        shadow = plan.shadow
+        # Events: the continuation stands for the last completion; the
+        # shadow, when the plan fired or cancelled it by now, was popped
+        # for real.
+        charge = plan.fired - 1
+        if shadow.shadow.callback is None and shadow.time <= now:
+            charge -= 1
+        sim._event_count += charge
+        sim._fired_in_run += charge
+        if sim._fired_in_run > sim._run_cap:
+            raise SimulationError(
+                f"the {sim._run_cap}-event cap fell inside the co-run stretch of "
+                f"scope {sim.current_scope!r} ending at {now:.9f}: the scalar "
+                "run stops earlier (rerun with REPRO_FASTPATH=0)"
+            )
+
+        def real(task: ExecTask) -> ExecTask:
+            # The plan advanced a clone of the group in flight at its start.
+            return group if task is copy else task
+
+        if current is copy:
+            for name in fastpath._TASK_STATE:
+                setattr(group, name, getattr(copy, name))
+        # Device.
+        device._active = [real(task) for task in plan.active]
+        device._last_advance = plan.last
+        device._sm_occupancy = plan.occ
+        device._bw_capacity_seconds = plan.bw_cap
+        device._sm_seconds = plan.sm_sec
+        device._bw_bytes_served = plan.served
+        device._pair_factors = plan.pair
+        # Host thread.
+        host._busy = plan.host_busy
+        host._busy_seconds = plan.host_seconds
+        if plan.host_busy:
+            _, task, label = plan.host_op
+            host._current = (partial(prefill_stream.submit, real(task)), label, plan.host_start)
+        else:
+            host._current = None
+            host._finish_event = None
+        # Streams: the prefill group (bound to its stream once submitted),
+        # and the decode stream, running the iteration that completes now.
+        prefill_stream._busy = prefill_lane.busy
+        prefill_stream._current_op_start = prefill_lane.op_start
+        prefill_stream._busy_seconds = prefill_lane.seconds
+        if prefill_lane.busy:
+            task = real(prefill_lane.task)
+            prefill_stream._task = task
+            if task.on_complete != prefill_stream._op_done:
+                task.trace_track = prefill_stream.trace_track
+                prefill_stream._on_done = task.on_complete
+                task.on_complete = prefill_stream._op_done
+        else:
+            prefill_stream._on_done = None
+        decode_stream._busy = True
+        decode_stream._current_op_start = decode_lane.op_start
+        decode_stream._busy_seconds = decode_lane.seconds
+        decode_stream._on_done = self._on_decode_done
+        # The scalar heap's entries of the replica, in push order.
+        if plan.update is None or plan.update is shadow:
+            device._update_event = None if plan.update is None else shadow.shadow
+        cancelled = plan.cancelled
+        for entry in sorted(plan.live + cancelled, key=fastpath._entry_key):
+            if entry is shadow:
+                if entry in cancelled:
+                    sim.settle_shadow(footprint, entry)
+                continue
+            if entry in cancelled:
+                if not entry.dropped:
+                    sim.adopt_entry(footprint, entry, None)
+                continue
+            if entry.kind == K_UPDATE:
+                device._update_event = sim.adopt_entry(footprint, entry, device._on_update)
+            elif entry.kind == K_HOST:
+                host._finish_event = sim.adopt_entry(footprint, entry, host._finish)
+            else:
+                task = real(entry.arg)
+                task.completion = sim.adopt_entry(
+                    footprint, entry, partial(device._complete, task)
+                )
+        sim.close_footprint()
+        job = self.active_job
+        job.layers_done = layers_done
+        job.group_in_flight = in_flight
+        sum_context, submitted = last_iter
+        self._stretch_times = times
+        self._inflight = (batch, sum_context, job, submitted)
+        self._decode_inflight = True
+        # Device._complete -> Stream._op_done -> _on_decode_done.
+        decode_stream._op_done(now)
 
     def _on_decode_done(self, _time: float) -> None:
         batch, sum_context, job, submit_time = self._inflight

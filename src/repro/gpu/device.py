@@ -98,13 +98,14 @@ class ExecTask:
             after the stream is released, before its next op starts).
 
     The device manages the runtime state: ``rem_flops``, ``rem_bytes``,
-    ``compute_rate``, ``bw_rate``, ``start_time`` and ``finish_time``.
+    ``compute_rate``, ``bw_rate``, ``start_time``, ``finish_time`` and
+    ``completion`` (the event that completes a retired task).
     """
 
     __slots__ = (
         "flops", "bytes", "sm_count", "fixed_time", "max_bandwidth", "tag",
         "trace_track", "on_complete", "rem_flops", "rem_bytes",
-        "bw_rate", "compute_rate", "start_time", "finish_time",
+        "bw_rate", "compute_rate", "start_time", "finish_time", "completion",
         "_flops_floor", "_bytes_floor",
     )
 
@@ -133,6 +134,7 @@ class ExecTask:
         self.compute_rate = 0.0
         self.start_time = math.nan
         self.finish_time = math.nan
+        self.completion: Event | None = None
         # Relative thresholds below which a dimension counts as finished;
         # guards against float round-off residue stalling the fluid loop.
         self._flops_floor = max(_EPS, 1e-9 * self.rem_flops)
@@ -476,7 +478,9 @@ class Device:
         """
         active = self._active
         n = len(active)
+        counters = self.sim.counters
         if n == 1 and not self._stalled:
+            counters.realloc_lone += 1
             # A lone task's interference factor is exactly 1.0 and the
             # water-fill of one demand is min(demand, capacity).
             task = active[0]
@@ -490,8 +494,10 @@ class Device:
             )
             horizon = _task_horizon(task, math.inf)
         elif n == 2 and not self._stalled:
+            counters.realloc_pair += 1
             horizon = self._reallocate_pair(active[0], active[1])
         else:
+            counters.realloc_general += 1
             horizon = self._reallocate_general()
             if self._stalled:
                 return horizon
@@ -697,10 +703,13 @@ class Device:
         sim = self.sim
         fixed_time = task.fixed_time
         now = sim.now
-        sim.schedule_at(now + fixed_time if fixed_time > 0 else now, partial(self._complete, task))
+        task.completion = sim.schedule_at(
+            now + fixed_time if fixed_time > 0 else now, partial(self._complete, task)
+        )
 
     def _complete(self, task: ExecTask) -> None:
         task.finish_time = now = self.sim.now
+        task.completion = None  # the event fired (and referenced the task)
         tracer = self.sim.tracer
         if tracer is not None:
             tracer.complete(

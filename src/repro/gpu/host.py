@@ -13,7 +13,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Callable
 
-from repro.sim import Simulator
+from repro.sim import Event, Simulator
 from repro.trace.tracer import CAT_LAUNCH
 
 
@@ -33,8 +33,10 @@ class HostThread:
         self._queue: deque[tuple[float, Callable[[], None], str]] = deque()
         self._busy = False
         self._busy_seconds = 0.0
-        # The operation in flight: its action, trace label and start time.
+        # The operation in flight: its action, trace label and start time,
+        # and the event that finishes it.
         self._current: tuple[Callable[[], None], str, float] | None = None
+        self._finish_event: Event | None = None
 
     @property
     def busy(self) -> bool:
@@ -72,7 +74,7 @@ class HostThread:
         self._busy_seconds += duration
         now = self.sim.now
         self._current = (action, label, now)
-        self.sim.schedule_at(now + duration, self._finish)
+        self._finish_event = self.sim.schedule_at(now + duration, self._finish)
 
     def _finish(self) -> None:
         """The in-flight operation's host time elapsed: run its action."""

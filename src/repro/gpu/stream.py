@@ -39,7 +39,8 @@ class Stream:
         #: Queued ops: a task, or the SM count of a resize.
         self._queue: deque[ExecTask | int] = deque()
         self._busy = False
-        #: The running task's own completion callback.
+        #: The running task and its own completion callback.
+        self._task: ExecTask | None = None
         self._on_done: Callable[[float], None] | None = None
         #: SM count and start time of the in-flight resize (if any).
         self._resize_to = sm_count
@@ -116,6 +117,7 @@ class Stream:
             self._resize_start = now
             sim.schedule_at(now + self.device.spec.greenctx_reconfig_time, self._finish_resize)
             return
+        self._task = op
         op.sm_count = self._sm_count
         op.trace_track = self.trace_track
         if not op.tag:

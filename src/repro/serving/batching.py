@@ -117,6 +117,15 @@ class DecodeBatchMixin(ServingSystem):
     def _replay_launch(self, plans: list[ChainPlan]) -> None:
         """Replay the launch-path accounting of a stretch's iterations."""
 
+    def _corun_stretch(
+        self, instance: Instance, batch: list[RequestState], resume: Callable[[], None]
+    ) -> bool:
+        """Cover the next iterations, which co-run with prefill work, with
+        one stretch (a server that multiplexes the two overrides this);
+        returns whether the continuation is scheduled."""
+        self.sim.counters.bail_prefill += 1
+        return False
+
     def requeue(self, state: RequestState) -> None:
         """Send a request whose KV was released back to the queue head.
 
@@ -207,8 +216,7 @@ class DecodeBatchMixin(ServingSystem):
             return False
         counters = sim.counters
         if self._fastpath_prefill_admissible(len(batch)):
-            counters.bail_prefill += 1
-            return False
+            return self._corun_stretch(instance, batch, resume)
         if self._decode_lane_busy(instance):
             counters.bail_busy += 1
             return False

@@ -20,7 +20,7 @@ from repro.bench.perf import (
     run_perf,
 )
 from repro.cli import _measured_part
-from repro.sim import fastpath
+from repro.sim import Simulator, fastpath
 
 #: Scale used for the golden run; small enough for a unit test, large
 #: enough that every scenario exercises batching, caching and faults.
@@ -111,16 +111,33 @@ GOLDEN_COUNTERS_SINGLE = {
     "bail_plan": 4,
     "bail_pages": 0,
     "bail_partition": 0,
+    "realloc_lone": 32,
+    "realloc_pair": 0,
+    "realloc_general": 0,
+    "corun_stretches": 0,
+    "corun_bail_state": 0,
+    "corun_bail_partition": 0,
+    "corun_bail_group": 0,
+    "corun_bail_horizon": 0,
+    "corun_bail_pages": 0,
+    "corun_bail_plan": 0,
 }
 
 #: Decode stretches on fleets: each replica's stretch is bounded by the
 #: next event that can reach it, not by the fleet-wide queue head.  The
 #: chunked ``fleet_4_replicas`` scenario at ``GOLDEN_SCALE`` and a small
-#: 4-replica MuxWise fleet (:func:`_muxwise_fleet_counters`); the scalar
-#: path schedules 6102 and 18107 events on them.
+#: 4-replica MuxWise fleet (:func:`_muxwise_fleet_counters`), whose co-run
+#: stretches plan decode iterations beside prefill layer groups; the scalar
+#: path schedules 6102 and 18107 events on them (the MuxWise estimator's
+#: calibration, warmed before counting, is not included).
 GOLDEN_FLEET_COUNTERS = {
     "fleet_4_replicas": {"chains_elided": 1827, "stretches": 138, "pushes": 759},
-    "muxwise_fleet": {"chains_elided": 4013, "stretches": 259, "pushes": 3292},
+    "muxwise_fleet": {
+        "chains_elided": 4049,
+        "stretches": 279,
+        "pushes": 2020,
+        "corun_stretches": 20,
+    },
 }
 
 
@@ -129,6 +146,7 @@ def _muxwise_fleet_counters() -> dict[str, int]:
     from repro.bench.fleet import run_fleet
     from repro.cluster import FleetConfig
     from repro.core import MuxWiseServer
+    from repro.core.calibration import calibrated_estimator
     from repro.gpu.specs import A100
     from repro.models.config import LLAMA_8B
     from repro.serving.config import ServingConfig
@@ -136,6 +154,10 @@ def _muxwise_fleet_counters() -> dict[str, int]:
     from repro.workloads import sharegpt_workload
 
     cfg = ServingConfig(model=LLAMA_8B, spec=A100, n_gpus=1)
+    # The estimator's calibration is memoised per process and runs its own
+    # simulator: warm it first, so the counts are the fleet's alone
+    # whichever test ran first.
+    calibrated_estimator(cfg)
     with collect_counters() as counters:
         run_fleet(
             MuxWiseServer,
@@ -186,6 +208,22 @@ class TestWorkCounters:
             }
         for name, golden in GOLDEN_FLEET_COUNTERS.items():
             assert {key: measured[name][key] for key in golden} == golden, name
+
+    def test_pushes_and_cancels_by_kind_sum_to_the_totals(self):
+        # agentic_rag runs MuxWise co-run stretches and cancels device updates.
+        schedule_at = Simulator.schedule_at
+        report = run_perf(scenarios=["agentic_rag"], scale=GOLDEN_SCALE, by_kind=True)
+        timing = report.scenarios["agentic_rag"]
+        kinds = timing.by_kind
+        assert sum(kinds["pushes"].values()) == timing.counters["pushes"]
+        assert sum(kinds["cancels"].values()) == timing.counters["cancels"] > 0
+        assert kinds["cancels"]["Device._on_update"] > 0
+        assert timing.counters["corun_stretches"] > 0
+        # The tally is installed only for the run, and stays out of reports.
+        assert Simulator.schedule_at is schedule_at
+        assert report.fingerprints()["agentic_rag"] == GOLDEN_RESULTS["agentic_rag"]
+        plain = run_perf(scenarios=["agentic_rag"], scale=GOLDEN_SCALE)
+        assert plain.scenarios["agentic_rag"].by_kind == {}
 
     def test_scalar_path_elides_nothing(self):
         with fastpath.disabled():

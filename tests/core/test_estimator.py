@@ -263,3 +263,53 @@ class TestPredictionCaches:
             assert estimator.solo_decode(batch, context, sm) == fresh.predict_decode(
                 batch, context, sm
             )
+
+
+class TestPredictDecodeRounding:
+    """``predict_decode``'s 3-element ``row @ theta`` rounds like the FMA
+    chain ``fma(x2, t2, fma(x1, t1, x0 * t0))``, not like the plain Python
+    sum (which differs in about 6% of calibrated predictions).  Every
+    fingerprint depends on those bits, so they are pinned here: a numpy
+    build whose dot product rounds differently fails these tests instead of
+    silently moving the goldens."""
+
+    #: ``(sm_count, batch_size, sum_reused) -> prediction`` on Llama-8B/A100.
+    PINNED = {
+        (16, 32, 12345.0): "0x1.8c9e1f2631001p-6",
+        (16, 7, 99999.0): "0x1.40f1d608f1cc8p-6",
+        (32, 32, 12345.0): "0x1.0e955f91037bcp-6",
+        (32, 7, 99999.0): "0x1.3f8895b1d9360p-6",
+        (48, 32, 12345.0): "0x1.e90bfb45b2841p-7",
+        (48, 7, 99999.0): "0x1.4289aa1ace68ap-6",
+    }
+
+    @pytest.fixture(scope="class")
+    def predictor(self):
+        from repro.core.calibration import calibrated_estimator
+        from repro.gpu.specs import A100
+        from repro.models.config import LLAMA_8B
+        from repro.serving.config import ServingConfig
+
+        cfg = ServingConfig(model=LLAMA_8B, spec=A100, n_gpus=1)
+        return calibrated_estimator(cfg).predictor
+
+    def test_calibrated_predictions_pinned(self, predictor):
+        for (sm_count, batch, reused), expected in self.PINNED.items():
+            got = predictor.predict_decode(batch, reused, sm_count)
+            assert got.hex() == expected, (sm_count, batch, reused)
+
+    def test_dot_rounds_like_an_fma_chain(self, predictor):
+        import random
+        from fractions import Fraction
+
+        def fma(a: float, b: float, c: float) -> float:
+            return float(Fraction(a) * Fraction(b) + Fraction(c))
+
+        rng = random.Random(0)
+        for sm_count, theta in sorted(predictor._decode_theta.items()):
+            t0, t1, t2 = (float(x) for x in theta)
+            for _ in range(300):
+                batch = rng.randint(1, 256)
+                reused = float(rng.randint(batch, 400_000))
+                chain = fma(1.0, t2, fma(float(batch), t1, reused * t0))
+                assert predictor.predict_decode(batch, reused, sm_count) == max(1e-6, chain)

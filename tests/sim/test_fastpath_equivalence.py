@@ -21,6 +21,14 @@ next event that can reach *that* replica: MuxWise and chunked fleets,
 fleets whose router holds session followers or queued requests (whose
 stretches must fall back to the fleet-wide queue head), and a planted
 cross-replica event into a pending stretch, which must raise.
+
+A fourth layer covers MuxWise's co-run stretches, which plan decode
+iterations together with the prefill layer groups beside them: a single
+replica under prefill load, the 4-replica RAG co-run fleet, Fig. 20's
+preemption setup, a 2-GPU replica (whose prefill groups have a serialized
+communication tail), the layer-wise and query-sync ablations (which must
+bail and still match) and a planted cross-replica event into a co-run
+stretch, which must raise.
 """
 
 from collections import Counter
@@ -38,6 +46,7 @@ from repro.gpu.specs import A100
 from repro.models.config import LLAMA_8B
 from repro.serving.batching import DecodeBatchMixin
 from repro.serving.config import ServingConfig
+from repro.serving.slo import SLO
 from repro.sim import (
     SimulationError,
     Simulator,
@@ -46,7 +55,13 @@ from repro.sim import (
     fastpath,
     make_sim,
 )
-from repro.workloads import conversation_workload, sharegpt_workload
+from repro.workloads import (
+    conversation_workload,
+    mixed_workload,
+    poissonized,
+    rag_workload,
+    sharegpt_workload,
+)
 
 #: Same scale as the golden fingerprints: small enough to run every
 #: scenario twice, large enough to exercise batching, caching and faults.
@@ -285,8 +300,8 @@ def test_cross_scope_schedule_into_a_pending_stretch_raises(monkeypatch):
     planted = []
     begin = Simulator.begin_stretch
 
-    def begin_and_plant(sim, end, callback):
-        event = begin(sim, end, callback)
+    def begin_and_plant(sim, end, callback, footprint=None):
+        event = begin(sim, end, callback, footprint)
         victim = sim.current_scope
         if planted or victim is None:
             return event
@@ -317,3 +332,171 @@ def test_cross_scope_schedule_into_a_pending_stretch_raises(monkeypatch):
     victim, end = planted[0]
     message = str(raised.value)
     assert repr(victim) in message and f"{end:.9f}" in message
+
+
+# --------------------------------------------------------------------- #
+# Co-run stretches: decode iterations beside prefill layer groups
+# --------------------------------------------------------------------- #
+
+
+def _single_both(make_server, workload, n_gpus=1, slo=None):
+    """Run one system fast and scalar; the two must agree byte for byte.
+
+    Returns the fast run's work counters.
+    """
+    runs = {}
+    for on in (True, False):
+        sink = ListSink()
+
+        def factory(sim, cfg):
+            server = make_server(sim, cfg)
+            server.metrics.sink = sink
+            return server
+
+        cfg = ServingConfig(model=LLAMA_8B, spec=A100, n_gpus=n_gpus, slo=slo)
+        with fastpath.enabled() if on else fastpath.disabled():
+            with collect_counters() as counters:
+                result = run_system(factory, cfg, workload)
+        runs[on] = (result, sink.records, WorkCounters.total(counters))
+    (fast, fast_stream, fast_counters), (scalar, scalar_stream, _) = runs[True], runs[False]
+    assert fast.summary.as_dict() == scalar.summary.as_dict()
+    # Events and the queue high-water mark, utilisations and extras.
+    assert fast.stats == scalar.stats
+    assert fast.sm_utilization == scalar.sm_utilization
+    assert fast.bandwidth_utilization == scalar.bandwidth_utilization
+    assert fast.extras == scalar.extras
+    assert len(fast_stream) > 100
+    assert fast_stream == scalar_stream
+    return fast_counters
+
+
+def _rag(requests: int):
+    return poissonized(rag_workload(requests, 3.0, seed=0), 3.0, seed=0)
+
+
+def test_corun_single_replica_matches_scalar():
+    counters = _single_both(_muxwise, _rag(60))
+    assert counters["corun_stretches"] > 0
+
+
+def test_corun_partition_growth_matches_scalar():
+    """A tight TBT SLO moves the decode partition (16 to 96 SMs) as the
+    batch's context grows, so co-run stretches must stop before an
+    iteration whose partition differs from the current one."""
+    counters = _single_both(_muxwise, _rag(60), slo=SLO(tbt=0.018))
+    assert counters["corun_stretches"] > 0
+    assert counters["corun_bail_partition"] > 0
+
+
+def test_corun_fleet_matches_scalar():
+    fast, _ = _fleet_both(_muxwise, _rag(120), AFFINITY)
+    assert fast.counters["corun_stretches"] > 0
+    assert fast.isolation[True] > 0
+
+
+def test_corun_preemption_setup_matches_scalar():
+    """Fig. 20: short prefills preempt a long one at a layer boundary; a
+    job with a preemption requested or pending never joins a stretch."""
+    from repro.bench.figures import FIG20_CFG
+
+    def preempting(sim, cfg):
+        return MuxWiseServer(sim, FIG20_CFG, preemption=True)
+
+    counters = _single_both(preempting, mixed_workload(40, rate=0.25, seed=200))
+    assert counters["corun_stretches"] > 0
+
+
+@pytest.mark.parametrize("ablation", ["layerwise", "query_sync"])
+def test_corun_ablations_bail_and_match(ablation):
+    def ablated(sim, cfg):
+        return MuxWiseServer(sim, cfg, **{ablation: False})
+
+    counters = _single_both(ablated, _rag(40))
+    assert counters["corun_stretches"] == 0
+    assert counters["corun_bail_state"] > 0
+
+
+def test_corun_two_gpu_replica_matches_scalar():
+    # Two GPUs: every prefill group ends in a serialized all-reduce tail,
+    # so stretches start with a group's completion pending.
+    counters = _single_both(_muxwise, _rag(40), n_gpus=2)
+    assert counters["corun_stretches"] > 0
+
+
+def test_cross_scope_schedule_into_a_corun_stretch_raises(monkeypatch):
+    planted = []
+    begin = Simulator.begin_stretch
+
+    def begin_and_plant(sim, end, callback, footprint=None):
+        event = begin(sim, end, callback, footprint)
+        victim = sim.current_scope
+        if planted or victim is None or footprint is None:
+            return event
+        others = [r.scope for r in fleet_box[0].replicas if r.scope != victim]
+        planted.append((victim, end))
+        sim.schedule_at(
+            sim.now,
+            lambda: sim.schedule_at(end, lambda: None, scope=victim),
+            scope=others[0],
+        )
+        return event
+
+    fleet_box = []
+    monkeypatch.setattr(Simulator, "begin_stretch", begin_and_plant)
+    with fastpath.enabled(), pytest.raises(SimulationError) as raised:
+        _FleetRun(
+            _muxwise, _rag(120), AFFINITY, plant=lambda sim, fleet: fleet_box.append(fleet)
+        )
+    victim, end = planted[0]
+    message = str(raised.value)
+    assert repr(victim) in message and f"{end:.9f}" in message
+
+
+class _Compactions:
+    """Counts heap compactions, and those made while a stretch footprint
+    was pending (the scalar heap's cancelled entries include the plan's)."""
+
+    def __init__(self, monkeypatch):
+        self.total = self.inside = 0
+        compact = Simulator._compact
+
+        def counted(sim):
+            self.total += 1
+            self.inside += bool(sim._footprints)
+            compact(sim)
+
+        monkeypatch.setattr(Simulator, "_compact", counted)
+
+
+def _plant_cancelled(count: int):
+    """Fill the heap with ``count`` cancelled far-future entries, so that a
+    compaction comes due while the run drains its arrivals."""
+
+    def plant(sim, *_):
+        for _ in range(count):
+            sim.schedule_at(1e9, lambda: None, daemon=True, scope=None).cancel()
+
+    return plant
+
+
+@pytest.mark.parametrize("cancelled", [40, 44, 48])
+def test_compaction_inside_corun_stretches_matches_scalar(cancelled, monkeypatch):
+    compactions = _Compactions(monkeypatch)
+    runs = []
+    for on in (True, False):
+        with fastpath.enabled() if on else fastpath.disabled():
+            runs.append(_FleetRun(_muxwise, _rag(100), AFFINITY, plant=_plant_cancelled(cancelled)))
+    fast, scalar = runs
+    assert fast.digest == scalar.digest
+    assert (fast.events, fast.peak_event_queue) == (scalar.events, scalar.peak_event_queue)
+    assert fast.streams == scalar.streams
+    assert fast.counters["corun_stretches"] > 0
+    assert compactions.total >= 2
+
+
+def test_some_compaction_lands_inside_a_stretch(monkeypatch):
+    compactions = _Compactions(monkeypatch)
+    with fastpath.enabled():
+        for cancelled in (40, 44, 48):
+            _FleetRun(_muxwise, _rag(100), AFFINITY, plant=_plant_cancelled(cancelled))
+    assert compactions.inside > 0

@@ -89,6 +89,13 @@ class TestParser:
         assert code == 0
         assert "goodput:" in capsys.readouterr().out
 
+    def test_perf_by_kind(self, capsys):
+        assert main(["perf", "--scenarios", "single_goodput", "--scale", "0.05", "--by-kind"]) == 0
+        out = capsys.readouterr().out
+        assert "realloc lone/pair/general" in out
+        assert "single_goodput: heap pushes / cancels by callback kind" in out
+        assert "Device._on_update" in out
+
     def test_cluster_command(self, capsys):
         code = main([
             "cluster", "--system", "chunked", "--workload", "sharegpt",
