@@ -197,7 +197,6 @@ def failover_restore_study(scale: float = 1.0, seed: int = 0) -> dict[str, int]:
     ledger["requests_finished"] = int(result.summary.requests_finished)
     ledger["drained"] = int(result.drained)
     ledger["events_processed"] = result.stats.events
-    ledger["peak_event_queue"] = result.stats.peak_queue
     return ledger
 
 
@@ -205,7 +204,5 @@ def run_kv_tiers_study(scale: float = 1.0, seed: int = 0) -> KVTiersStudy:
     """Run both studies and fold them into one deterministic report."""
     points, stats = bandwidth_sweep(scale, seed)
     failover = failover_restore_study(scale, seed)
-    stats += RunStats(
-        failover["events_processed"], failover["peak_event_queue"], bool(failover["drained"])
-    )
+    stats += RunStats(failover["events_processed"], bool(failover["drained"]))
     return KVTiersStudy(points=points, failover=failover, extras=stats.as_extras())

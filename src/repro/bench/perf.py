@@ -10,8 +10,7 @@ per scenario.
 Two kinds of numbers come out, with very different stability contracts:
 
 * **Fingerprints** — a SHA-256 digest of each scenario's *simulation
-  results* (summaries, utilisations, conservation ledgers, event counts,
-  queue high-water marks).  These are byte-stable across runs and across
+  results* (summaries, utilisations, conservation ledgers, event counts).  These are byte-stable across runs and across
   optimisation work: the whole point of the perf effort is that making
   the core faster must not change what it computes.  The CI ``perf-smoke``
   job runs the harness twice and diffs the fingerprints.
@@ -22,7 +21,8 @@ Two kinds of numbers come out, with very different stability contracts:
 Each scenario also reports the deterministic decode fast-loop work
 counters of every simulator it built (:class:`repro.sim.WorkCounters`).
 They say how a result was computed, not what it is, so they are printed
-next to the event count but kept out of fingerprints and the JSON report.
+next to the event count but kept out of fingerprints and the JSON report;
+the event queue's high-water mark is one of them (``peak_queue``).
 With ``by_kind`` (``repro perf --by-kind``) the heap pushes and cancels are
 also split by the scheduled callback's qualified name; the tally wraps
 ``Simulator.schedule_at`` and ``Simulator._note_cancelled`` only while such
@@ -201,7 +201,6 @@ class ScenarioTiming:
     name: str
     fingerprint: str
     events: int
-    peak_event_queue: int
     wall_s: float
     counters: dict[str, int] = field(default_factory=dict)
     #: ``{"pushes": {kind: n}, "cancels": {kind: n}}`` when run ``by_kind``.
@@ -232,11 +231,7 @@ class PerfReport:
     def fingerprints(self) -> dict[str, dict]:
         """The deterministic view: identical bytes for identical results."""
         return {
-            name: {
-                "fingerprint": s.fingerprint,
-                "events": s.events,
-                "peak_event_queue": s.peak_event_queue,
-            }
+            name: {"fingerprint": s.fingerprint, "events": s.events}
             for name, s in sorted(self.scenarios.items())
         }
 
@@ -398,7 +393,6 @@ def run_perf(
                 name=name,
                 fingerprint=_digest(payload),
                 events=int(extras.get("events_processed", 0)),
-                peak_event_queue=int(extras.get("peak_event_queue", 0)),
                 wall_s=wall,
                 counters=WorkCounters.total(counters),
                 by_kind={name: dict(tally) for name, tally in kinds.items()},

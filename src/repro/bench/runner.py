@@ -58,30 +58,27 @@ class StabilityVerdict:
 
 @dataclass(frozen=True)
 class RunStats:
-    """Simulator load of one run; ``+`` folds runs (events add, peak takes max).
+    """Simulator load of one run; ``+`` folds runs (events add).
 
     ``drained`` is true when the run ended with no productive event
     pending (bounded termination rather than the time horizon cutting
-    work off); a sum is drained only if every run was.
+    work off); a sum is drained only if every run was.  The heap's
+    high-water mark is not a result (see ``Simulator.max_event_queue``);
+    it is the ``peak_queue`` work counter.
     """
 
     events: int = 0
-    peak_queue: int = 0
     drained: bool = True
 
     def __add__(self, other: "RunStats") -> "RunStats":
         return RunStats(
             events=self.events + other.events,
-            peak_queue=max(self.peak_queue, other.peak_queue),
             drained=self.drained and other.drained,
         )
 
     def as_extras(self) -> dict[str, float]:
-        """The ``events_processed`` / ``peak_event_queue`` result keys."""
-        return {
-            "events_processed": float(self.events),
-            "peak_event_queue": float(self.peak_queue),
-        }
+        """The ``events_processed`` result key."""
+        return {"events_processed": float(self.events)}
 
 
 @dataclass
@@ -164,11 +161,7 @@ def simulate(
     system.submit(workload)
     last_arrival = workload.requests[-1].arrival_time if len(workload) else 0.0
     run_capped(sim, max(last_arrival, not_before) + drain_horizon)
-    stats = RunStats(
-        events=sim.processed_events,
-        peak_queue=sim.max_event_queue,
-        drained=sim.pending_productive == 0,
-    )
+    stats = RunStats(events=sim.processed_events, drained=sim.pending_productive == 0)
     return system, stats
 
 

@@ -416,7 +416,7 @@ def _perf_row(name: str, s) -> str:
         for reason in ("state", "partition", "group", "horizon", "pages", "plan")
     )
     return (
-        f"{name:<20} {s.events:>10} {s.peak_event_queue:>10} "
+        f"{name:<20} {s.events:>10} {c.get('peak_queue', 0):>10} "
         f"{s.wall_s:>9.3f} {s.events_per_sec:>12.0f} {c.get('pushes', 0):>9} "
         f"{c.get('cancels', 0):>8} {c.get('chains_elided', 0):>8} "
         f"{c.get('stretches', 0):>9} {c.get('ledger_writes', 0):>9}  {bails}\n"

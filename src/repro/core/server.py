@@ -34,7 +34,6 @@ from repro.serving.batching import DecodeBatchMixin
 from repro.serving.config import ServingConfig
 from repro.sim import SimulationError, Simulator, fastpath
 from repro.sim.fastpath import K_COMPLETE, K_HOST, K_UPDATE, Bail, ChainPlan, CoRunPlan, Lane
-from repro.sim.simulator import V_FIRE, Footprint
 from repro.trace.tracer import CAT_SCHED
 
 #: Share of the TBT SLO a decode partition is sized against; the rest is
@@ -701,7 +700,6 @@ class MuxWiseServer(DecodeBatchMixin):
                     if len(times) == limit:
                         cut = False
                         break
-                    plan.ops.append((end, V_FIRE, entry))
                     plan.release(decode_lane)
                     # _on_decode_done, then _maybe_start_decode.
                     sum_context, submitted = iters[-1]
@@ -760,16 +758,11 @@ class MuxWiseServer(DecodeBatchMixin):
         del iters[steps:]
         counters.chains_elided += steps
         counters.corun_stretches += 1
-        if plan.shadow.shadow is not None and plan.shadow not in plan.live:
+        if plan.shadow not in plan.live:
             # The plan fires or cancels the shadow inside the stretch.
             plan.shadow.shadow.callback = None
-        footprint = Footprint(plan.ops, plan.live, plan.cancelled)
         state = (plan, lanes, group, copy, current, layers_done, in_flight, iters[-1], cut)
-        sim.begin_stretch(
-            times[-1],
-            lambda: self._finish_corun(instance, batch, times, footprint, state),
-            footprint,
-        )
+        sim.begin_stretch(times[-1], lambda: self._finish_corun(instance, batch, times, state))
         return True
 
     def _finish_corun(
@@ -777,7 +770,6 @@ class MuxWiseServer(DecodeBatchMixin):
         instance: Instance,
         batch: list[RequestState],
         times: list[float],
-        footprint: Footprint,
         state: tuple,
     ) -> None:
         """The co-run stretch's continuation: rebuild the replica as the
@@ -853,29 +845,22 @@ class MuxWiseServer(DecodeBatchMixin):
         decode_stream._current_op_start = decode_lane.op_start
         decode_stream._busy_seconds = decode_lane.seconds
         decode_stream._on_done = self._on_decode_done
-        # The scalar heap's entries of the replica, in push order.
+        # The replica's live events, in the plan's push order.
         if plan.update is None or plan.update is shadow:
             device._update_event = None if plan.update is None else shadow.shadow
-        cancelled = plan.cancelled
-        for entry in sorted(plan.live + cancelled, key=fastpath._entry_key):
+        if shadow.time > now and shadow not in plan.live:
+            # The plan cancelled the shadow; the scalar path never fires it.
+            shadow.shadow.cancel()
+        for entry in sorted(plan.live, key=fastpath._entry_key):
             if entry is shadow:
-                if entry in cancelled:
-                    sim.settle_shadow(footprint, entry)
-                continue
-            if entry in cancelled:
-                if not entry.dropped:
-                    sim.adopt_entry(footprint, entry, None)
                 continue
             if entry.kind == K_UPDATE:
-                device._update_event = sim.adopt_entry(footprint, entry, device._on_update)
+                device._update_event = sim.schedule_at(entry.time, device._on_update)
             elif entry.kind == K_HOST:
-                host._finish_event = sim.adopt_entry(footprint, entry, host._finish)
+                host._finish_event = sim.schedule_at(entry.time, host._finish)
             else:
                 task = real(entry.arg)
-                task.completion = sim.adopt_entry(
-                    footprint, entry, partial(device._complete, task)
-                )
-        sim.close_footprint()
+                task.completion = sim.schedule_at(entry.time, partial(device._complete, task))
         job = self.active_job
         job.layers_done = layers_done
         job.group_in_flight = in_flight

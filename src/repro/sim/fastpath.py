@@ -75,24 +75,20 @@ fingerprints in ``tests/bench/test_perf.py``):
   is enforced, not assumed: scheduling into a scope — or an unscoped
   event — at or before that scope's pending stretch end raises
   ``SimulationError`` naming the scope, the time and the stretch end.
-* **Events and the queue footprint.**  During a decode-only iteration the
-  scalar chain keeps exactly one event of its server queued and cancels
-  nothing, so the single continuation leaves ``len(heap)`` the same at
-  every other push.  A co-run iteration holds two to four entries and
-  cancels some, so a co-run stretch hands the simulator a
-  :class:`~repro.sim.simulator.Footprint`: every heap push, fire, cancel
-  and cancelled pop the scalar path would make.  The simulator adds the
-  footprint's running difference wherever it reads the heap length — the
-  high-water test of every push, the compaction test of every cancel, and
-  the tests the scalar path would run at the stretch's own pushes and
-  cancels (a real event tied with a planned one fires first) — applying
-  ops only when the footprint's bounds on its deltas cannot rule a test
-  out, and dropping the plan's cancelled entries when a compaction drops
-  the real ones.  The continuation counts as one fired event and the
-  stretch's other events are charged on commit, so ``processed_events``
-  matches too.  Other replicas' events commute with a stretch; one tied at
-  exactly a planned instant or ``t_K`` fires in the real heap's order,
-  which no replica's results can observe.
+* **Events and the queue's peak.**  The continuation counts as one fired
+  event and the stretch's other events are charged on commit, so
+  ``processed_events`` matches.  The heap's shape is not part of the
+  contract: firing order is ``(time, priority, seq)`` whatever the heap
+  holds, and compaction only drops cancelled entries
+  (``tests/sim/test_heap_shape_oracle`` checks that results do not move
+  with either).  A stretch holds one entry where the scalar path holds
+  one to four, and a co-run stretch's cancelled entries never reach the
+  heap, so ``Simulator.max_event_queue`` — the ``peak_queue`` work
+  counter — is the real heap's high-water mark under either path and is
+  reported beside the results, not in them.  Other replicas' events
+  commute with a stretch; one tied at exactly a planned instant or
+  ``t_K`` fires in the real heap's order, which no replica's results can
+  observe.
 * **Tokens.**  A stretch ends at the iteration in which a batch member
   finishes and before KV growth would need more than free plus evictable
   pages, so no request retires inside it.  Gaps are exact: a request's
@@ -127,7 +123,6 @@ from repro.gpu.device import (
     _waterfill2,
     _waterfill_last,
 )
-from repro.sim.simulator import V_CANCEL, V_FIRE, V_POP, V_PUSH, VirtualEntry
 
 if TYPE_CHECKING:
     from repro.gpu.device import Device
@@ -391,6 +386,24 @@ class Bail(Exception):
     """The dry run left the regime it replicates; the caller bails."""
 
 
+class VirtualEntry:
+    """One heap entry of the scalar path inside a co-run stretch.
+
+    ``shadow`` marks an entry that is really in the heap too (an event the
+    stretch took over, left live with its callback removed when the plan
+    fires or cancels it); every other entry exists only in the plan.
+    """
+
+    __slots__ = ("time", "seq", "kind", "arg", "shadow")
+
+    def __init__(self, time: float, seq: int, kind: int, arg, shadow=None) -> None:
+        self.time = time
+        self.seq = seq
+        self.kind = kind
+        self.arg = arg
+        self.shadow = shadow
+
+
 class Lane:
     """One stream of the dry run: ``Stream``'s busy state and accounting."""
 
@@ -424,9 +437,8 @@ class CoRunPlan:
     /``_reallocate`` (lone and pair paths) for at most two unstalled tasks,
     operation for operation, on copies: the real objects are read at the
     start and left untouched.  Virtual events are ordered by ``(time, seq)``
-    exactly as the heap orders them.  Every heap operation the scalar path
-    would make is recorded in ``ops`` for the simulator's
-    :class:`~repro.sim.simulator.Footprint`.
+    exactly as the heap orders them; ``live`` holds those still queued (a
+    cancelled one is simply dropped: the heap's shape is no result).
 
     The caller launches tasks (:meth:`launch`), runs the plan to the next
     task completion (:meth:`next_completion`), pops it (:meth:`take`,
@@ -437,8 +449,6 @@ class CoRunPlan:
         self.now = now
         self.seq = _VIRTUAL_SEQ0
         self.live: list[VirtualEntry] = []
-        self.cancelled: list[VirtualEntry] = []
-        self.ops: list[tuple[float, int, VirtualEntry]] = []
         #: Scalar events fired so far (the shadow included).
         self.fired = 0
         self.shadow: VirtualEntry | None = None
@@ -474,7 +484,6 @@ class CoRunPlan:
         self.seq += 1
         entry = VirtualEntry(time, self.seq, kind, arg)
         self.live.append(entry)
-        self.ops.append((now, V_PUSH, entry))
         return entry
 
     def adopt(self, event, kind: int, arg=None) -> VirtualEntry:
@@ -489,8 +498,6 @@ class CoRunPlan:
         self.live.remove(entry)
         self.now = entry.time
         self.fired += 1
-        if entry.shadow is None:
-            self.ops.append((entry.time, V_FIRE, entry))
 
     def next_completion(self) -> VirtualEntry:
         """Fire host finishes and device updates up to the next task
@@ -505,9 +512,6 @@ class CoRunPlan:
         the plan is left inconsistent; the caller restores or drops it.
         """
         live = self.live
-        cancelled = self.cancelled
-        ops = self.ops
-        append = ops.append
         fps = self.fps
         eff_bw = self.eff_bw
         total = self.total
@@ -524,7 +528,7 @@ class CoRunPlan:
         served = self.served
         pair = self.pair
         while True:
-            # The earliest live entry; cancelled ones before it pop.
+            # The earliest live entry.
             if not live:
                 raise Bail
             best = live[0]
@@ -534,24 +538,6 @@ class CoRunPlan:
                 if time < best_time or (time == best_time and entry.seq < best.seq):
                     best = entry
                     best_time = time
-            if cancelled:
-                for entry in cancelled:
-                    if entry.time <= best_time:
-                        break
-                else:
-                    entry = None
-                if entry is not None:
-                    best_seq = best.seq
-                    due = [
-                        e for e in cancelled
-                        if e.time < best_time or (e.time == best_time and e.seq < best_seq)
-                    ]
-                    if due:
-                        if len(due) > 1:
-                            due.sort(key=_entry_key)
-                        for entry in due:
-                            cancelled.remove(entry)
-                            append((entry.time, V_POP, entry))
             kind = best.kind
             if kind == K_COMPLETE:
                 self.now = now
@@ -569,8 +555,6 @@ class CoRunPlan:
             live.remove(best)
             now = best_time
             fired += 1
-            if best.shadow is None:
-                append((now, V_FIRE, best))
             if kind == K_UPDATE:
                 update = None
                 task = None
@@ -642,8 +626,6 @@ class CoRunPlan:
             # Device._reschedule.
             if update is not None:
                 live.remove(update)
-                cancelled.append(update)
-                append((now, V_CANCEL, update))
                 update = None
             for t in active:
                 if t.rem_flops <= t._flops_floor and t.rem_bytes <= t._bytes_floor:
@@ -657,7 +639,6 @@ class CoRunPlan:
                                 now + fixed_time if fixed_time > 0 else now, seq, K_COMPLETE, x
                             )
                             live.append(entry)
-                            append((now, V_PUSH, entry))
                         else:
                             still.append(x)
                     active = still
@@ -677,7 +658,6 @@ class CoRunPlan:
                     seq += 1
                     update = VirtualEntry(now + horizon, seq, K_UPDATE, None)
                     live.append(update)
-                    append((now, V_PUSH, update))
             elif len(active) == 2:
                 a, b = active
                 sa = a.sm_count
@@ -762,7 +742,6 @@ class CoRunPlan:
                     seq += 1
                     update = VirtualEntry(now + horizon, seq, K_UPDATE, None)
                     live.append(update)
-                    append((now, V_PUSH, update))
             else:
                 raise Bail
             if kind == K_HOST and self.host_queue:
@@ -809,8 +788,6 @@ class CoRunPlan:
         return (
             _plan_state(self),
             self.live[:],
-            self.cancelled[:],
-            len(self.ops),
             self.active[:],
             self.host_queue[:],
             [(task, _task_state(task)) for task in tasks],
@@ -818,14 +795,12 @@ class CoRunPlan:
         )
 
     def restore(self, snap: tuple) -> None:
-        fields, live, cancelled, n_ops, active, host_queue, tasks, lanes = snap
+        fields, live, active, host_queue, tasks, lanes = snap
         for name, value in zip(_PLAN_STATE, fields):
             setattr(self, name, value)
         self.live = live
-        self.cancelled = cancelled
         self.active = active
         self.host_queue = host_queue
-        del self.ops[n_ops:]
         for task, state in tasks:
             for name, value in zip(_TASK_STATE, state):
                 setattr(task, name, value)

@@ -22,11 +22,6 @@ Two refinements support fault injection (:mod:`repro.faults`):
   (:meth:`set_isolation`) lets a replica's stretch ignore other
   replicas' events; :meth:`schedule_at` then rejects any event that
   would reach a scope at or before its pending stretch end.
-* **Stretch footprints** — a stretch holds one heap entry where the scalar
-  path holds several and cancels some of them.  Its :class:`Footprint`
-  lists the scalar path's heap operations, and the simulator adds their
-  running effect wherever it reads the heap length (the high-water mark
-  and the compaction test), so both stay exactly the scalar path's.
 
 Example:
     >>> sim = Simulator()
@@ -67,6 +62,7 @@ class SimulationError(RuntimeError):
 COUNTER_NAMES = (
     "pushes",
     "cancels",
+    "peak_queue",
     "chains_elided",
     "stretches",
     "ledger_writes",
@@ -89,160 +85,14 @@ COUNTER_NAMES = (
 )
 
 
-#: :class:`Footprint` operation kinds: an elided event is pushed, fires,
-#: is cancelled, or (cancelled) is popped at its time.
-V_PUSH, V_FIRE, V_CANCEL, V_POP = range(4)
-
-
-class VirtualEntry:
-    """One heap entry of the scalar path inside a stretch.
-
-    ``shadow`` marks an entry that is really in the heap too (an event the
-    stretch took over, left live with its callback removed); every other
-    entry exists only in the plan.  ``dropped``: a compaction removed it
-    (while cancelled) from the scalar heap.
-    """
-
-    __slots__ = ("time", "seq", "kind", "arg", "shadow", "dropped")
-
-    def __init__(self, time: float, seq: int, kind: int, arg: Any, shadow: Any = None) -> None:
-        self.time = time
-        self.seq = seq
-        self.kind = kind
-        self.arg = arg
-        self.shadow = shadow
-        self.dropped = False
-
-
-class Footprint:
-    """The scalar path's heap operations inside one pending stretch.
-
-    ``ops`` are ``(time, kind, entry)`` in scalar order.  Applying them
-    keeps ``len_delta``/``cancelled_delta``: the scalar heap's length and
-    cancelled count minus the real heap's, for this stretch.  The real heap
-    holds the stretch's continuation (``len_delta`` starts at -1) and its
-    shadow entry; the scalar heap holds every entry the plan pushed and not
-    yet popped.  ``len_max``/``len_min``/``cancelled_max`` bound the deltas
-    over the remaining ops, so the simulator applies ops only when a bound
-    says a test could come out differently.  ``pending`` and ``cancelled``
-    are the plan's entries still queued in the scalar heap after the last
-    op, live and cancelled.
-    """
-
-    __slots__ = (
-        "ops", "pos", "len_delta", "cancelled_delta", "alive_cancelled",
-        "len_max", "len_min", "cancelled_max", "dirty", "pending", "cancelled",
-    )
-
-    def __init__(
-        self,
-        ops: list[tuple[float, int, VirtualEntry]],
-        pending: list[VirtualEntry],
-        cancelled: list[VirtualEntry],
-    ) -> None:
-        self.ops = ops
-        self.pos = 0
-        self.len_delta = -1
-        self.cancelled_delta = 0
-        self.alive_cancelled: list[VirtualEntry] = []
-        #: A compaction dropped entries: the final state must be replayed.
-        self.dirty = False
-        self.pending = pending
-        self.cancelled = cancelled
-        self.rebound()
-
-    def rebound(self) -> None:
-        """Bound the deltas: their extremes over the remaining ops."""
-        length = hi = lo = self.len_delta
-        cancelled = chi = self.cancelled_delta
-        ops = self.ops
-        for index in range(self.pos, len(ops)):
-            kind, entry = ops[index][1], ops[index][2]
-            if kind == V_PUSH:
-                length += 1
-                if length > hi:
-                    hi = length
-                continue
-            if kind == V_FIRE:
-                length -= 1
-            elif kind == V_CANCEL:
-                cancelled += 1
-                if cancelled > chi:
-                    chi = cancelled
-                continue
-            elif entry.dropped:
-                if entry.shadow is not None:
-                    length += 1
-                    if length > hi:
-                        hi = length
-                continue
-            else:
-                cancelled -= 1
-                if entry.shadow is not None:
-                    continue
-                length -= 1
-            if length < lo:
-                lo = length
-        self.len_max = hi
-        self.len_min = lo
-        self.cancelled_max = chi
-
-    def apply(self) -> int:
-        """Apply the next op; returns its kind."""
-        _, kind, entry = self.ops[self.pos]
-        self.pos += 1
-        if kind == V_PUSH:
-            self.len_delta += 1
-        elif kind == V_FIRE:
-            self.len_delta -= 1
-        elif kind == V_CANCEL:
-            self.cancelled_delta += 1
-            self.alive_cancelled.append(entry)
-        elif entry.dropped:
-            if entry.shadow is not None:
-                # The real heap pops its live copy; the scalar one is gone.
-                self.len_delta += 1
-        else:
-            self.cancelled_delta -= 1
-            if entry.shadow is None:
-                self.len_delta -= 1
-            self.alive_cancelled.remove(entry)
-        return kind
-
-    def fast_forward(self) -> None:
-        """Jump to the state after the last op (no compaction dropped any
-        entry, so it is the plan's final state)."""
-        self.pos = len(self.ops)
-        cancelled = self.cancelled
-        self.alive_cancelled = list(cancelled)
-        self.cancelled_delta = len(cancelled)
-        virtual = len(self.pending) + len(cancelled)
-        for entry in self.pending:
-            if entry.shadow is not None:
-                virtual -= 1
-        for entry in cancelled:
-            if entry.shadow is not None:
-                virtual -= 1
-        # The continuation (-1) and the last completion, which the plan
-        # pushed and the continuation fired (+1), cancel out.
-        self.len_delta = virtual
-
-    def drop_cancelled(self) -> None:
-        """A compaction removed every cancelled entry from the scalar heap."""
-        for entry in self.alive_cancelled:
-            entry.dropped = True
-            self.len_delta -= 1
-            self.cancelled_delta -= 1
-        self.alive_cancelled.clear()
-        self.dirty = True
-
-
 class WorkCounters:
     """Deterministic work counters of the event core and decode fast loop.
 
     Machine-independent tallies of *how* a run was computed, next to its
-    event count: events scheduled on the heap (``pushes``) and queued
-    events cancelled (``cancels``), decode chains elided
+    event count: events scheduled on the heap (``pushes``), queued events
+    cancelled (``cancels``), the heap's high-water mark, cancelled entries
+    included (``peak_queue``; the maximum, not the sum, over several
+    runs), decode chains elided
     (``chains_elided``), decode-only stretches applied (``stretches``),
     per-request token-ledger writes (``ledger_writes``: one per request
     per emission call, however many tokens it carries) and the fast
@@ -269,11 +119,15 @@ class WorkCounters:
 
     @staticmethod
     def total(counters: "Iterable[WorkCounters]") -> dict[str, int]:
-        """Sum of several runs' counters, by name."""
+        """Sum of several runs' counters, by name (``peak_queue``: their
+        maximum)."""
         sums = dict.fromkeys(COUNTER_NAMES, 0)
+        peak = 0
         for each in counters:
             for name in COUNTER_NAMES:
                 sums[name] += getattr(each, name)
+            peak = max(peak, each.peak_queue)
+        sums["peak_queue"] = peak
         return sums
 
 
@@ -329,7 +183,6 @@ class Simulator:
         self._event_count = 0
         self._cancelled_count = 0
         self._daemon_count = 0
-        self._max_queue = 0
         self._running = False
         self._current_scope: str | None = None
         #: Scope name -> live scoped events still in the queue.  Makes
@@ -361,16 +214,6 @@ class Simulator:
         self._unscoped: list[tuple[float, int, int, Event]] | None = None
         #: Scope -> end time of its pending decode stretch.
         self._stretch_ends: dict[str | None, float] = {}
-        #: Scope -> footprint of its pending stretch, when it has one, and
-        #: the sums of their bounds (all 0 while there is none).
-        self._footprints: dict[str | None, Footprint] = {}
-        self._fp_len_max = 0
-        self._fp_len_min = 0
-        self._fp_cancelled_max = 0
-        #: Footprint ops before this time (and at it, when inclusive) need
-        #: no test: a bound or an earlier test covered them.
-        self._fp_tested_until = -math.inf
-        self._fp_inclusive = False
 
     def attach_tracer(self, tracer: "Tracer | None") -> None:
         """Attach (or detach, with ``None``) a :class:`repro.trace.Tracer`.
@@ -402,10 +245,12 @@ class Simulator:
     def max_event_queue(self) -> int:
         """High-water mark of the event queue (cancelled entries included).
 
-        Deterministic for a given run, so the perf harness folds it into
-        the result fingerprint as a cheap structural invariant.
+        Deterministic for a given run, but a property of how it was
+        computed, not of its results: stretches hold fewer entries than
+        the scalar path, and compaction drops cancelled ones.  It is the
+        ``peak_queue`` work counter.
         """
-        return self._max_queue
+        return self.counters.peak_queue
 
     @property
     def current_scope(self) -> str | None:
@@ -469,7 +314,8 @@ class Simulator:
                 if end is not None and time <= end:
                     self._check_stretches(time, scope)
         seq = next(self._sequence)
-        self.counters.pushes += 1
+        counters = self.counters
+        counters.pushes += 1
         # Positional construction (see Event.__init__ for the slot order):
         # this runs once per scheduled event.
         event = Event(time, priority, seq, callback, False, self, daemon, scope)
@@ -485,18 +331,9 @@ class Simulator:
             self._push_unscoped(entry)
         if daemon:
             self._daemon_count += 1
-        if len(heap) + self._fp_len_max > self._max_queue:
-            self._note_length()
+        if len(heap) > counters.peak_queue:
+            counters.peak_queue = len(heap)
         return event
-
-    def _note_length(self) -> None:
-        """The high-water test of a push, with pending stretches' footprints."""
-        length = len(self._heap)
-        if self._footprints:
-            self._catch_up(self.now)
-            length += self._fp_sum_len()
-        if length > self._max_queue:
-            self._max_queue = length
 
     # ------------------------------------------------------------------ #
     # Stretch horizons (the decode fast path; see repro.sim.fastpath)
@@ -554,12 +391,7 @@ class Simulator:
                     bound = event.time
         return bound
 
-    def begin_stretch(
-        self,
-        end: float,
-        callback: Callable[[], Any],
-        footprint: Footprint | None = None,
-    ) -> Event:
+    def begin_stretch(self, end: float, callback: Callable[[], Any]) -> Event:
         """Schedule the continuation of the current scope's decode stretch.
 
         Until it fires at ``end``, scheduling an event into this scope —
@@ -567,211 +399,18 @@ class Simulator:
         :class:`SimulationError`: such an event would have reached the
         scope inside the stretch.  (A tie at ``end`` would fire in the
         scalar path's order, not the continuation's, so it is rejected
-        too.)  Without a ``footprint`` the stretch's scalar path holds
-        exactly one queued event at every instant, as the continuation
-        does.
+        too.)
         """
         scope = self._current_scope
         if scope in self._stretch_ends:
             raise SimulationError(f"scope {scope!r} already has a pending stretch")
-        if footprint is not None:
-            self._footprints[scope] = footprint
-            self._rebound()
         event = self.schedule_at(end, callback)
         self._stretch_ends[scope] = end
-        if footprint is not None:
-            self._start_footprint(footprint)
         return event
 
-    def _start_footprint(self, footprint: Footprint) -> None:
-        """Apply a new footprint's ops at the current instant: the scalar
-        path makes them here, before the rest of the current callback."""
-        now = self.now
-        ops = footprint.ops
-        if not ops or ops[0][0] > now:
-            return
-        tested = self._fp_check()
-        if not tested:
-            self._catch_up(now)
-        heap = self._heap
-        while footprint.pos < len(ops) and ops[footprint.pos][0] <= now:
-            kind = footprint.apply()
-            if tested:
-                continue
-            if kind == V_PUSH:
-                length = len(heap) + self._fp_sum_len()
-                if length > self._max_queue:
-                    self._max_queue = length
-            elif kind == V_CANCEL:
-                self._compaction_test()
-
-    def end_stretch(self) -> Footprint | None:
-        """The current scope's stretch continuation fired (called by it).
-
-        Returns its footprint with every op applied; the caller turns the
-        entries still queued in the scalar heap into real ones through
-        :meth:`adopt_entry` and then calls :meth:`close_footprint`.
-        """
-        scope = self._current_scope
-        del self._stretch_ends[scope]
-        footprint = self._footprints.get(scope)
-        if footprint is not None:
-            now = self.now
-            covered = self._fp_tested_until > now or (
-                self._fp_tested_until == now and self._fp_inclusive
-            )
-            if covered and not footprint.dirty:
-                footprint.fast_forward()
-            else:
-                self._catch_up(now, footprint)
-        return footprint
-
-    def adopt_entry(
-        self,
-        footprint: Footprint,
-        entry: VirtualEntry,
-        callback: Callable[[], Any] | None,
-    ) -> Event | None:
-        """Make a scalar-heap entry of a finished stretch real.
-
-        A live entry (``callback`` given) is pushed at its time; a cancelled
-        one is pushed cancelled, without a cancel count or compaction test
-        (its cancel was tested when its op was applied).
-        """
-        footprint.len_delta -= 1
-        if callback is not None:
-            return self.schedule_at(entry.time, callback)
-        footprint.cancelled_delta -= 1
-        footprint.alive_cancelled.remove(entry)
-        event = Event(entry.time, PRIORITY_NORMAL, next(self._sequence), None, True, self)
-        _heappush(self._heap, (entry.time, PRIORITY_NORMAL, event.seq, event))
-        self._cancelled_count += 1
-        return None
-
-    def settle_shadow(self, footprint: Footprint, entry: VirtualEntry) -> None:
-        """Bring a finished stretch's shadow event to its scalar state.
-
-        Called when the scalar path cancelled the shadow inside the stretch
-        and its time lies after it: cancel it without a count or a test,
-        or, if a compaction dropped it from the scalar heap, remove it.
-        """
-        event = entry.shadow
-        bucket = self._scope_index.get(event.scope)
-        if bucket is not None:
-            bucket.discard(event)
-        event.cancelled = True
-        if entry.dropped:
-            event.owner = None
-            self._heap.remove((event.time, event.priority, event.seq, event))
-            heapq.heapify(self._heap)
-            footprint.len_delta += 1
-        else:
-            self._cancelled_count += 1
-            footprint.cancelled_delta -= 1
-            footprint.alive_cancelled.remove(entry)
-
-    def close_footprint(self) -> None:
-        """Forget the current scope's (fully adopted) stretch footprint."""
-        footprint = self._footprints.pop(self._current_scope)
-        if footprint.len_delta or footprint.cancelled_delta:
-            raise SimulationError(
-                f"stretch footprint of scope {self._current_scope!r} left "
-                f"{footprint.len_delta} entries, {footprint.cancelled_delta} cancelled"
-            )
-        self._rebound()
-
-    # ------------------------------------------------------------------ #
-    # Footprints: the scalar heap's length while stretches are pending
-    # ------------------------------------------------------------------ #
-
-    def _rebound(self) -> None:
-        prints = self._footprints.values()
-        self._fp_len_max = sum(f.len_max for f in prints)
-        self._fp_len_min = sum(f.len_min for f in prints)
-        self._fp_cancelled_max = sum(f.cancelled_max for f in prints)
-
-    def _fp_sum_len(self) -> int:
-        return sum(f.len_delta for f in self._footprints.values())
-
-    def _fp_check(self) -> bool:
-        """Can no footprint op before the next real change set a new
-        high-water mark or trigger a compaction?"""
-        length = len(self._heap)
-        upper = length + self._fp_len_max
-        if upper > self._max_queue:
-            return False
-        return upper < self.COMPACT_MIN_SIZE or 2 * (
-            self._cancelled_count + self._fp_cancelled_max
-        ) <= length + self._fp_len_min
-
-    def _catch_up(self, limit: float | None, last: Footprint | None = None) -> None:
-        """Apply every footprint op before ``limit`` (None: before the next
-        live real event) in time order, and all of ``last``'s; test those
-        at or after ``_fp_tested_until``.
-
-        A cancelled real entry at or before an op's time is popped first,
-        as the scalar loop pops it before that op's event fires (at a tie
-        it is the older entry: it was queued before the stretch began).
-        """
-        prints = list(self._footprints.values())
-        heap = self._heap
-        tested_from = self._fp_tested_until
-        inclusive = self._fp_inclusive
-        bound = math.inf if limit is None else limit
-        while True:
-            best = None
-            best_time = bound
-            for f in prints:
-                if f.pos < len(f.ops):
-                    time = f.ops[f.pos][0]
-                    if time < best_time or (f is last and best is None and time <= bound):
-                        best, best_time = f, time
-            if best is None:
-                break
-            while heap and heap[0][3].cancelled and heap[0][0] <= best_time:
-                heapq.heappop(heap)[3].owner = None
-                self._cancelled_count -= 1
-            if limit is None and heap and not heap[0][3].cancelled and heap[0][0] <= best_time:
-                # A live real event comes first (it is the head now).
-                break
-            kind = best.apply()
-            if best_time < tested_from or (best_time == tested_from and inclusive):
-                continue
-            if kind == V_PUSH:
-                length = len(heap) + sum(f.len_delta for f in prints)
-                if length > self._max_queue:
-                    self._max_queue = length
-            elif kind == V_CANCEL:
-                self._compaction_test()
-        if limit is not None and limit > self._fp_tested_until:
-            self._fp_tested_until = limit
-            self._fp_inclusive = False
-
-    def _settle_footprints(self) -> None:
-        """The run loop's step before the next real event while stretches
-        are pending: apply the footprint ops a bound cannot clear, pop the
-        cancelled head, and mark every op before the next event (and, under
-        a bound, at its time too) as covered."""
-        bounded = self._fp_check()
-        if not bounded:
-            self._catch_up(None)
-        heap = self._heap
-        while heap and heap[0][3].cancelled:
-            heapq.heappop(heap)[3].owner = None
-            self._cancelled_count -= 1
-        if heap:
-            self._fp_tested_until = heap[0][0]
-            self._fp_inclusive = bounded
-
-    def _compaction_test(self) -> None:
-        """:meth:`_note_cancelled`'s test on the scalar heap's length."""
-        length = len(self._heap)
-        cancelled = self._cancelled_count
-        for f in self._footprints.values():
-            length += f.len_delta
-            cancelled += f.cancelled_delta
-        if length >= self.COMPACT_MIN_SIZE and cancelled * 2 > length:
-            self._compact()
+    def end_stretch(self) -> None:
+        """The current scope's stretch continuation fired (called by it)."""
+        del self._stretch_ends[self._current_scope]
 
     def _check_stretches(self, time: float, scope: str | None = None) -> None:
         """Raise if an event at ``time`` into ``scope`` (None: unscoped)
@@ -877,8 +516,6 @@ class Simulator:
         outer_scope = self._current_scope
         try:
             while self._fired_in_run < fired_cap:
-                if self._footprints:
-                    self._settle_footprints()
                 while heap and heap[0][3].cancelled:
                     heappop(heap)[3].owner = None
                     self._cancelled_count -= 1
@@ -945,11 +582,7 @@ class Simulator:
             bucket = self._scope_index.get(event.scope)
             if bucket is not None:
                 bucket.discard(event)
-        if self._footprints:
-            if not self._fp_check():
-                self._catch_up(self.now)
-                self._compaction_test()
-        elif (
+        if (
             len(self._heap) >= self.COMPACT_MIN_SIZE
             and self._cancelled_count * 2 > len(self._heap)
         ):
@@ -971,9 +604,3 @@ class Simulator:
         self._heap[:] = live
         heapq.heapify(self._heap)
         self._cancelled_count = 0
-        if self._footprints:
-            # The scalar heap drops the stretches' cancelled entries too.
-            for footprint in self._footprints.values():
-                footprint.drop_cancelled()
-                footprint.rebound()
-            self._rebound()

@@ -32,8 +32,7 @@ GOLDEN_SCALE = 0.05
 GOLDEN_RESULTS = {
     "agentic_rag": {
         "events": 91466,
-        "fingerprint": "ba50ddb0431139bc7d2d68da7e5683d34b34a7f3101a5a062199b698601e5e3b",
-        "peak_event_queue": 41,
+        "fingerprint": "18a4a8ff80727ee9295f86bc6c43eebf4cb53e2a3d48d22a23d88b9b4d37b1fc",
     },
     # chaos_4_replicas moved when the round-robin liveness bug was fixed:
     # the policy now routes around a stalled/killed replica during the
@@ -41,38 +40,31 @@ GOLDEN_RESULTS = {
     # loses fewer requests and the event stream differs.
     "chaos_4_replicas": {
         "events": 3203,
-        "fingerprint": "47957045ed4f684ea50f3b2790dc6febf32b7ef04b3d28d76534eaad22b94b18",
-        "peak_event_queue": 15,
+        "fingerprint": "68a4ac910e8fcf9b6b2bd0ca9b5a71137ab39b70632a7c856e0347e24b897ec2",
     },
     "hetero_fleet": {
         "events": 96601,
-        "fingerprint": "8c35e0474ead3cc6ad044b9edeec4a029743300f504adedc32671a5d8aa9d623",
-        "peak_event_queue": 120,
+        "fingerprint": "3a4c7a7eae48ed4d18e8e64c5e9efe7b3604b9b56ada7186d1d5b90c1a70f32e",
     },
     "kv_tiers": {
         "events": 81928,
-        "fingerprint": "69e278e426f781611af12a42bc0a131f6f5898dc9eaaac49d316d30cc27b0bdd",
-        "peak_event_queue": 65,
+        "fingerprint": "17147a02d09e3c7fd94e32c7165f5dbf0555bc10ab568842d3436ff2ae36257c",
     },
     "fleet_4_replicas": {
         "events": 6102,
-        "fingerprint": "99a44a988cf062e2850b88100238a330e4fc5bcf6db1882fbebc9803b870d196",
-        "peak_event_queue": 40,
+        "fingerprint": "0c24b923328550552a67dc69e91f626a8883d74b6b19a999f7684cc54443cd00",
     },
     "single_goodput": {
         "events": 4168,
-        "fingerprint": "c1147d43a9ad0a98eeef8693d9bc5feb57ac15554c615152ba75e42c708bfe4f",
-        "peak_event_queue": 10,
+        "fingerprint": "320d0c937a04b36f9dc61179e52cfaf36ec283c45eaa31a5de9934a2b2b9bb63",
     },
     "spec_decoding": {
         "events": 7788,
-        "fingerprint": "3e889eebf87da1b5fbdc2bbd9396292bcfa05880a632da8232b156d78c7f1ce3",
-        "peak_event_queue": 8,
+        "fingerprint": "4257d22d8f46e01390c94554e62ecae601d7f8a1c15adb699cff266a9697939b",
     },
     "tenancy_wfq_brownout": {
         "events": 2806,
         "fingerprint": "0d3c07560ed0e36b07a281602a663f8c4343045060824068a8e9ec902cf27f22",
-        "peak_event_queue": 24,
     },
 }
 
@@ -83,13 +75,11 @@ GOLDEN_RESULTS = {
 GOLDEN_RESULTS_SCALE_10 = {
     "single_goodput": {
         "events": 63754,
-        "fingerprint": "a937e6a5a8cd6c422d6f987251f17b8da98f9bf416f6422ced343104cd259220",
-        "peak_event_queue": 2000,
+        "fingerprint": "92f64c833eadb0239c24c9bf75998283a23f9b94981ee77214afb0cfc931dca8",
     },
     "tenancy_wfq_brownout": {
         "events": 47150,
         "fingerprint": "69b259a59d2cee9df6fa82c92d5e5c0f43efb1948bd3b68776639903bfd02878",
-        "peak_event_queue": 1250,
     },
 }
 
@@ -102,6 +92,7 @@ GOLDEN_RESULTS_SCALE_10 = {
 GOLDEN_COUNTERS_SINGLE = {
     "pushes": 75,
     "cancels": 0,
+    "peak_queue": 10,
     "chains_elided": 1369,
     "stretches": 14,
     "ledger_writes": 134,
@@ -129,16 +120,31 @@ GOLDEN_COUNTERS_SINGLE = {
 #: 4-replica MuxWise fleet (:func:`_muxwise_fleet_counters`), whose co-run
 #: stretches plan decode iterations beside prefill layer groups; the scalar
 #: path schedules 6102 and 18107 events on them (the MuxWise estimator's
-#: calibration, warmed before counting, is not included).
+#: calibration, warmed before counting, is not included).  ``peak_queue``
+#: bounds the real heap.
 GOLDEN_FLEET_COUNTERS = {
-    "fleet_4_replicas": {"chains_elided": 1827, "stretches": 138, "pushes": 759},
+    "fleet_4_replicas": {
+        "chains_elided": 1827,
+        "stretches": 138,
+        "pushes": 759,
+        "peak_queue": 40,
+    },
     "muxwise_fleet": {
         "chains_elided": 4049,
         "stretches": 279,
         "pushes": 2020,
         "corun_stretches": 20,
+        "peak_queue": 61,
     },
 }
+
+#: The heap's high-water mark with ``REPRO_FASTPATH=0``, on the runs whose
+#: fast-path peaks are pinned above: the scalar path's heap keeps a bound
+#: too.
+GOLDEN_SCALAR_PEAKS = {"single_goodput": 10, "fleet_4_replicas": 40, "muxwise_fleet": 61}
+
+#: The real heap's high-water mark at the "10" tier (fast path on).
+GOLDEN_PEAKS_SCALE_10 = {"single_goodput": 2000, "tenancy_wfq_brownout": 1250}
 
 
 def _muxwise_fleet_counters() -> dict[str, int]:
@@ -225,6 +231,15 @@ class TestWorkCounters:
         plain = run_perf(scenarios=["agentic_rag"], scale=GOLDEN_SCALE)
         assert plain.scenarios["agentic_rag"].by_kind == {}
 
+    def test_scalar_heap_peaks_pinned(self):
+        with fastpath.disabled():
+            report = run_perf(
+                scenarios=["single_goodput", "fleet_4_replicas"], scale=GOLDEN_SCALE
+            )
+            measured = {name: s.counters["peak_queue"] for name, s in report.scenarios.items()}
+            measured["muxwise_fleet"] = _muxwise_fleet_counters()["peak_queue"]
+        assert measured == GOLDEN_SCALAR_PEAKS
+
     def test_scalar_path_elides_nothing(self):
         with fastpath.disabled():
             report = run_perf(scenarios=["single_goodput"], scale=GOLDEN_SCALE)
@@ -239,6 +254,8 @@ class TestScaleTiers:
         """The committed "10" tier: smoke scenarios at 10x workload."""
         report = run_perf(scenarios=list(SMOKE_SCENARIOS), scale=TIER_SCALES["10"])
         assert report.fingerprints() == GOLDEN_RESULTS_SCALE_10
+        peaks = {name: s.counters["peak_queue"] for name, s in report.scenarios.items()}
+        assert peaks == GOLDEN_PEAKS_SCALE_10
 
     def test_unknown_tier_rejected(self):
         with pytest.raises(ValueError, match="unknown tier"):
@@ -247,11 +264,11 @@ class TestScaleTiers:
     def test_tier_payload_layout(self):
         report = PerfReport(scale=1.0)
         report.scenarios["s"] = ScenarioTiming(
-            name="s", fingerprint="f", events=10, peak_event_queue=5, wall_s=1.0
+            name="s", fingerprint="f", events=10, wall_s=1.0
         )
         tier = PerfReport(scale=10.0)
         tier.scenarios["s"] = ScenarioTiming(
-            name="s", fingerprint="g", events=100, peak_event_queue=50, wall_s=4.0
+            name="s", fingerprint="g", events=100, wall_s=4.0
         )
         report.tiers["10"] = tier
         payload = json.loads(report.to_json())
@@ -374,7 +391,7 @@ class TestHarnessMechanics:
     def test_compare_timings_flags_regression(self):
         report = PerfReport(scale=1.0)
         report.scenarios["s"] = ScenarioTiming(
-            name="s", fingerprint="f", events=10, peak_event_queue=5, wall_s=10.0
+            name="s", fingerprint="f", events=10, wall_s=10.0
         )
         baseline = {"timings": {"s": {"wall_s": 1.0}}}
         problems = report.compare_timings(baseline, max_regression=2.0)
@@ -384,17 +401,17 @@ class TestHarnessMechanics:
     def test_compare_timings_ignores_zero_baseline(self):
         report = PerfReport()
         report.scenarios["s"] = ScenarioTiming(
-            name="s", fingerprint="f", events=1, peak_event_queue=1, wall_s=5.0
+            name="s", fingerprint="f", events=1, wall_s=5.0
         )
         assert report.compare_timings({"timings": {"s": {"wall_s": 0.0}}}, 2.0) == []
 
     def test_events_per_sec(self):
         timing = ScenarioTiming(
-            name="s", fingerprint="f", events=500, peak_event_queue=1, wall_s=0.5
+            name="s", fingerprint="f", events=500, wall_s=0.5
         )
         assert timing.events_per_sec == 1000.0
         zero = ScenarioTiming(
-            name="s", fingerprint="f", events=500, peak_event_queue=1, wall_s=0.0
+            name="s", fingerprint="f", events=500, wall_s=0.0
         )
         assert zero.events_per_sec == 0.0
 

@@ -14,11 +14,10 @@ from repro.cluster import FleetConfig
 from repro.core import MuxWiseServer
 from repro.workloads import poissonized, rag_workload
 
-#: Result digest, events fired and event-queue high-water mark of the run.
+#: Result digest and events fired of the run.
 GOLDEN_CORUN = (
-    "8a5ff6ff1d9efb13466502c176508b36cffb36e2209bb414f8cae826542aba47",
+    "30edafdb0767731ab1d1145c572c22f1f4a21c52c455f80c23b6caafa1b6cce3",
     59955,
-    125,
 )
 
 
@@ -40,9 +39,5 @@ def test_fleet_rag_corun_matches_golden(cfg_8b_single):
         "router_decisions": result.router_decisions,
         "extras": result.extras,
     }
-    observed = (
-        _digest(payload),
-        int(result.extras["events_processed"]),
-        int(result.extras["peak_event_queue"]),
-    )
+    observed = (_digest(payload), int(result.extras["events_processed"]))
     assert observed == GOLDEN_CORUN

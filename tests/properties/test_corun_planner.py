@@ -10,11 +10,12 @@ real heap on the frozen :class:`tests.gpu.reference_device.ReferenceDevice`
 with real :class:`~repro.gpu.host.HostThread` and
 :class:`~repro.gpu.stream.Stream` objects.
 
-Both must agree bit for bit on every heap push (when and for when), every
-cancel, every fired event's time, the state at every completion (clock,
-device integrals, occupancy) and the host and stream busy time.  The
-reference run is also stopped at, just before and just after drawn virtual
-instants: the events it fired by then must be exactly the plan's.
+Both must agree bit for bit on every fired event's time, the state at
+every completion (clock, device integrals, occupancy) and the host and
+stream busy time.  The reference run is also stopped at, just before and
+just after drawn virtual instants: the events it fired by then must be
+exactly the plan's.  (Pushes and cancels are the heap's shape, which the
+plan does not keep.)
 """
 
 from __future__ import annotations
@@ -30,8 +31,7 @@ from repro.gpu.host import HostThread
 from repro.gpu.specs import A100
 from repro.gpu.stream import Stream
 from repro.sim import Simulator
-from repro.sim.fastpath import CoRunPlan, Lane
-from repro.sim.simulator import V_CANCEL, V_FIRE, V_PUSH
+from repro.sim.fastpath import K_HOST, K_UPDATE, CoRunPlan, Lane
 from tests.gpu.reference_device import ReferenceDevice, ReferenceExecTask
 
 FULL_FLOPS = A100.effective_flops
@@ -66,27 +66,33 @@ class ReferenceStreamTask(ExecTask):
         self.task_id = next(_reference_ids)
 
 
-class RecordingSimulator(Simulator):
-    """A simulator that logs its heap pushes and counted cancels."""
+class FiredLog(list):
+    """The plan's live entries, logging the time of each one that fires.
+
+    An entry leaves the list when it fires, or when it is a device update
+    the host finish just fired re-plans (cancels): that removal comes
+    directly after the host entry's, with no entry queued in between.
+    """
 
     def __init__(self) -> None:
         super().__init__()
-        self.pushes: list[tuple[float, float]] = []
-        self.cancels: list[tuple[float, float]] = []
+        self.fired: list[float] = []
+        self._last_removed = None
 
-    def schedule_at(self, time, callback, *args, **kwargs):
-        event = super().schedule_at(time, callback, *args, **kwargs)
-        self.pushes.append((self.now, event.time))
-        return event
+    def append(self, entry) -> None:
+        self._last_removed = None
+        super().append(entry)
 
-    def _note_cancelled(self, event) -> None:
-        self.cancels.append((self.now, event.time))
-        super()._note_cancelled(event)
+    def remove(self, entry) -> None:
+        previous, self._last_removed = self._last_removed, entry
+        super().remove(entry)
+        if not (entry.kind == K_UPDATE and previous is not None and previous.kind == K_HOST):
+            self.fired.append(entry.time)
 
 
 def _reference(programme, decode_sms, until=math.inf, spec=A100):
     """Run the programme on the real heap; returns what it observed."""
-    sim = RecordingSimulator()
+    sim = Simulator()
     device = ReferenceDevice(sim, spec)
     host = HostThread(sim)
     streams = [
@@ -135,6 +141,7 @@ def _planned(programme, decode_sms, spec=A100):
     """Run the programme through the dry run; returns what it recorded."""
     sim = Simulator()
     plan = CoRunPlan(Device(sim, spec), HostThread(sim), 0.0)
+    plan.live = FiredLog()
     lane_of = [
         Lane(decode_sms, False, None, 0.0, None),
         Lane(spec.sms - decode_sms, False, None, 0.0, None),
@@ -185,12 +192,9 @@ def _planned(programme, decode_sms, spec=A100):
 def test_dry_run_matches_the_heap_in_lockstep(decode, prefill, decode_sms, interrupts):
     programme = (decode, prefill)
     plan, planned_states = _planned(programme, decode_sms)
-    sim, fired, states = _reference(programme, decode_sms)
+    _, fired, states = _reference(programme, decode_sms)
     assert planned_states == states
-    ops = plan.ops
-    assert [(t, e.time) for t, kind, e in ops if kind == V_PUSH] == sim.pushes
-    assert [(t, e.time) for t, kind, e in ops if kind == V_CANCEL] == sim.cancels
-    planned_fired = [t for t, kind, _ in ops if kind == V_FIRE]
+    planned_fired = plan.live.fired
     assert planned_fired == fired
     assert plan.fired == len(fired)
     # Stop the heap at, just before and just after planned instants.

@@ -39,22 +39,22 @@ GIANT_TOKENS = 200_000
 STORM_TIMES = (6.0, 12.0)
 
 GOLDEN = {
-    ("muxwise", "ample"): "eb06f707e0173d693299b84798d292ca6861ff13d61c8b221c28fa007b28015f",
-    ("muxwise", "tight"): "f7d33c11c1fad3236babee28c70fc874491d2f8806c2b539e510cb22e77798e7",
-    ("chunked", "ample"): "9a147668beaa35ae8de9d80532a8c7c679f9e88ed5f8a1d4e762b8e5640146a8",
-    ("chunked", "tight"): "0c5137243bad2a6e1c98c0c9f4ee40d4a5c8b13946c59e46eab389a6d3d78787",
-    ("nanoflow", "ample"): "23d260f5fac9521d6a0738d04cbba1651a881578059a72adc8abf78359aa93bc",
-    ("nanoflow", "tight"): "e21d02f8d42dcbc9f12b60b7a2958a4eeae7347af095bb3a25e2457d5a4111f1",
-    ("sglang-pd", "ample"): "e288e528bd578aaf3c6432b5dbadd8ec8ddcb7accba4d1e6e3550f0a4ca19aa5",
-    ("sglang-pd", "tight"): "4201e780787b3569de70ad99f0bbc60bc53ca61b1321a93c6da85dcb64c8c854",
-    ("loongserve", "ample"): "e806bd41c502cd28ff32b85c2b491fb1d4133d794577a8a35d9431ceac14f027",
-    ("loongserve", "tight"): "b2aedc11cc9b6bc727099d85e38cc6f770fa1d86e022bd224baaacf249e327f1",
-    ("windserve", "ample"): "3ffe1f48ce4c3d2bbfda00994df899563fa89d29bedc0b3774e996eaa7ffae7e",
-    ("windserve", "tight"): "579af0be51ef3a4bbabeeb805c6a5e008db0f0788f4d5129df243a0158213d3c",
-    ("temporal", "ample"): "f807420aa5dcf842d6d913f5dd7dcfdb4539013a387413cc4e06024c62411d07",
-    ("temporal", "tight"): "6251f74beb71ec71ceed8da29f92dd420c4dabc0d5c4856adcf3ac889c38b3ed",
-    ("hybrid-pd", "ample"): "f3e9c3829057743141852405d64c0a12d39ebe4dcab94070517450e617928312",
-    ("hybrid-pd", "tight"): "2ea67250af66208cdde68ac360957dd68d08290c3169f23dd54bf55f1cf7121a",
+    ("muxwise", "ample"): "579c29c441ca0f3fc3d0cf00790c85ad2c6cae9ac184249def841e6d0649172e",
+    ("muxwise", "tight"): "2e4bc8b7330f1d387a137e4af694525bfb0a5286f3b05ecaab393a9b4735168d",
+    ("chunked", "ample"): "5ea97939c44cf0eae718595bd08c1d93e470de4779cd6ca12a60f731b6da779a",
+    ("chunked", "tight"): "351e0590b0ad81f8aadbe5de004d5024847841e8c5a1e1e20287021782849b54",
+    ("nanoflow", "ample"): "abf96944d581a92b8aa412489b70f3e667e09103a036ac1a47a9df1a3ac72718",
+    ("nanoflow", "tight"): "85c6b57a30f8a6887e738fa2de541441d77fce24c52ecd249ea1bebf2174cae5",
+    ("sglang-pd", "ample"): "eae0ea64a9a3b8ebfdb9afdccaa854ced213fc108b79d2702262d6a1f3da31d2",
+    ("sglang-pd", "tight"): "cf5f69aa6e30e1c9411e63fbf98fdc5f2465f2a4df0e82eca723cc3988f6b1b9",
+    ("loongserve", "ample"): "8abc019d1b4f587a63d383c2f7f18c7ffb5de0410e2d43db9ea9860b44eddaa5",
+    ("loongserve", "tight"): "62defaabb9e0ea93f656e9de2eef79972b0d1b1aff84ad76984701607e1e9410",
+    ("windserve", "ample"): "6cb1765d9c78e6ac44132a51d530950e87dbf0e7d3f21ab737bcc67090bf101d",
+    ("windserve", "tight"): "8b43209362f8f9df18da51203b11a1fa036b632dd44b4a767fcde55094b7ffc3",
+    ("temporal", "ample"): "e83e231a7fc33364a8fe3c54b8b9e762f13a7e9c2ea10de05a1a08a78d5bd33b",
+    ("temporal", "tight"): "948a81382755393feb0f5322ef4f89765977b0491a0ae20253f9706b45565a74",
+    ("hybrid-pd", "ample"): "acfec748e45adae089e1864821ca7e980a7cdcff33c8f888a876a6082aa31653",
+    ("hybrid-pd", "tight"): "4691a0010daf45104e13d92c179160ca53942a578b88eadf81e0f7e966b1a5c3",
 }
 
 
@@ -103,7 +103,6 @@ def _run(system: str, regime: str) -> str:
             for inst in iter_instances(server)
         ],
         "events": stats.events,
-        "peak_queue": stats.peak_queue,
         "drained": stats.drained,
         "storm_preemptions": server.storm_preemptions,
     }

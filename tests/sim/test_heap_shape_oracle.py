@@ -79,11 +79,9 @@ RUNS = {**SCENARIOS, "corun_fleet": _corun_fleet}
 
 
 class _Shape:
-    """What the heap did during one run: compactions, and those made while
-    some scope had a stretch pending."""
+    """What the heap did during one run."""
 
     compactions = 0
-    inside_stretch = 0
 
 
 @contextmanager
@@ -102,7 +100,6 @@ def heap_shape(compact_min_size: int, preload: int) -> Iterator[_Shape]:
 
     def counted_compact(sim):
         shape.compactions += 1
-        shape.inside_stretch += bool(sim._stretch_ends)
         compact(sim)
 
     Simulator.__init__ = preloaded_init
@@ -150,6 +147,3 @@ def test_results_do_not_depend_on_heap_shape(name, compact_min_size, preload, fa
     if compact_min_size <= preload:
         # Non-vacuous: the preloaded entries alone force a compaction.
         assert shape.compactions > 0
-    if name == "corun_fleet" and fast and compact_min_size == 8:
-        # Compactions land while co-run stretches are pending.
-        assert shape.inside_stretch > 0
