@@ -28,7 +28,6 @@ with this module, so a run that builds no MuxWise estimator never loads it
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, NamedTuple
 
@@ -265,6 +264,70 @@ class ContentionGuard:
         return len(self._cells)
 
 
+class GuardCells:
+    """The guard as one decode batch on one partition sees it beside one
+    prefill job: only the context bucket of a cell's key varies, so the
+    prefill and batch buckets are computed once and each context bucket's
+    :class:`GuardKey` is built once.
+
+    :meth:`ContentionTolerantEstimator.observe_decode` is
+    :meth:`observe` on a fresh instance; a co-run stretch keeps one for
+    all its iterations.
+    """
+
+    __slots__ = ("estimator", "batch_size", "sm_count", "_buckets", "_keys")
+
+    def __init__(
+        self,
+        estimator: "ContentionTolerantEstimator",
+        batch_size: int,
+        sm_count: int,
+        prefill_new: float,
+        prefill_reused: float,
+    ) -> None:
+        self.estimator = estimator
+        self.batch_size = batch_size
+        self.sm_count = sm_count
+        #: None without a co-running prefill: no cell applies.
+        self._buckets = (
+            (token_bucket(prefill_new), token_bucket(prefill_reused), batch_bucket(batch_size))
+            if prefill_new > 0 or prefill_reused > 0
+            else None
+        )
+        self._keys: dict[int, GuardKey] = {}
+
+    def key(self, sum_reused: float) -> GuardKey | None:
+        """The cell of a batch holding ``sum_reused`` context tokens."""
+        buckets = self._buckets
+        if buckets is None:
+            return None
+        bucket = token_bucket(sum_reused)
+        key = self._keys.get(bucket)
+        if key is None:
+            key = self._keys[bucket] = GuardKey(*buckets, bucket, self.sm_count)
+        return key
+
+    def worst_case(self, sum_reused: float) -> float:
+        """:meth:`ContentionTolerantEstimator.worst_case_decode` of the batch."""
+        estimator = self.estimator
+        solo = estimator.solo_decode(self.batch_size, sum_reused, self.sm_count)
+        key = self.key(sum_reused)
+        if key is None:
+            return solo
+        return solo * estimator.guard.lookup(key)
+
+    def observe(self, sum_reused: float, observed_latency: float) -> float:
+        """Refine the batch's cell with an iteration that took
+        ``observed_latency`` (a max-merge); returns the slowdown."""
+        estimator = self.estimator
+        solo = estimator.solo_decode(self.batch_size, sum_reused, self.sm_count)
+        slowdown = observed_latency / max(solo, 1e-9)
+        key = self.key(sum_reused)
+        if key is not None:
+            estimator.guard.update(key, slowdown)
+        return slowdown
+
+
 class ContentionTolerantEstimator:
     """Worst-case latency estimates combining predictor and guard (§3.3.2)."""
 
@@ -308,11 +371,8 @@ class ContentionTolerantEstimator:
         bound because the dispatcher merely requires launched prefill layers
         to outlast the co-running decode iteration.
         """
-        solo = self.solo_decode(batch_size, sum_reused, sm_count)
-        if prefill_new <= 0 and prefill_reused <= 0:
-            return solo
-        key = self.guard.key(prefill_new, prefill_reused, batch_size, sum_reused, sm_count)
-        return solo * self.guard.lookup(key)
+        cells = GuardCells(self, batch_size, sm_count, prefill_new, prefill_reused)
+        return cells.worst_case(sum_reused)
 
     def first_decode_fit(
         self,
@@ -361,9 +421,5 @@ class ContentionTolerantEstimator:
         prefill_reused: float,
     ) -> float:
         """Refine the guard with a runtime observation; returns the slowdown."""
-        solo = self.solo_decode(batch_size, sum_reused, sm_count)
-        slowdown = observed_latency / max(solo, 1e-9)
-        if prefill_new > 0 or prefill_reused > 0:
-            key = self.guard.key(prefill_new, prefill_reused, batch_size, sum_reused, sm_count)
-            self.guard.update(key, slowdown)
-        return slowdown
+        cells = GuardCells(self, batch_size, sm_count, prefill_new, prefill_reused)
+        return cells.observe(sum_reused, observed_latency)

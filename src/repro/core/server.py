@@ -24,7 +24,7 @@ from functools import partial
 from typing import Callable
 
 from repro.core.engine import MultiplexEngine
-from repro.core.estimator import ContentionTolerantEstimator
+from repro.core.estimator import ContentionTolerantEstimator, GuardCells
 from repro.gpu.device import ExecTask
 from repro.gpu.launch import DECODE_LAUNCH_LABEL, prefill_launch_label
 from repro.gpu.specs import decode_partition_options
@@ -483,7 +483,7 @@ class MuxWiseServer(DecodeBatchMixin):
             choose(batch_size, float(total_ctx + (limit - 1) * batch_size)) == sm_count
         )
         device = instance.device
-        cost_of = self._decode_only_cost
+        cost_of = self._decode_only_costs(instance, batch_size)
         plan_chain = fastpath.plan_chain
         launch = self.cfg.launch.decode_launch()
         first = total_ctx
@@ -492,9 +492,9 @@ class MuxWiseServer(DecodeBatchMixin):
             if not steady and ctx != first and choose(batch_size, float(ctx)) != sm_count:
                 counters.bail_partition += 1
                 return None
-            cost = cost_of(instance, batch_size, ctx)
+            flops, nbytes, comm_time = cost_of(ctx)
             chain = plan_chain(
-                device, cost.flops, cost.bytes, cost.comm_time, now,
+                device, flops, nbytes, comm_time, now,
                 sm_count=sm_count, launch=launch, since=since,
             )
             if chain is None:
@@ -641,19 +641,25 @@ class MuxWiseServer(DecodeBatchMixin):
             else:
                 plan.adopt(shadow, K_COMPLETE, copy)
 
-        estimator = self.estimator
-        # _choose_decode_partition with the active job, unrolled.
-        fit = estimator.first_decode_fit
+        new_tokens = float(job.new_tokens)
+        reused_tokens = float(job.reused_tokens)
+        # The iterations' guard cells and costs, bound once: the batch, the
+        # job and the partition stay fixed within the stretch.
+        cells = GuardCells(self.estimator, size, sm, new_tokens, reused_tokens)
+        cost_of = self._decode_only_costs(instance, size)
+        # _choose_decode_partition with the active job, unrolled: for the
+        # first of several options, first_decode_fit picks it exactly when
+        # its worst case fits the budget; a lone option is always picked.
+        fit = self.estimator.first_decode_fit
         options = self.partition_options
         tbt_budget = self.cfg.slo.tbt * SLO_MARGIN - self.cfg.launch.decode_launch()
+        recheck = len(options) > 1
+        first_option = sm == options[0]
         cost_model = instance.cost_model
-        cost_of = self._decode_only_cost
         launch_model = self.cfg.launch
         launch = launch_model.decode_launch()
         total_sms = device.total_sms
         prefill_sms = engine.prefill_sms
-        new_tokens = float(job.new_tokens)
-        reused_tokens = float(job.reused_tokens)
         total_layers = job.total_layers
         running = [s for s in self.running if not s.finished]
         n_running = len(running)
@@ -667,8 +673,8 @@ class MuxWiseServer(DecodeBatchMixin):
             self._on_group_done(j)
 
         def start_decode(ctx: int) -> ExecTask:
-            cost = cost_of(instance, size, ctx)
-            task = ExecTask(cost.flops, cost.bytes, fixed_time=cost.comm_time, tag="decode-iter")
+            flops, nbytes, comm_time = cost_of(ctx)
+            task = ExecTask(flops, nbytes, fixed_time=comm_time, tag="decode-iter")
             iters.append((float(ctx), plan.now))
             plan.launch(launch, decode_lane, task, DECODE_LAUNCH_LABEL)
             return task
@@ -704,15 +710,19 @@ class MuxWiseServer(DecodeBatchMixin):
                     # _on_decode_done, then _maybe_start_decode.
                     sum_context, submitted = iters[-1]
                     if job.new_tokens > 0:
-                        estimator.observe_decode(
-                            size, sum_context, sm, end - submitted - launch,
-                            new_tokens, reused_tokens,
-                        )
+                        cells.observe(sum_context, end - submitted - launch)
                     ctx += size
                     running_ctx += size
-                    if fit(options, tbt_budget, size, float(ctx), new_tokens, reused_tokens) != sm:
-                        counters.corun_bail_partition += 1
-                        break
+                    if recheck:
+                        if first_option:
+                            keeps = cells.worst_case(float(ctx)) <= tbt_budget
+                        else:
+                            keeps = fit(
+                                options, tbt_budget, size, float(ctx), new_tokens, reused_tokens
+                            ) == sm
+                        if not keeps:
+                            counters.corun_bail_partition += 1
+                            break
                     if horizon <= end + min_delta:
                         counters.corun_bail_horizon += 1
                         break

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 from repro.gpu.device import Device
 from repro.models.config import ModelConfig
@@ -264,21 +264,9 @@ class CostModel:
         model = self.model
         if batch_size == 0:
             return PhaseCost(0.0, 0.0, 0.0, 0.0)
-
-        # Decode runs through a graph-captured GEMV-style path: its linear
-        # layers stream weights at full rate (no GEMM ramp-up curve), but
-        # every layer pays a fixed overhead for the many small kernels.
-        fixed = self._decode_fixed.get(batch_size)
-        if fixed is None:
-            linear_raw = 2.0 * model.active_layer_params * batch_size
-            weight_bytes = self._layer_weight_bytes_touched(batch_size)
-            kv_write = batch_size * model.kv_bytes_per_token_layer
-            activations = ACTIVATION_FACTOR * batch_size * model.hidden_dim * model.dtype_bytes
-            comm_time = self._allreduce_time(batch_size) + DECODE_LAYER_OVERHEAD
-            fixed = self._decode_fixed[batch_size] = (
-                linear_raw, weight_bytes, kv_write, activations, comm_time
-            )
-        linear_raw, weight_bytes, kv_write, activations, comm_time = fixed
+        linear_raw, weight_bytes, kv_write, activations, comm_time = self._decode_fixed_terms(
+            batch_size
+        )
 
         # Factored form of sum(4.0 * (r + 1) * q_dim for r in ...): every
         # per-term product and partial sum is an integer below 2**53, so
@@ -289,6 +277,26 @@ class CostModel:
         total_bytes = weight_bytes + kv_read + kv_write + activations
 
         return PhaseCost(flops, linear_raw + attn_raw, total_bytes, comm_time)
+
+    def _decode_fixed_terms(self, batch_size: int) -> tuple[float, float, float, float, float]:
+        """The batch-size terms of :meth:`decode_layer_totals`: linear FLOPs,
+        weight bytes, KV write bytes, activation bytes and serialized time."""
+        fixed = self._decode_fixed.get(batch_size)
+        if fixed is None:
+            # Decode runs through a graph-captured GEMV-style path: its
+            # linear layers stream weights at full rate (no GEMM ramp-up
+            # curve), but every layer pays a fixed overhead for the many
+            # small kernels.
+            model = self.model
+            linear_raw = 2.0 * model.active_layer_params * batch_size
+            weight_bytes = self._layer_weight_bytes_touched(batch_size)
+            kv_write = batch_size * model.kv_bytes_per_token_layer
+            activations = ACTIVATION_FACTOR * batch_size * model.hidden_dim * model.dtype_bytes
+            comm_time = self._allreduce_time(batch_size) + DECODE_LAYER_OVERHEAD
+            fixed = self._decode_fixed[batch_size] = (
+                linear_raw, weight_bytes, kv_write, activations, comm_time
+            )
+        return fixed
 
     def decode_head(self, batch_size: int) -> PhaseCost:
         """LM head of one decode iteration (graph-captured path, raw rate)."""
@@ -322,6 +330,50 @@ class CostModel:
             layer_bytes * num_layers + head_bytes,
             layer_comm * num_layers + head_comm,
         )
+
+    def decode_iter_fn(self, batch_size: int) -> Callable[[int], tuple[float, float, float]]:
+        """:meth:`decode_iter_totals` of a batch of ``batch_size`` (>= 1) as
+        a function of its context total, returning ``(flops, bytes,
+        comm_time)``: the same operations in the same order, with the
+        batch-size terms, the LM head and the layer count bound once.  A
+        subclass that reprices decode (a profiled or recording model) gets
+        its own :meth:`decode_iter_totals` per call."""
+        if batch_size < 1:
+            raise ValueError("batch_size must be >= 1")
+        cls = type(self)
+        if (
+            cls.decode_iter_totals is not CostModel.decode_iter_totals
+            or cls.decode_layer_totals is not CostModel.decode_layer_totals
+            or cls.decode_head is not CostModel.decode_head
+        ):
+            totals = self.decode_iter_totals
+
+            def repriced(total_ctx: int) -> tuple[float, float, float]:
+                phase = totals(batch_size, total_ctx)
+                return phase.flops, phase.bytes, phase.comm_time
+
+            return repriced
+        model = self.model
+        linear_raw, weight_bytes, kv_write, activations, layer_comm = self._decode_fixed_terms(
+            batch_size
+        )
+        head_flops, _, head_bytes, head_comm = self.decode_head(batch_size)
+        num_layers = model.num_layers
+        attn_factor = 4.0 * model.q_dim
+        kv_per_token = model.kv_bytes_per_token_layer
+        comm_time = layer_comm * num_layers + head_comm
+
+        def cost(total_ctx: int) -> tuple[float, float, float]:
+            attn_raw = attn_factor * (total_ctx + batch_size)
+            layer_flops = linear_raw + attn_raw / ATTENTION_EFFICIENCY
+            layer_bytes = weight_bytes + total_ctx * kv_per_token + kv_write + activations
+            return (
+                layer_flops * num_layers + head_flops,
+                layer_bytes * num_layers + head_bytes,
+                comm_time,
+            )
+
+        return cost
 
     # ------------------------------------------------------------------ #
     # Speculative decoding

@@ -85,6 +85,26 @@ class DecodeBatchMixin(ServingSystem):
         """
         return instance.cost_model.decode_iter_totals(batch_size, total_ctx)
 
+    def _decode_only_costs(
+        self, instance: Instance, batch_size: int
+    ) -> Callable[[int], tuple[float, float, float]]:
+        """:meth:`_decode_only_cost` of one batch size as a function of the
+        context total: ``(flops, bytes, comm_time)``.
+
+        Unless a server overrides :meth:`_decode_only_cost`, this is
+        ``CostModel.decode_iter_fn``, which builds no cost tuple per
+        iteration.
+        """
+        if type(self)._decode_only_cost is DecodeBatchMixin._decode_only_cost:
+            return instance.cost_model.decode_iter_fn(batch_size)
+        cost_of = self._decode_only_cost
+
+        def cost(total_ctx: int) -> tuple[float, float, float]:
+            phase = cost_of(instance, batch_size, total_ctx)
+            return phase.flops, phase.bytes, phase.comm_time
+
+        return cost
+
     def _decode_planner(
         self, instance: Instance, batch_size: int, total_ctx: int, limit: int
     ) -> Callable[[int, float, float | None], ChainPlan | None] | None:
@@ -98,16 +118,14 @@ class DecodeBatchMixin(ServingSystem):
         folded into its serialized tail.
         """
         device = instance.device
-        cost_of = self._decode_only_cost
+        cost_of = self._decode_only_costs(instance, batch_size)
         plan_chain = fastpath.plan_chain
         launch = self.cfg.launch.decode_launch()
         counters = self.sim.counters
 
         def plan(ctx: int, now: float, since: float | None) -> ChainPlan | None:
-            cost = cost_of(instance, batch_size, ctx)
-            chain = plan_chain(
-                device, cost.flops, cost.bytes, cost.comm_time + launch, now, since=since
-            )
+            flops, nbytes, comm_time = cost_of(ctx)
+            chain = plan_chain(device, flops, nbytes, comm_time + launch, now, since=since)
             if chain is None:
                 counters.bail_plan += 1
             return chain

@@ -115,14 +115,7 @@ from contextlib import contextmanager
 from operator import attrgetter
 from typing import TYPE_CHECKING, Iterator
 
-from repro.gpu.device import (
-    ExecTask,
-    _config_ripple,
-    _over_request,
-    _task_horizon,
-    _waterfill2,
-    _waterfill_last,
-)
+from repro.gpu.device import ExecTask, _config_ripple, _waterfill2
 
 if TYPE_CHECKING:
     from repro.gpu.device import Device

@@ -10,7 +10,7 @@ from repro.core import (
     calibrated_predictor,
     token_bucket,
 )
-from repro.core.estimator import DecodeSample, PrefillSample
+from repro.core.estimator import DecodeSample, GuardCells, PrefillSample
 from repro.gpu import Device
 from repro.models import CostModel, PrefillItem, phase_latency
 from repro.sim import Simulator
@@ -163,6 +163,34 @@ class TestFirstDecodeFit:
                     args = (bs, float(bs * ctx), *prefill)
                     expected = self._scan(estimator, options, budget, *args)
                     assert estimator.first_decode_fit(options, budget, *args) == expected
+
+    @pytest.mark.parametrize("prefill", [(0.0, 0.0), (4096.0, 0.0), (300.0, 9000.0)])
+    def test_first_option_is_picked_exactly_when_its_cells_fit(self, cfg_70b, prefill):
+        """The co-run stretch's partition re-check on the first option."""
+        estimator = ContentionTolerantEstimator(calibrated_predictor(cfg_70b))
+        options = [16, 32, 48, 64, 80, 96]
+        estimator.observe_decode(32, 32 * 3000.0, 16, 1.0, 4096.0, 0.0)
+        for bs in (1, 8, 32, 128):
+            cells = GuardCells(estimator, bs, options[0], *prefill)
+            for ctx in (256, 3000, 40_000):
+                for budget in (0.005, 0.02, 0.05, 1.0):
+                    total = float(bs * ctx)
+                    picked = estimator.first_decode_fit(options, budget, bs, total, *prefill)
+                    fits = cells.worst_case(total) <= budget
+                    assert (picked == options[0]) == fits
+
+    def test_cells_observe_like_observe_decode(self, cfg_70b):
+        """One batch's cells refine the guard exactly as per-call observations do."""
+        per_call = ContentionTolerantEstimator(calibrated_predictor(cfg_70b))
+        kept = ContentionTolerantEstimator(calibrated_predictor(cfg_70b))
+        cells = GuardCells(kept, 32, 48, 4096.0, 512.0)
+        for step, latency in enumerate((0.01, 0.03, 0.02, 0.05, 0.001)):
+            ctx = 32 * (1000.0 + 400.0 * step)
+            assert cells.observe(ctx, latency) == per_call.observe_decode(
+                32, ctx, 48, latency, 4096.0, 512.0
+            )
+        assert kept.guard._cells == per_call.guard._cells
+        assert len(cells._keys) > 1  # the batch crossed a context bucket
 
     def test_monotone_flag_follows_the_fitted_context_coefficients(self):
         predictor = SoloRunPredictor()

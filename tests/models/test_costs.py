@@ -65,6 +65,27 @@ class TestPrefillCost:
 
 
 class TestDecodeCost:
+    @pytest.mark.parametrize("model", [LLAMA_8B, LLAMA_70B, QWEN3_235B])
+    @pytest.mark.parametrize("n_gpus", [1, 8])
+    def test_per_batch_closure_is_bit_identical(self, model, n_gpus):
+        cm = CostModel(model, n_gpus=n_gpus)
+        for batch_size in (1, 3, 32, 256):
+            cost = cm.decode_iter_fn(batch_size)
+            for total_ctx in (0, 1, 777, 65_536, 3_000_001):
+                phase = cm.decode_iter_totals(batch_size, total_ctx)
+                assert cost(total_ctx) == (phase.flops, phase.bytes, phase.comm_time)
+
+    def test_per_batch_closure_follows_a_repriced_subclass(self):
+        class Doubled(CostModel):
+            def decode_layer_totals(self, batch_size, total_ctx):
+                return super().decode_layer_totals(batch_size, total_ctx).scaled(2.0)
+
+        cm = Doubled(LLAMA_8B)
+        phase = cm.decode_iter_totals(4, 4000)
+        assert cm.decode_iter_fn(4)(4000) == (phase.flops, phase.bytes, phase.comm_time)
+        with pytest.raises(ValueError):
+            cm.decode_iter_fn(0)
+
     def test_decode_is_memory_dominated_at_full_sms(self, cm70, dev8):
         """Decode reads the full weights every iteration: memory-bound."""
         cost = cm70.decode_iter([1024] * 32)
