@@ -363,23 +363,19 @@ class Simulator:
         _heappush(unscoped, entry)
 
     def horizon(self, scope: str | None, exclude: Event | None = None) -> float:
-        """Earliest time an event can reach ``scope`` (+inf when none can).
+        """Earliest time a live event can reach ``scope`` (+inf when none can).
 
         For ``scope=None``, or while scopes are not isolated, this is the
-        raw queue head, cancelled entries included: a cancelled head bounds
-        a stretch, and the run loop drops it with exact fidelity.  For an
-        isolated scope it is the earlier of the earliest live unscoped
-        event (arrivals, retries, faults, daemon ticks) and the earliest
-        event of the scope itself.  ``exclude`` is an event of the scope
-        that the caller's stretch takes over.
+        earliest live event in the queue; cancelled entries at the head are
+        dropped first, as the run loop drops them.  For an isolated scope
+        it is the earlier of the earliest live unscoped event (arrivals,
+        retries, faults, daemon ticks) and the earliest event of the scope
+        itself.  ``exclude`` is an event of the scope that the caller's
+        stretch takes over.
         """
-        heap = self._heap
-        head = heap[0][0] if heap else math.inf
         isolated = self._isolation
         if scope is None or isolated is None or not isolated():
-            if exclude is not None and heap and heap[0][3] is exclude:
-                head = min(entry[0] for entry in heap[1:3]) if len(heap) > 1 else math.inf
-            return head
+            return self._live_head(exclude)
         unscoped = self._unscoped
         while unscoped and (unscoped[0][3].owner is None or unscoped[0][3].cancelled):
             heapq.heappop(unscoped)
@@ -390,6 +386,28 @@ class Simulator:
                 if event.time < bound and event is not exclude:
                     bound = event.time
         return bound
+
+    def _live_head(self, exclude: Event | None) -> float:
+        """Time of the earliest live queued event other than ``exclude``."""
+        self._drop_cancelled_head()
+        heap = self._heap
+        if not heap:
+            return math.inf
+        if heap[0][3] is not exclude:
+            return heap[0][0]
+        # Below an excluded head: walk the heap's subtrees in key order
+        # until a live entry turns up.
+        size = len(heap)
+        frontier = [(heap[i], i) for i in (1, 2) if i < size]
+        heapq.heapify(frontier)
+        while frontier:
+            entry, index = heapq.heappop(frontier)
+            if not entry[3].cancelled:
+                return entry[0]
+            for child in (2 * index + 1, 2 * index + 2):
+                if child < size:
+                    heapq.heappush(frontier, (heap[child], child))
+        return math.inf
 
     def begin_stretch(self, end: float, callback: Callable[[], Any]) -> Event:
         """Schedule the continuation of the current scope's decode stretch.

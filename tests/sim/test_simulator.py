@@ -1,5 +1,7 @@
 """Unit tests for the discrete-event simulator core."""
 
+import math
+
 import pytest
 
 from repro.sim import PRIORITY_EARLY, PRIORITY_LATE, SimulationError, Simulator
@@ -254,9 +256,24 @@ class TestStretchHorizon:
     def test_unscoped_horizon_is_the_raw_head(self):
         sim = self._fleet_like(isolated=True)
         assert sim.horizon(None) == 1.0
-        # A cancelled head still bounds it: the run loop drops it itself.
+        # The whole queue's head, but a live one: a cancelled head is
+        # dropped, as the run loop drops it.
         sim.schedule_at(0.5, lambda: None).cancel()
-        assert sim.horizon(None) == 0.5
+        assert sim.horizon(None) == 1.0
+        assert sim.pending_events == len(sim._heap) == 3
+
+    def test_excluded_head_yields_the_next_live_entry(self):
+        sim = Simulator()
+        taken = sim.schedule_at(1.0, lambda: None)
+        # Cancelled entries just below the excluded head are skipped too.
+        for time in (1.5, 2.0, 2.5, 3.0):
+            sim.schedule_at(time, lambda: None).cancel()
+        sim.schedule_at(4.0, lambda: None)
+        assert sim.horizon(None, exclude=taken) == 4.0
+        sim.schedule_at(3.5, lambda: None)
+        assert sim.horizon(None, exclude=taken) == 3.5
+        only = Simulator()
+        assert only.horizon(None, exclude=only.schedule_at(1.0, lambda: None)) == math.inf
 
     def test_isolated_scope_sees_only_its_own_and_unscoped_events(self):
         sim = self._fleet_like(isolated=True)
