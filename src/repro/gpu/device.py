@@ -308,7 +308,9 @@ class Device:
         self._factors_key: tuple[ExecTask, ...] = ()
         self._factors: list[float] = []
         # The two-task path's factors are a pure function of the two SM
-        # counts, so its single entry (sa, sb, factor_a, factor_b) is keyed on them.
+        # counts, so its single entry (sa, sb, factor_a, factor_b) is keyed on
+        # them (and serves the pair in either order: a co-run's two tasks
+        # swap places in ``_active`` as each relaunches).
         self._pair_factors = (math.nan, math.nan, 1.0, 1.0)
 
         # Memory accounting (one shared space across the group).
@@ -528,6 +530,9 @@ class Device:
         if pair[0] == sa and pair[1] == sb:
             factor_a = pair[2]
             factor_b = pair[3]
+        elif pair[0] == sb and pair[1] == sa:
+            factor_a = pair[3]
+            factor_b = pair[2]
         else:
             # _interference_factor with one co-runner: loss = 0.0 + x == x.
             kappa = self.spec.contention_kappa

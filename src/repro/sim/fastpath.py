@@ -63,7 +63,7 @@ fingerprints in ``tests/bench/test_perf.py``):
   :meth:`Simulator.horizon` of the server's scope (excluding a co-run
   stretch's shadow), within the run's ``until`` and within its
   ``max_events`` budget.  For an unscoped server (a single system) the
-  horizon is the raw queue head, cancelled entries included.  For a fleet
+  horizon is the earliest live event in the queue.  For a fleet
   replica it is the earliest event that can reach *that* replica: its own
   scope's next event or the next unscoped one (arrival, retry, fault,
   daemon tick).
@@ -71,7 +71,8 @@ fingerprints in ``tests/bench/test_perf.py``):
   another only through ``Router.on_completion``, which dispatches only
   when the router holds a queued or held request.  ``Fleet`` therefore
   declares its replicas isolated (``Simulator.set_isolation``) only while
-  the router holds none; otherwise the horizon is the raw head.  The rule
+  the router holds none; otherwise the horizon is the queue's earliest
+  live event.  The rule
   is enforced, not assumed: scheduling into a scope — or an unscoped
   event — at or before that scope's pending stretch end raises
   ``SimulationError`` naming the scope, the time and the stretch end.
@@ -675,6 +676,9 @@ class CoRunPlan:
                 if pair[0] == sa and pair[1] == sb:
                     factor_a = pair[2]
                     factor_b = pair[3]
+                elif pair[0] == sb and pair[1] == sa:
+                    factor_a = pair[3]
+                    factor_b = pair[2]
                 else:
                     # Device._reallocate_pair's one-entry memo.
                     kappa = self.kappa
