@@ -72,10 +72,10 @@ fingerprints in ``tests/bench/test_perf.py``):
   when the router holds a queued or held request.  ``Fleet`` therefore
   declares its replicas isolated (``Simulator.set_isolation``) only while
   the router holds none; otherwise the horizon is the queue's earliest
-  live event.  The rule
-  is enforced, not assumed: scheduling into a scope — or an unscoped
-  event — at or before that scope's pending stretch end raises
-  ``SimulationError`` naming the scope, the time and the stretch end.
+  live event.  The rule is enforced, not assumed: scheduling into a
+  scope — or an unscoped event — at or before that scope's pending
+  stretch end raises ``SimulationError`` naming the scope, the time and
+  the stretch end.
 * **Events and the queue's peak.**  The continuation counts as one fired
   event and the stretch's other events are charged on commit, so
   ``processed_events`` matches.  The heap's shape is not part of the
