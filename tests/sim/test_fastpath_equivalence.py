@@ -449,3 +449,54 @@ def test_cross_scope_schedule_into_a_corun_stretch_raises(monkeypatch):
     victim, end = planted[0]
     message = str(raised.value)
     assert repr(victim) in message and f"{end:.9f}" in message
+
+
+class _Compactions:
+    """Counts heap compactions, and those made while a stretch was pending
+    (its continuation and the shadows it cancelled sit in the heap)."""
+
+    def __init__(self, monkeypatch):
+        self.total = self.inside = 0
+        compact = Simulator._compact
+
+        def counted(sim):
+            self.total += 1
+            self.inside += bool(sim._stretch_ends)
+            compact(sim)
+
+        monkeypatch.setattr(Simulator, "_compact", counted)
+
+
+def _plant_cancelled(count: int):
+    """Fill the heap with ``count`` cancelled far-future entries, so that a
+    compaction comes due while the run drains its arrivals."""
+
+    def plant(sim, *_):
+        for _ in range(count):
+            sim.schedule_at(1e9, lambda: None, daemon=True, scope=None).cancel()
+
+    return plant
+
+
+@pytest.mark.parametrize("cancelled", [40, 44, 48])
+def test_compaction_inside_corun_stretches_matches_scalar(cancelled, monkeypatch):
+    compactions = _Compactions(monkeypatch)
+    runs = []
+    for on in (True, False):
+        with fastpath.enabled() if on else fastpath.disabled():
+            runs.append(_FleetRun(_muxwise, _rag(100), AFFINITY, plant=_plant_cancelled(cancelled)))
+    fast, scalar = runs
+    assert fast.digest == scalar.digest
+    # The queue's high-water mark is a work counter, not a result.
+    assert fast.events == scalar.events
+    assert fast.streams == scalar.streams
+    assert fast.counters["corun_stretches"] > 0
+    assert compactions.total >= 2
+
+
+def test_some_compaction_lands_inside_a_stretch(monkeypatch):
+    compactions = _Compactions(monkeypatch)
+    with fastpath.enabled():
+        for cancelled in (40, 44, 48):
+            _FleetRun(_muxwise, _rag(100), AFFINITY, plant=_plant_cancelled(cancelled))
+    assert compactions.inside > 0
