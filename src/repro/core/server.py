@@ -21,6 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import partial
+from operator import attrgetter
 from typing import Callable
 
 from repro.core.engine import MultiplexEngine
@@ -32,8 +33,8 @@ from repro.models.costs import PhaseCost, PrefillItem, phase_latency
 from repro.serving.base import Instance, RequestState, build_instance
 from repro.serving.batching import DecodeBatchMixin
 from repro.serving.config import ServingConfig
-from repro.sim import SimulationError, Simulator, fastpath
-from repro.sim.fastpath import K_COMPLETE, K_HOST, K_UPDATE, Bail, ChainPlan, CoRunPlan, Lane
+from repro.sim import Simulator, fastpath
+from repro.sim.fastpath import K_COMPLETE, K_HOST, K_UPDATE, Bail, CoRunPlan
 from repro.trace.tracer import CAT_SCHED
 
 #: Share of the TBT SLO a decode partition is sized against; the rest is
@@ -462,9 +463,9 @@ class MuxWiseServer(DecodeBatchMixin):
         )
 
     def _decode_planner(
-        self, instance: Instance, batch_size: int, total_ctx: int, limit: int
-    ) -> Callable[[int, float, float | None], ChainPlan | None] | None:
-        """Host launch, then a lone task on the decode partition.
+        self, instance: Instance, plan: CoRunPlan, batch_size: int, total_ctx: int, limit: int
+    ) -> Callable[[int], float | None] | None:
+        """Host launch, then a lone task on the decode lane's partition.
 
         A stretch stops before an iteration whose partition differs from
         the current one.  With no co-runner the choice depends only on
@@ -482,35 +483,23 @@ class MuxWiseServer(DecodeBatchMixin):
         steady = self.estimator.predictor.decode_monotone and (
             choose(batch_size, float(total_ctx + (limit - 1) * batch_size)) == sm_count
         )
-        device = instance.device
         cost_of = self._decode_only_costs(instance, batch_size)
         plan_chain = fastpath.plan_chain
         launch = self.cfg.launch.decode_launch()
+        lane = plan.lane(self.engine.decode_stream)
         first = total_ctx
 
-        def plan(ctx: int, now: float, since: float | None) -> ChainPlan | None:
+        def step(ctx: int) -> float | None:
             if not steady and ctx != first and choose(batch_size, float(ctx)) != sm_count:
                 counters.bail_partition += 1
                 return None
             flops, nbytes, comm_time = cost_of(ctx)
-            chain = plan_chain(
-                device, flops, nbytes, comm_time, now,
-                sm_count=sm_count, launch=launch, since=since,
-            )
-            if chain is None:
+            end = plan_chain(plan, flops, nbytes, comm_time, sm_count, launch, lane)
+            if end is None:
                 counters.bail_plan += 1
-            return chain
+            return end
 
-        return plan
-
-    def _replay_launch(self, plans: list[ChainPlan]) -> None:
-        # HostThread._pump and Stream._op_done, in iteration order.
-        host = self.instance.host
-        stream = self.engine.decode_stream
-        launch = self.cfg.launch.decode_launch()
-        for plan in plans:
-            host._busy_seconds += launch
-            stream._busy_seconds += plan.completion - plan.submit
+        return step
 
     # ------------------------------------------------------------------ #
     # Co-run stretches: decode iterations beside prefill layer groups
@@ -616,15 +605,9 @@ class MuxWiseServer(DecodeBatchMixin):
             counters.corun_bail_pages += 1
             return False
 
-        plan = CoRunPlan(device, host, now)
-        decode_lane = Lane(decode_stream.sm_count, False, None, decode_stream._busy_seconds, None)
-        prefill_lane = Lane(
-            prefill_stream.sm_count,
-            prefill_stream._busy,
-            prefill_stream._current_op_start,
-            prefill_stream._busy_seconds,
-            None,
-        )
+        plan = CoRunPlan(sim, device, host, horizon)
+        decode_lane = plan.lane(decode_stream)
+        prefill_lane = plan.lane(prefill_stream)
         lanes = (decode_lane, prefill_lane)
         copy = fastpath.clone_task(group)
         prefill_label = prefill_launch_label(True)
@@ -666,8 +649,6 @@ class MuxWiseServer(DecodeBatchMixin):
         running_ctx = 0
         for s in running:
             running_ctx += s._input_tokens + s.generated
-        until = sim._run_until
-        event_budget = sim._run_cap - sim._fired_in_run
 
         def on_group_done(_t: float, j: PrefillJob = job) -> None:
             self._on_group_done(j)
@@ -692,7 +673,7 @@ class MuxWiseServer(DecodeBatchMixin):
                 entry = plan.next_completion()
                 if entry.arg is dtask:
                     end = entry.time
-                    if not (end < horizon and end <= until and plan.fired + 1 <= event_budget):
+                    if not (end < horizon and end <= plan.until and plan.fired + 1 <= plan.budget):
                         counters.corun_bail_horizon += 1
                         break
                     plan.live.remove(entry)
@@ -771,7 +752,7 @@ class MuxWiseServer(DecodeBatchMixin):
         if plan.shadow not in plan.live:
             # The plan fires or cancels the shadow inside the stretch.
             plan.shadow.shadow.callback = None
-        state = (plan, lanes, group, copy, current, layers_done, in_flight, iters[-1], cut)
+        state = (plan, group, copy, current, layers_done, in_flight, iters[-1], cut)
         sim.begin_stretch(times[-1], lambda: self._finish_corun(instance, batch, times, state))
         return True
 
@@ -785,33 +766,17 @@ class MuxWiseServer(DecodeBatchMixin):
         """The co-run stretch's continuation: rebuild the replica as the
         scalar path holds it at the last planned decode completion, then
         run that completion's scalar tail."""
-        plan, lanes, group, copy, current, layers_done, in_flight, last_iter, cut = state
-        decode_lane, prefill_lane = lanes
+        plan, group, copy, current, layers_done, in_flight, last_iter, cut = state
+        self._end_stretch(plan, cut)
+        (_, decode_lane), (_, prefill_lane) = plan.lanes
         sim = self.sim
         now = sim.now
-        sim.end_stretch()
-        if cut:
-            self._stretch_cut_at = now
         device = instance.device
         host = instance.host
         engine = self.engine
         decode_stream = engine.decode_stream
         prefill_stream = engine.prefill_stream
         shadow = plan.shadow
-        # Events: the continuation stands for the last completion; the
-        # shadow, when the plan fired or cancelled it by now, was popped
-        # for real.
-        charge = plan.fired - 1
-        if shadow.shadow.callback is None and shadow.time <= now:
-            charge -= 1
-        sim._event_count += charge
-        sim._fired_in_run += charge
-        if sim._fired_in_run > sim._run_cap:
-            raise SimulationError(
-                f"the {sim._run_cap}-event cap fell inside the co-run stretch of "
-                f"scope {sim.current_scope!r} ending at {now:.9f}: the scalar "
-                "run stops earlier (rerun with REPRO_FASTPATH=0)"
-            )
 
         def real(task: ExecTask) -> ExecTask:
             # The plan advanced a clone of the group in flight at its start.
@@ -820,17 +785,9 @@ class MuxWiseServer(DecodeBatchMixin):
         if current is copy:
             for name in fastpath._TASK_STATE:
                 setattr(group, name, getattr(copy, name))
-        # Device.
+        # Device, host thread and streams beyond their accounting.
         device._active = [real(task) for task in plan.active]
-        device._last_advance = plan.last
-        device._sm_occupancy = plan.occ
-        device._bw_capacity_seconds = plan.bw_cap
-        device._sm_seconds = plan.sm_sec
-        device._bw_bytes_served = plan.served
-        device._pair_factors = plan.pair
-        # Host thread.
         host._busy = plan.host_busy
-        host._busy_seconds = plan.host_seconds
         if plan.host_busy:
             _, task, label = plan.host_op
             host._current = (partial(prefill_stream.submit, real(task)), label, plan.host_start)
@@ -841,7 +798,6 @@ class MuxWiseServer(DecodeBatchMixin):
         # and the decode stream, running the iteration that completes now.
         prefill_stream._busy = prefill_lane.busy
         prefill_stream._current_op_start = prefill_lane.op_start
-        prefill_stream._busy_seconds = prefill_lane.seconds
         if prefill_lane.busy:
             task = real(prefill_lane.task)
             prefill_stream._task = task
@@ -853,7 +809,6 @@ class MuxWiseServer(DecodeBatchMixin):
             prefill_stream._on_done = None
         decode_stream._busy = True
         decode_stream._current_op_start = decode_lane.op_start
-        decode_stream._busy_seconds = decode_lane.seconds
         decode_stream._on_done = self._on_decode_done
         # The replica's live events, in the plan's push order.
         if plan.update is None or plan.update is shadow:
@@ -861,7 +816,7 @@ class MuxWiseServer(DecodeBatchMixin):
         if shadow.time > now and shadow not in plan.live:
             # The plan cancelled the shadow; the scalar path never fires it.
             shadow.shadow.cancel()
-        for entry in sorted(plan.live, key=fastpath._entry_key):
+        for entry in sorted(plan.live, key=attrgetter("time", "seq")):
             if entry is shadow:
                 continue
             if entry.kind == K_UPDATE:

@@ -30,8 +30,8 @@ from typing import Callable
 from repro.kvcache.pool import PoolExhaustedError
 from repro.models.costs import DECODE_LAYER_OVERHEAD, PhaseCost, phase_latency
 from repro.serving.base import Instance, RequestState, ServingSystem
-from repro.sim import SimulationError, fastpath
-from repro.sim.fastpath import ChainPlan
+from repro.sim import fastpath
+from repro.sim.fastpath import CoRunPlan
 
 
 class DecodeBatchMixin(ServingSystem):
@@ -106,34 +106,31 @@ class DecodeBatchMixin(ServingSystem):
         return cost
 
     def _decode_planner(
-        self, instance: Instance, batch_size: int, total_ctx: int, limit: int
-    ) -> Callable[[int, float, float | None], ChainPlan | None] | None:
-        """The planner of one stretch's iterations, or None for no stretch.
+        self, instance: Instance, plan: CoRunPlan, batch_size: int, total_ctx: int, limit: int
+    ) -> Callable[[int], float | None] | None:
+        """The lone step of one stretch's iterations, or None for no stretch.
 
         The stretch decodes ``batch_size`` requests holding ``total_ctx``
-        context tokens for at most ``limit`` iterations.  The planner maps
-        an iteration's ``(total_ctx, start, since)`` to its chain plan, or
-        to None — having counted why — where the stretch stops.  The
+        context tokens for at most ``limit`` iterations.  The step plans
+        the iteration of a context total into ``plan``
+        (:func:`repro.sim.fastpath.plan_chain`) and returns its completion,
+        or None — having counted why — where the stretch stops.  The
         default plans a task on the whole device with the decode launch
         folded into its serialized tail.
         """
-        device = instance.device
         cost_of = self._decode_only_costs(instance, batch_size)
         plan_chain = fastpath.plan_chain
         launch = self.cfg.launch.decode_launch()
         counters = self.sim.counters
 
-        def plan(ctx: int, now: float, since: float | None) -> ChainPlan | None:
+        def step(ctx: int) -> float | None:
             flops, nbytes, comm_time = cost_of(ctx)
-            chain = plan_chain(device, flops, nbytes, comm_time + launch, now, since=since)
-            if chain is None:
+            end = plan_chain(plan, flops, nbytes, comm_time + launch)
+            if end is None:
                 counters.bail_plan += 1
-            return chain
+            return end
 
-        return plan
-
-    def _replay_launch(self, plans: list[ChainPlan]) -> None:
-        """Replay the launch-path accounting of a stretch's iterations."""
+        return step
 
     def _corun_stretch(
         self, instance: Instance, batch: list[RequestState], resume: Callable[[], None]
@@ -218,7 +215,7 @@ class DecodeBatchMixin(ServingSystem):
         through :meth:`emit_decode_iteration`.
 
         Returns True when the continuation is scheduled: when it fires it
-        commits the chains, then calls ``resume`` — the server's scalar
+        writes the plan back, then calls ``resume`` — the server's scalar
         completion handler for ``batch``, whose :meth:`emit_decoded` call
         applies the stretch's tokens.  False: the caller runs the
         iteration on the scalar path.
@@ -262,82 +259,58 @@ class DecodeBatchMixin(ServingSystem):
         total_ctx = 0
         for s in batch:
             total_ctx += s._input_tokens + s.generated
-        planner = self._decode_planner(instance, size, total_ctx, limit)
-        if planner is None:
+        plan = CoRunPlan(sim, instance.device, instance.host, horizon)
+        step = self._decode_planner(instance, plan, size, total_ctx, limit)
+        if step is None:
             return False
-        until = sim._run_until
-        budget = sim._run_cap - sim._fired_in_run
-        plans: list[ChainPlan] = []
         times: list[float] = []
-        since: float | None = None
-        events = 0
         cut = False
         while True:
-            plan = planner(total_ctx, now, since)
-            if plan is None:
+            end = step(total_ctx)
+            if end is None:
                 cut = True
                 break
-            events += plan.events
-            end = plan.completion
-            if not (end < horizon and end <= until and events <= budget):
-                counters.bail_plan += 1
-                cut = True
-                break
-            plans.append(plan)
             times.append(end)
             # Every batch member grows by exactly one token.
             total_ctx += size
             if len(times) == limit:
                 break
-            now = end
-            since = plan.retire_time
-            if horizon <= now + min_delta:
+            if horizon <= end + min_delta:
                 counters.bail_head += 1
                 break
-        if not plans:
+        if not times:
             return False
-        counters.chains_elided += len(plans)
+        counters.chains_elided += len(times)
         sim.begin_stretch(
             times[-1],
-            lambda: self._finish_stretch(
-                instance, plans, times if stretch else None, resume, cut
-            ),
+            lambda: self._finish_stretch(plan, times if stretch else None, resume, cut),
         )
         return True
 
-    def _finish_stretch(
-        self,
-        instance: Instance,
-        plans: list[ChainPlan],
-        times: list[float] | None,
-        resume: Callable[[], None],
-        cut: bool,
-    ) -> None:
-        """The stretch's continuation: commit its chains, then resume.
+    def _end_stretch(self, plan: CoRunPlan, cut: bool) -> None:
+        """Close the stretch whose continuation is firing and write its
+        plan back (:func:`repro.sim.fastpath.commit_chain`).
 
         ``cut``: the stretch stopped at an iteration it planned and could
-        not take, so nothing can change that plan before ``resume`` starts
+        not take, so nothing can change that plan before the server starts
         that iteration, which then skips the loop.
         """
         sim = self.sim
         sim.end_stretch()
         if cut:
             self._stretch_cut_at = sim.now
-        # This event is one of the stretch's elided events.
-        sim._event_count -= 1
-        sim._fired_in_run -= 1
-        device = instance.device
-        commit_chain = fastpath.commit_chain
-        for plan in plans:
-            commit_chain(sim, device, plan)
-        self._replay_launch(plans)
-        if sim._fired_in_run > sim._run_cap:
-            # Other scopes' events used the budget up before ``t_K``.
-            raise SimulationError(
-                f"the {sim._run_cap}-event cap fell inside the decode stretch of "
-                f"scope {sim.current_scope!r} ending at {sim.now:.9f}: the scalar "
-                "run stops earlier (rerun with REPRO_FASTPATH=0)"
-            )
+        fastpath.commit_chain(sim, plan)
+
+    def _finish_stretch(
+        self,
+        plan: CoRunPlan,
+        times: list[float] | None,
+        resume: Callable[[], None],
+        cut: bool,
+    ) -> None:
+        """The decode-only stretch's continuation: write the plan back,
+        then resume."""
+        self._end_stretch(plan, cut)
         self._stretch_times = times
         resume()
 

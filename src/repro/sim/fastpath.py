@@ -5,30 +5,34 @@ A steady decode batch produces a long run of *solo chains* on its device:
 with nothing else able to reach its server before the completion fires.
 The scalar path pays several heap pushes/pops, an ``ExecTask``, closures
 and a handful of dict operations per generated token batch.  This module
-collapses each chain into straight-line arithmetic: :func:`plan_chain`
-dry-runs the device's fluid model for a lone task (its re-plan is
-:func:`lone_rates`, shared with the co-run dry run) and
-:func:`commit_chain` replays the exact same per-interval accounting
-against the device and charges the elided events to the simulator's
-counters.
+collapses a run of them into one *stretch* with one planned state,
+:class:`CoRunPlan`: a dry run of the replica's device integrals, host
+thread and stream lanes, read from the real objects at the stretch's start
+and written back once, by :func:`commit_chain`, when it ends.
 
 The serving loop (``DecodeBatchMixin._decode_fast_loop``) strings
-consecutive decode-only iterations into a *stretch*.  It plans every
-iteration at the stretch's start and schedules **one continuation event**
-in its server's scope at the last completion ``t_K``; the clock never
-jumps.  When the continuation fires it commits the chains in order,
-applies the stretch's token effects once per request (through
-``RadixCache.extend_many`` and ``MetricsCollector.on_batch_tokens``) and
-runs the server's own scalar completion handler: retire, then start the
-next iteration.
+consecutive decode-only iterations into a stretch.  Each iteration is one
+*lone step*, :func:`plan_chain`: straight-line arithmetic of the device's
+fluid model for a lone task (its re-plan is :func:`lone_rates`, shared
+with the co-run dry run), on locals, reaching the plan only when the
+iteration's completion is strictly before the horizon, within ``until``
+and within the event budget.  The loop schedules **one continuation
+event** in its server's scope at the last completion ``t_K``; the clock
+never jumps.  When the continuation fires it writes the plan back (device
+integrals, host and stream busy seconds, and the elided events charged to
+the simulator's counters), applies the stretch's token effects once per
+request (through ``RadixCache.extend_many`` and
+``MetricsCollector.on_batch_tokens``) and runs the server's own scalar
+completion handler: retire, then start the next iteration.
 
 **Co-run stretches.**  MuxWise's decode iterations mostly run beside a
 prefill job's layer groups on the other green context.  At such an
 iteration's start ``MuxWiseServer._corun_stretch`` takes over the
 in-flight prefill lane (a group in host launch, on the device or in its
 serialized tail; its one live event becomes the plan's *shadow*) and
-drives :class:`CoRunPlan`, one dry run of the replica's host FIFO, both
-streams and the device's lone and pair fluid model
+drives the same :class:`CoRunPlan` through its general loop, one dry run
+of the replica's host FIFO, both streams and the device's lone and pair
+fluid model
 (``_reallocate_pair``'s ripple factors, ``_waterfill2``,
 ``_over_request``, ``_task_horizon``; ``_advance_to_now`` with its
 phase-change snaps and compute-transition occupancy refresh; serialized
@@ -43,22 +47,24 @@ budget, and strictly before the horizon, ``until`` and the event cap; it
 is eligible only for layer-wise, query-synchronised MuxWise with one
 active job, no preemption pending or requested, no spec decode, no
 tracer, an unstalled device and no queued resize (``corun_bail_*``
-counts the rest).  The continuation rebuilds the replica as the scalar
-path holds it at ``t_K`` — device integrals, the group's ``ExecTask``
+counts the rest).  The continuation writes the plan back as a decode-only
+one does, then rebuilds the rest of the replica as the scalar path holds
+it at ``t_K`` — the group's ``ExecTask``
 with its remaining work and rates, the pending update, host finish or
 completion at its planned time, stream op starts, ``layers_done`` and
 ``group_in_flight`` — and runs ``_on_decode_done``, the scalar tail.
 
 Byte-identity contract (enforced by ``tests/sim/test_fastpath_equivalence``,
-the lockstep oracle ``tests/properties/test_corun_planner`` and the golden
-fingerprints in ``tests/bench/test_perf.py``):
+the oracles ``tests/properties/test_vectorized_timeline`` (the lone step)
+and ``tests/properties/test_corun_planner`` (the general loop, in
+lockstep) and the golden fingerprints in ``tests/bench/test_perf.py``):
 
 * The planners replicate ``HostThread`` / ``Stream`` / ``Device`` *operation
   for operation* — same additions for the launch and the serialized tail,
   same divisions, same comparison epsilons, same clamp and floor order —
   so every float they produce is bit-equal to the scalar path's.
-  Accounting is accumulated or replayed as individual ``+=`` in scalar
-  order (float addition is not associative).
+  Accounting is accumulated as individual ``+=`` in scalar order (float
+  addition is not associative).
 * **Horizon.**  ``t_K`` must lie strictly before
   :meth:`Simulator.horizon` of the server's scope (excluding a co-run
   stretch's shadow), within the run's ``until`` and within its
@@ -77,7 +83,7 @@ fingerprints in ``tests/bench/test_perf.py``):
   stretch end raises ``SimulationError`` naming the scope, the time and
   the stretch end.
 * **Events and the queue's peak.**  The continuation counts as one fired
-  event and the stretch's other events are charged on commit, so
+  event and the stretch's other events are charged on write-back, so
   ``processed_events`` matches.  The heap's shape is not part of the
   contract: firing order is ``(time, priority, seq)`` whatever the heap
   holds, and compaction only drops cancelled entries
@@ -105,7 +111,7 @@ fingerprints in ``tests/bench/test_perf.py``):
 
 The fast path is ON by default; set ``REPRO_FASTPATH=0`` (or use
 :func:`disabled`) to force the scalar reference path, which disables
-stretches together with chain elision.
+every stretch, decode-only and co-run.
 """
 
 from __future__ import annotations
@@ -117,9 +123,12 @@ from operator import attrgetter
 from typing import TYPE_CHECKING, Iterator
 
 from repro.gpu.device import ExecTask, _config_ripple, _waterfill2
+from repro.sim.simulator import SimulationError
 
 if TYPE_CHECKING:
     from repro.gpu.device import Device
+    from repro.gpu.host import HostThread
+    from repro.gpu.stream import Stream
     from repro.sim.simulator import Simulator
 
 #: Must match ``repro.gpu.device._EPS`` — the planner replicates the
@@ -177,63 +186,30 @@ def decode_fastpath_active(sim: "Simulator") -> bool:
     return _enabled and sim._running and sim.tracer is None
 
 
-class ChainPlan:
-    """Outcome of dry-running one solo task chain on an idle device.
-
-    Attributes:
-        submit: Absolute time the task reaches the device.
-        completion: Absolute time the completion callback would fire.
-        retire_time: Absolute time of the final phase-change update (the
-            device's ``_last_advance`` after the chain).
-        events: Simulator events the scalar chain would fire (host launch,
-            if any, + updates + 1 completion).
-        idle_delta: Bandwidth-capacity integral of the idle gap before the
-            submit, or None when the gap is empty.
-        steps: Per-update accounting deltas ``(bw_capacity, sm_seconds,
-            bytes_served)`` in scalar ``+=`` order.
-    """
-
-    __slots__ = ("submit", "completion", "retire_time", "events", "idle_delta", "steps")
-
-    def __init__(
-        self,
-        submit: float,
-        completion: float,
-        retire_time: float,
-        events: int,
-        idle_delta: float | None,
-        steps: list[tuple[float, float, float]],
-    ) -> None:
-        self.submit = submit
-        self.completion = completion
-        self.retire_time = retire_time
-        self.events = events
-        self.idle_delta = idle_delta
-        self.steps = steps
-
-
 def plan_chain(
-    device: "Device",
+    plan: CoRunPlan,
     flops: float,
     bytes_: float,
     fixed_time: float,
-    now: float,
     sm_count: float | None = None,
     launch: float | None = None,
-    since: float | None = None,
-) -> ChainPlan | None:
-    """Dry-run the solo chain of one task on ``sm_count`` SMs.
+    lane: Lane | None = None,
+) -> float | None:
+    """The lone step: plan one decode-only iteration of a stretch.
 
     Mirrors ``Device.submit`` -> ``_on_update``* -> ``_finish_task`` for a
-    lone task on an idle, unstalled device.  ``sm_count`` defaults to the
-    whole device.  With ``launch`` the task is submitted by a host launch
-    of that many seconds started at ``now`` (``HostThread.enqueue``: one
-    more event, submit at ``now + launch``); otherwise it is submitted at
-    ``now``.  ``since`` is the device's last advance (default: its live
-    ``_last_advance``), so consecutive iterations plan before any commits.
-    Returns ``None`` when the chain falls outside the replicated regime
-    (zero-work task, non-finite horizon, degenerate float step) — callers
-    then take the scalar path.  The device is not mutated.
+    lone task on ``sm_count`` SMs (default: the whole device) of an idle,
+    unstalled device, started at ``plan.now``.  With ``launch`` the task
+    is submitted by a host launch of that many seconds
+    (``HostThread.enqueue``: one more event, submit at ``now + launch``),
+    and with ``lane`` it runs on that stream; otherwise it is submitted at
+    ``now``.  The arithmetic runs on locals and reaches the plan — its
+    clock, fired events, device integrals, host and lane busy seconds —
+    only when the completion is strictly before ``plan.horizon``, no later
+    than ``plan.until`` and within ``plan.budget``; it is then returned.
+    Returns ``None`` otherwise, or when the chain falls outside the
+    replicated regime (zero-work task, non-finite horizon, degenerate
+    float step): the plan is untouched and the caller's stretch ends.
     """
     rem_flops = float(flops)
     rem_bytes = float(bytes_)
@@ -243,23 +219,25 @@ def plan_chain(
     # ExecTask.__init__ floors.
     flops_floor = max(_EPS, 1e-9 * rem_flops)
     bytes_floor = max(_EPS, 1e-9 * rem_bytes)
-    eff_bw = device.effective_bandwidth
-    sm = device.total_sms if sm_count is None else sm_count
-    if not 0 < sm <= device.total_sms:
+    eff_bw = plan.eff_bw
+    total = plan.total
+    sm = total if sm_count is None else sm_count
+    if not 0 < sm <= total:
         return None
-    fps = device._flops_per_sm
-    total = device.total_sms
-
-    events = 0
+    fps = plan.fps
+    fired = plan.fired
+    now = plan.now
     if launch is not None:
         # HostThread._pump schedules its finish at ``now + duration``.
         now = now + launch
-        events = 1
+        fired += 1
     # Device._advance_to_now for the idle gap preceding the submit.
-    dt0 = now - (device._last_advance if since is None else since)
-    idle_delta = eff_bw * dt0 if dt0 > 0 else None
-
-    steps: list[tuple[float, float, float]] = []
+    bw_cap = plan.bw_cap
+    dt = now - plan.last
+    if dt > 0:
+        bw_cap += eff_bw * dt
+    sm_sec = plan.sm_sec
+    served = plan.served
     cur = now
     for _ in range(_MAX_CHAIN_ROUNDS):
         occ, rate, bw_rate, horizon = lone_rates(
@@ -286,8 +264,10 @@ def plan_chain(
             rem_flops = 0.0
         if rem_bytes <= bytes_floor:
             rem_bytes = 0.0
-        steps.append((eff_bw * dt, occ * dt, done_bytes))
-        events += 1
+        bw_cap += eff_bw * dt
+        sm_sec += occ * dt
+        served += done_bytes
+        fired += 1
         cur = t_next
         if rem_flops <= flops_floor and rem_bytes <= bytes_floor:
             break
@@ -296,7 +276,22 @@ def plan_chain(
     # _finish_task: completion scheduled fixed_time after the retiring
     # update (schedule(0.0) clamps to the current instant).
     completion = cur + fixed_time if fixed_time > 0 else cur
-    return ChainPlan(now, completion, cur, events + 1, idle_delta, steps)
+    fired += 1
+    if not (completion < plan.horizon and completion <= plan.until and fired <= plan.budget):
+        return None
+    plan.now = completion
+    plan.fired = fired
+    plan.last = cur
+    plan.occ = 0.0
+    plan.bw_cap = bw_cap
+    plan.sm_sec = sm_sec
+    plan.served = served
+    if launch is not None:
+        plan.host_seconds += launch
+    if lane is not None:
+        # Stream._pump at the submit, Stream._op_done at the completion.
+        lane.seconds += completion - now
+    return completion
 
 
 def lone_rates(
@@ -343,25 +338,43 @@ def lone_rates(
     return occ, rate, bw_rate, horizon
 
 
-def commit_chain(sim: "Simulator", device: "Device", plan: ChainPlan) -> None:
-    """Apply a planned chain: device accounting and the event budget.
+def commit_chain(sim: "Simulator", plan: CoRunPlan) -> None:
+    """Write a stretch's plan back: the one write-back of every stretch.
 
-    Called by a stretch's continuation, in iteration order.  Deltas are
-    replayed as individual ``+=`` in the scalar chain's order — float
-    addition is not associative, and the utilisation integrals are
-    fingerprinted.  The clock is not touched: the continuation fires at
-    the stretch's last completion.
+    Called by the stretch's continuation at its last planned completion.
+    Copies the device integrals, the host's and each lane's busy seconds
+    (:meth:`CoRunPlan.lane`) from the plan, and charges the scalar events
+    the plan fired: the continuation is one of them, and so is the
+    shadow when the real heap popped it.  The accounting was accumulated
+    as individual ``+=`` in the scalar path's order (float addition is not
+    associative, and the utilisation integrals are fingerprinted).  The
+    clock is not touched.  Raises :class:`SimulationError` when other
+    scopes' events used the run's event budget up before the stretch
+    ended: the scalar run stops earlier.
     """
-    if plan.idle_delta is not None:
-        device._bw_capacity_seconds += plan.idle_delta
-    for bw_delta, sm_delta, served_delta in plan.steps:
-        device._bw_capacity_seconds += bw_delta
-        device._sm_seconds += sm_delta
-        device._bw_bytes_served += served_delta
-    device._sm_occupancy = 0.0
-    device._last_advance = plan.retire_time
-    sim._event_count += plan.events
-    sim._fired_in_run += plan.events
+    device = plan.device
+    device._last_advance = plan.last
+    device._sm_occupancy = plan.occ
+    device._bw_capacity_seconds = plan.bw_cap
+    device._sm_seconds = plan.sm_sec
+    device._bw_bytes_served = plan.served
+    device._pair_factors = plan.pair
+    plan.host._busy_seconds = plan.host_seconds
+    for stream, lane in plan.lanes:
+        stream._busy_seconds = lane.seconds
+    now = sim.now
+    charge = plan.fired - 1
+    shadow = plan.shadow
+    if shadow is not None and shadow.shadow.callback is None and shadow.time <= now:
+        charge -= 1
+    sim._event_count += charge
+    sim._fired_in_run += charge
+    if sim._fired_in_run > sim._run_cap:
+        raise SimulationError(
+            f"the {sim._run_cap}-event cap fell inside the stretch of scope "
+            f"{sim.current_scope!r} ending at {now:.9f}: the scalar run stops "
+            "earlier (rerun with REPRO_FASTPATH=0)"
+        )
 
 
 # ---------------------------------------------------------------------- #
@@ -424,29 +437,45 @@ def clone_task(task: ExecTask) -> ExecTask:
 
 
 class CoRunPlan:
-    """Dry run of one replica's host thread, two streams and device.
+    """The planned state of one stretch: a dry run of one replica's host
+    thread, streams and device.
 
-    Replays ``HostThread._pump``/``_finish``, ``Stream._pump``/``_op_done``
-    and ``Device.submit``/``_on_update``/``_reschedule``/``_advance_to_now``
-    /``_reallocate`` (lone and pair paths) for at most two unstalled tasks,
-    operation for operation, on copies: the real objects are read at the
-    start and left untouched.  Virtual events are ordered by ``(time, seq)``
-    exactly as the heap orders them; ``live`` holds those still queued (a
-    cancelled one is simply dropped: the heap's shape is no result).
-
-    The caller launches tasks (:meth:`launch`), runs the plan to the next
-    task completion (:meth:`next_completion`), pops it (:meth:`take`,
+    A decode-only stretch advances it one lone iteration at a time
+    (:func:`plan_chain`: no virtual queue, no task objects).  A co-run
+    stretch replays ``HostThread._pump``/``_finish``,
+    ``Stream._pump``/``_op_done`` and ``Device.submit``/``_on_update``/
+    ``_reschedule``/``_advance_to_now``/``_reallocate`` (lone and pair
+    paths) for at most two unstalled tasks, operation for operation, on
+    copies: virtual events are ordered by ``(time, seq)`` exactly as the
+    heap orders them; ``live`` holds those still queued (a cancelled one
+    is simply dropped: the heap's shape is no result).  The caller
+    launches tasks (:meth:`launch`), runs the plan to the next task
+    completion (:meth:`next_completion`), pops it (:meth:`take`,
     :meth:`release`) and decides what the server does there.
+
+    Either way the real objects are read at the start and left untouched
+    until the continuation writes the plan back (:func:`commit_chain`).
+    A stretch takes an iteration only if its completion is strictly
+    before ``horizon``, no later than the run's ``until`` and within its
+    remaining event ``budget``.
     """
 
-    def __init__(self, device: "Device", host, now: float) -> None:
-        self.now = now
+    def __init__(
+        self, sim: "Simulator", device: "Device", host: "HostThread", horizon: float
+    ) -> None:
+        self.now = sim.now
+        self.horizon = horizon
+        self.until = sim._run_until
+        self.budget = sim._run_cap - sim._fired_in_run
         self.seq = _VIRTUAL_SEQ0
         self.live: list[VirtualEntry] = []
         #: Scalar events fired so far (the shadow included).
         self.fired = 0
         self.shadow: VirtualEntry | None = None
+        #: The streams whose busy seconds the plan accounts, with their lanes.
+        self.lanes: list[tuple["Stream", Lane]] = []
         # Device.
+        self.device = device
         self.eff_bw = device.effective_bandwidth
         self.fps = device._flops_per_sm
         self.total = device.total_sms
@@ -460,12 +489,22 @@ class CoRunPlan:
         self.served = device._bw_bytes_served
         self.pair = device._pair_factors
         # Host thread.
+        self.host = host
         self.host_busy = False
         self.host_op: tuple | None = None
         self.host_start = 0.0
         self.host_entry: VirtualEntry | None = None
         self.host_queue: list[tuple] = []
         self.host_seconds = host._busy_seconds
+
+    def lane(self, stream: "Stream") -> Lane:
+        """A lane mirroring ``stream``'s state (its task is left to the
+        caller); the write-back copies its busy seconds to the stream."""
+        lane = Lane(
+            stream.sm_count, stream._busy, stream._current_op_start, stream._busy_seconds, None
+        )
+        self.lanes.append((stream, lane))
+        return lane
 
     # -------------------------------------------------------------- #
     # Virtual queue
@@ -818,6 +857,3 @@ _plan_state = attrgetter(*_PLAN_STATE)
 _task_state = attrgetter(*_TASK_STATE)
 _lane_state = attrgetter("busy", "op_start", "seconds", "task")
 
-
-def _entry_key(entry: VirtualEntry) -> tuple[float, int]:
-    return (entry.time, entry.seq)

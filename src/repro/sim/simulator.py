@@ -89,22 +89,39 @@ class WorkCounters:
     """Deterministic work counters of the event core and decode fast loop.
 
     Machine-independent tallies of *how* a run was computed, next to its
-    event count: events scheduled on the heap (``pushes``), queued events
-    cancelled (``cancels``), the heap's high-water mark, cancelled entries
-    included (``peak_queue``; the maximum, not the sum, over several
-    runs), decode chains elided
-    (``chains_elided``), decode-only stretches applied (``stretches``),
-    per-request token-ledger writes (``ledger_writes``: one per request
-    per emission call, however many tokens it carries) and the fast
-    loop's bails back to the scalar path by reason — the stretch horizon
-    too near (``bail_head``), device or launch path busy (``bail_busy``),
-    prefill admissible (``bail_prefill``), chain plan rejected
-    (``bail_plan``), iterations that fell back to per-request emission
-    because the KV page budget could not cover one more token per
-    request (``bail_pages``), and MuxWise stretches ended by a change of
-    decode partition (``bail_partition``).  Turning the fast path off
-    moves them and nothing else, so they stay out of result
-    fingerprints.
+    event count:
+
+    * the heap: events scheduled on it (``pushes``), queued events
+      cancelled (``cancels``) and its high-water mark, cancelled entries
+      included (``peak_queue``; the maximum, not the sum, over several
+      runs);
+    * stretches, decode-only and co-run alike: decode iterations elided
+      (``chains_elided``), stretches applied (``stretches``) and
+      per-request token-ledger writes (``ledger_writes``: one per request
+      per emission call, however many tokens it carries);
+    * the fast loop's bails back to the scalar path by reason: the stretch
+      horizon too near (``bail_head``), device or launch path busy
+      (``bail_busy``), prefill admissible with no co-run stretch to take
+      it (``bail_prefill``), an iteration plan rejected or past the
+      horizon, ``until`` or the event budget (``bail_plan``), iterations
+      that fell back to per-request emission because the KV page budget
+      could not cover one more token per request (``bail_pages``), and
+      MuxWise decode-only stretches ended by a change of decode partition
+      (``bail_partition``);
+    * the device's rate re-plans by path: one unstalled task
+      (``realloc_lone``), two (``realloc_pair``) and the general
+      water-fill (``realloc_general``);
+    * MuxWise's co-run stretches (``corun_stretches``, a subset of
+      ``stretches``) and their bails: replica state outside the
+      replicated regime (``corun_bail_state``), a decode or prefill
+      partition change (``corun_bail_partition``), the job's last layer
+      group due (``corun_bail_group``), the horizon, ``until`` or the
+      event budget (``corun_bail_horizon``), the KV page budget
+      (``corun_bail_pages``) and a dry run leaving its regime
+      (``corun_bail_plan``).
+
+    Turning the fast path off moves them and nothing else, so they stay
+    out of result fingerprints.
     """
 
     __slots__ = COUNTER_NAMES

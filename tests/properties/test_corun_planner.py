@@ -140,7 +140,7 @@ def _reference(programme, decode_sms, until=math.inf, spec=A100):
 def _planned(programme, decode_sms, spec=A100):
     """Run the programme through the dry run; returns what it recorded."""
     sim = Simulator()
-    plan = CoRunPlan(Device(sim, spec), HostThread(sim), 0.0)
+    plan = CoRunPlan(sim, Device(sim, spec), HostThread(sim), math.inf)
     plan.live = FiredLog()
     lane_of = [
         Lane(decode_sms, False, None, 0.0, None),

@@ -1,15 +1,19 @@
-"""Property: a planned decode chain IS the scalar heap's event sequence.
+"""Property: a planned decode iteration IS the scalar heap's event sequence.
 
 For random batch compositions (context lengths, batch sizes, idle gaps,
-start times, SM partitions and host launch offsets),
-:func:`repro.sim.fastpath.plan_chain` must predict exactly what the scalar
-simulator does when the same task goes through the real heap — submitted
-straight to the device, or by a host launch first, as MuxWise's engine
-does: the same number of fired events, the same per-event times, the same
-completion instant, and bit-equal device accounting integrals.  No
-tolerance anywhere — the fast path's contract is byte-identity, so every
-float must match with ``==``.
+start times, SM partitions, host launch offsets and stream lanes), the
+lone step :func:`repro.sim.fastpath.plan_chain` must predict exactly what
+the scalar simulator does when the same task goes through the real heap —
+submitted straight to the device, or by a host launch first, as MuxWise's
+engine does, directly or through a stream: the same number of fired
+events, the same per-event times, the same completion instant, and
+bit-equal device, host and stream accounting once the plan is written back
+(:func:`repro.sim.fastpath.commit_chain`).  No tolerance anywhere — the
+fast path's contract is byte-identity, so every float must match with
+``==``.
 """
+
+import math
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,10 +21,11 @@ from hypothesis import strategies as st
 from repro.gpu.device import Device, ExecTask
 from repro.gpu.host import HostThread
 from repro.gpu.specs import A100
+from repro.gpu.stream import Stream
 from repro.models.config import LLAMA_8B
 from repro.models.costs import CostModel
 from repro.sim import Simulator
-from repro.sim.fastpath import commit_chain, plan_chain
+from repro.sim.fastpath import CoRunPlan, commit_chain, plan_chain
 
 #: One cost model for the whole module; its per-batch-size caches make
 #: repeated examples cheap, exactly as in the serving loops.
@@ -56,12 +61,18 @@ def _task(device, cost, fixed, sm_count, completions):
     )
 
 
-def _start(host, device, task, launch):
-    """Submit ``task`` now, or through a host launch of ``launch`` seconds."""
+def _stream(device, sm_count):
+    return Stream(device, device.total_sms if sm_count is None else sm_count)
+
+
+def _start(host, device, stream, task, launch):
+    """Submit ``task`` now, or through a host launch of ``launch`` seconds,
+    to the device directly or through ``stream``."""
+    submit = device.submit if stream is None else stream.submit
     if launch is None:
-        device.submit(task)
+        submit(task)
     else:
-        host.enqueue(launch, lambda: device.submit(task))
+        host.enqueue(launch, lambda: submit(task))
 
 
 def _fixed(cost, launch):
@@ -69,14 +80,15 @@ def _fixed(cost, launch):
     return cost.comm_time + LAUNCH if launch is None else cost.comm_time
 
 
-def _scalar_run(cost, t0, sm_count, launch):
+def _scalar_run(cost, t0, sm_count, launch, streamed):
     """Drive the real device through the real heap; record the timeline."""
     sim = Simulator()
     device = Device(sim, A100, 1)
     host = HostThread(sim)
+    stream = _stream(device, sm_count) if streamed else None
     completions = []
     task = _task(device, cost, _fixed(cost, launch), sm_count, completions)
-    sim.schedule(t0, lambda: _start(host, device, task, launch))
+    sim.schedule(t0, lambda: _start(host, device, stream, task, launch))
     times = []
     while sim.step():
         times.append(sim.now)
@@ -90,40 +102,72 @@ def _scalar_run(cost, t0, sm_count, launch):
         "bw_capacity_seconds": device._bw_capacity_seconds,
         "bw_bytes_served": device._bw_bytes_served,
         "last_advance": device._last_advance,
+        "host_seconds": host._busy_seconds,
+        "stream_seconds": None if stream is None else stream._busy_seconds,
     }
 
 
-@settings(max_examples=250, deadline=None)
-@given(ctx_lens=batch_compositions, t0=start_times, sm_count=partitions, launch=launches)
-def test_chain_plan_equals_scalar_heap_sequence(ctx_lens, t0, sm_count, launch):
-    cost = MODEL.decode_iter(ctx_lens)
-    scalar = _scalar_run(cost, t0, sm_count, launch)
-
+def _plan(t0, sm_count, streamed):
+    """An unbounded plan on a fresh device (and a lane on a fresh stream)."""
     sim = Simulator()
     device = Device(sim, A100, 1)
     sim.now = t0
-    plan = plan_chain(
-        device, cost.flops, cost.bytes, _fixed(cost, launch), sim.now,
-        sm_count=sm_count, launch=launch,
+    plan = CoRunPlan(sim, device, HostThread(sim), math.inf)
+    lane = plan.lane(_stream(device, sm_count)) if streamed else None
+    return sim, plan, lane
+
+
+def _write_back(sim, plan, end):
+    """Run the write-back as a stretch continuation firing at ``end``."""
+    sim.schedule_at(end, lambda: commit_chain(sim, plan))
+    sim.run()
+
+
+@settings(max_examples=250, deadline=None)
+@given(
+    ctx_lens=batch_compositions,
+    t0=start_times,
+    sm_count=partitions,
+    launch=launches,
+    streamed=st.booleans(),
+)
+def test_chain_plan_equals_scalar_heap_sequence(ctx_lens, t0, sm_count, launch, streamed):
+    cost = MODEL.decode_iter(ctx_lens)
+    scalar = _scalar_run(cost, t0, sm_count, launch, streamed)
+
+    sim, plan, lane = _plan(t0, sm_count, streamed)
+    end = plan_chain(
+        plan, cost.flops, cost.bytes, _fixed(cost, launch),
+        sm_count=sm_count, launch=launch, lane=lane,
     )
-    assert plan is not None, "a real decode cost must be plannable"
+    assert end is not None, "a real decode cost must be plannable"
 
     # The plan predicts the scalar heap's exact event sequence.
-    assert plan.events == len(scalar["event_times"])
-    assert plan.submit == scalar["submit"]
-    assert plan.completion == scalar["completion"]
-    assert plan.completion == scalar["event_times"][-1]
-    assert plan.retire_time == scalar["last_advance"]
+    assert plan.fired == len(scalar["event_times"])
+    assert end == plan.now == scalar["completion"]
+    assert end == scalar["event_times"][-1]
+    assert plan.last == scalar["last_advance"]
+    assert plan.host_seconds == scalar["host_seconds"]
+    if streamed:
+        # The lane holds the planned submit-to-completion interval.
+        assert lane.seconds == scalar["completion"] - scalar["submit"]
+        assert lane.seconds == scalar["stream_seconds"]
+    else:
+        assert scalar["submit"] == (t0 if launch is None else t0 + launch)
 
-    # Committing replays the scalar chain's accounting bit for bit and
-    # charges its events; the clock is left to the stretch continuation.
-    commit_chain(sim, device, plan)
-    assert sim.now == t0
-    assert sim.processed_events == plan.events
+    # The write-back copies the scalar chain's accounting bit for bit and
+    # charges its events, the continuation standing for the completion.
+    _write_back(sim, plan, end)
+    device = plan.device
+    assert sim.now == scalar["completion"]
+    assert sim.processed_events == plan.fired
     assert device._sm_seconds == scalar["sm_seconds"]
     assert device._bw_capacity_seconds == scalar["bw_capacity_seconds"]
     assert device._bw_bytes_served == scalar["bw_bytes_served"]
     assert device._last_advance == scalar["last_advance"]
+    assert plan.host._busy_seconds == scalar["host_seconds"]
+    if streamed:
+        assert plan.lanes[0][0]._busy_seconds == scalar["stream_seconds"]
 
 
 @settings(max_examples=60, deadline=None)
@@ -133,53 +177,67 @@ def test_chain_plan_equals_scalar_heap_sequence(ctx_lens, t0, sm_count, launch):
     rounds=st.integers(min_value=2, max_value=5),
     sm_count=partitions,
     launch=launches,
+    streamed=st.booleans(),
 )
-def test_consecutive_chains_match_scalar(ctx_lens, t0, rounds, sm_count, launch):
+def test_consecutive_chains_match_scalar(ctx_lens, t0, rounds, sm_count, launch, streamed):
     """A stretch of decode iterations — the fast loop's shape — stays exact.
 
     Each iteration grows every request's context by one token, exactly as
     ``_decode_fast_loop`` advances ``total_ctx`` by the batch size, and is
-    planned before any is committed (``since`` carries the previous
-    chain's retire time), as a stretch plans them.
+    planned into the same plan, written back once at the end, as a
+    stretch's continuation does.
     """
     sim_s = Simulator()
     dev_s = Device(sim_s, A100, 1)
     host = HostThread(sim_s)
-    sim_f = Simulator()
-    dev_f = Device(sim_f, A100, 1)
+    stream = _stream(dev_s, sm_count) if streamed else None
+    sim_f, plan, lane = _plan(t0, sm_count, streamed)
 
     scalar_events = 0
     clock = t0
-    now = t0
-    since = None
-    plans = []
     for i in range(rounds):
         lens = [ctx + i for ctx in ctx_lens]
         cost = MODEL.decode_iter(lens)
 
         completions = []
         task = _task(dev_s, cost, _fixed(cost, launch), sm_count, completions)
-        sim_s.schedule_at(clock, lambda t=task: _start(host, dev_s, t, launch))
+        sim_s.schedule_at(clock, lambda t=task: _start(host, dev_s, stream, t, launch))
         fired = 0
         while sim_s.step():
             fired += 1
         scalar_events += fired - 1  # minus the start trigger
         clock = completions[0]
 
-        plan = plan_chain(
-            dev_f, cost.flops, cost.bytes, _fixed(cost, launch), now,
-            sm_count=sm_count, launch=launch, since=since,
+        end = plan_chain(
+            plan, cost.flops, cost.bytes, _fixed(cost, launch),
+            sm_count=sm_count, launch=launch, lane=lane,
         )
-        assert plan is not None
-        assert plan.completion == clock
-        plans.append(plan)
-        now = plan.completion
-        since = plan.retire_time
+        assert end == clock
+        assert plan.fired == scalar_events
 
-    for plan in plans:
-        commit_chain(sim_f, dev_f, plan)
+    _write_back(sim_f, plan, clock)
+    dev_f = plan.device
     assert sim_f.processed_events == scalar_events
     assert dev_f._sm_seconds == dev_s._sm_seconds
     assert dev_f._bw_capacity_seconds == dev_s._bw_capacity_seconds
     assert dev_f._bw_bytes_served == dev_s._bw_bytes_served
     assert dev_f._last_advance == dev_s._last_advance
+    assert plan.host._busy_seconds == host._busy_seconds
+    if streamed:
+        assert plan.lanes[0][0]._busy_seconds == stream._busy_seconds
+
+
+@settings(max_examples=60, deadline=None)
+@given(ctx_lens=batch_compositions, t0=start_times, launch=launches)
+def test_lone_step_beyond_the_horizon_leaves_the_plan(ctx_lens, t0, launch):
+    """An iteration completing at or after the horizon is not taken, and
+    the plan is left exactly as it was."""
+    cost = MODEL.decode_iter(ctx_lens)
+    fixed = _fixed(cost, launch)
+    _, probe, _ = _plan(t0, None, True)
+    end = plan_chain(probe, cost.flops, cost.bytes, fixed, launch=launch)
+    _, plan, lane = _plan(t0, None, True)
+    plan.horizon = end
+    before = vars(plan).copy(), lane.seconds
+    assert plan_chain(plan, cost.flops, cost.bytes, fixed, launch=launch, lane=lane) is None
+    assert (vars(plan), lane.seconds) == before

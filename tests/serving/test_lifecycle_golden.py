@@ -28,7 +28,7 @@ from repro.kvcache import new_segment
 from repro.models.config import LLAMA_8B
 from repro.serving.base import iter_instances
 from repro.serving.config import ServingConfig
-from repro.sim import fastpath
+from repro.sim import WorkCounters, collect_counters, fastpath
 from repro.workloads import Request, Workload, sharegpt_workload
 
 #: KV pool cap of the tight regime (bytes).
@@ -111,19 +111,10 @@ def _run(system: str, regime: str) -> str:
 
 @pytest.mark.parametrize("regime", ["ample", "tight"])
 @pytest.mark.parametrize("system", sorted(SYSTEMS))
-def test_lifecycle_matches_golden(system, regime, monkeypatch):
-    commits = 0
-    commit_chain = fastpath.commit_chain
-
-    def counting_commit(*args):
-        nonlocal commits
-        commits += 1
-        return commit_chain(*args)
-
-    monkeypatch.setattr(fastpath, "commit_chain", counting_commit)
-    with fastpath.enabled():
+def test_lifecycle_matches_golden(system, regime):
+    with fastpath.enabled(), collect_counters() as counters:
         digest = _run(system, regime)
     assert digest == GOLDEN[system, regime]
-    if commits:
+    if WorkCounters.total(counters)["chains_elided"]:
         with fastpath.disabled():
             assert _run(system, regime) == digest

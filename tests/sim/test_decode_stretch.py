@@ -221,27 +221,32 @@ def test_event_cap_mid_stretch(monkeypatch):
     # Find a stretch of three or more iterations midway through an uncapped
     # run and cap the run one event past its second iteration: the third
     # chain no longer fits the budget, so the cap cuts the stretch.
-    commits = []
-    commit = fastpath.commit_chain
+    # ``completed_at`` holds, per planned iteration, the processed-event
+    # count the scalar path reaches at its completion: the count when the
+    # stretch was planned plus the events the plan has fired by then.
+    completed_at = []
+    step = fastpath.plan_chain
 
-    def recording(sim, device, plan):
-        commit(sim, device, plan)
-        commits.append(sim.processed_events)
+    def recording(plan, *args):
+        end = step(plan, *args)
+        if end is not None:
+            completed_at.append(plan.device.sim.processed_events + plan.fired)
+        return end
 
-    monkeypatch.setattr(fastpath, "commit_chain", recording)
+    monkeypatch.setattr(fastpath, "plan_chain", recording)
     stretches = []
     apply = DecodeBatchMixin._apply_stretch
 
     def logged(self, instance, batch, times):
-        stretches.append((len(commits), len(times)))
+        stretches.append((len(completed_at), len(times)))
         return apply(self, instance, batch, times)
 
     monkeypatch.setattr(DecodeBatchMixin, "_apply_stretch", logged)
     with fastpath.enabled():
         _Run()
     middle = stretches[len(stretches) // 2 :]
-    last_commit, steps = next((end, k) for end, k in middle if k >= 3)
-    cap = commits[last_commit - steps + 1] + 1
+    last_iteration, steps = next((end, k) for end, k in middle if k >= 3)
+    cap = completed_at[last_iteration - steps + 1] + 1
 
     del stretches[:]
     fast, _ = _both(max_events=cap)
