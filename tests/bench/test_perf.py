@@ -121,20 +121,31 @@ GOLDEN_COUNTERS_SINGLE = {
 #: stretches plan decode iterations beside prefill layer groups; the scalar
 #: path schedules 6102 and 18107 events on them (the MuxWise estimator's
 #: calibration, warmed before counting, is not included).  ``peak_queue``
-#: bounds the real heap.
+#: bounds the real heap; ``cancels``, ``ledger_writes`` and the device's
+#: re-plans by path (``realloc_*``) pin the rest of the work done.
 GOLDEN_FLEET_COUNTERS = {
     "fleet_4_replicas": {
         "chains_elided": 1827,
         "stretches": 138,
         "pushes": 759,
+        "cancels": 0,
         "peak_queue": 40,
+        "ledger_writes": 914,
+        "realloc_lone": 353,
+        "realloc_pair": 0,
+        "realloc_general": 0,
     },
     "muxwise_fleet": {
         "chains_elided": 4049,
         "stretches": 279,
         "pushes": 2020,
+        "cancels": 112,
         "corun_stretches": 20,
         "peak_queue": 61,
+        "ledger_writes": 1542,
+        "realloc_lone": 619,
+        "realloc_pair": 200,
+        "realloc_general": 0,
     },
 }
 
