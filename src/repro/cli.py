@@ -346,7 +346,7 @@ def cmd_perf(args: argparse.Namespace) -> int:
         )
         print(
             f"{'':<20} realloc lone/pair/general, co-run stretches, "
-            "co-run bails state/partition/group/horizon/pages/plan"
+            "co-run bails state/partition/group/horizon/plan"
         )
         for name, s in sorted(report.scenarios.items()):
             print(_perf_row(name, s))
@@ -413,7 +413,7 @@ def _perf_row(name: str, s) -> str:
     )
     corun = "/".join(
         str(c.get(f"corun_bail_{reason}", 0))
-        for reason in ("state", "partition", "group", "horizon", "pages", "plan")
+        for reason in ("state", "partition", "group", "horizon", "plan")
     )
     return (
         f"{name:<20} {s.events:>10} {c.get('peak_queue', 0):>10} "

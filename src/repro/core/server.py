@@ -33,7 +33,7 @@ from repro.models.costs import PhaseCost, PrefillItem, phase_latency
 from repro.serving.base import Instance, RequestState, build_instance
 from repro.serving.batching import DecodeBatchMixin
 from repro.serving.config import ServingConfig
-from repro.sim import Simulator, fastpath
+from repro.sim import Event, Simulator, fastpath
 from repro.sim.fastpath import K_COMPLETE, K_HOST, K_UPDATE, Bail, CoRunPlan
 from repro.trace.tracer import CAT_SCHED
 
@@ -440,7 +440,7 @@ class MuxWiseServer(DecodeBatchMixin):
         self.engine.launch_decode(task)
 
     # ------------------------------------------------------------------ #
-    # Decode stretches (the fast loop's MuxWise hooks)
+    # Stretches (the fast loop's MuxWise hooks)
     # ------------------------------------------------------------------ #
 
     def _fastpath_prefill_admissible(self, batch_len: int) -> bool:
@@ -501,40 +501,26 @@ class MuxWiseServer(DecodeBatchMixin):
 
         return step
 
-    # ------------------------------------------------------------------ #
-    # Co-run stretches: decode iterations beside prefill layer groups
-    # ------------------------------------------------------------------ #
+    # Co-run stretches: decode iterations beside prefill layer groups.
 
-    def _corun_stretch(
-        self, instance: Instance, batch: list[RequestState], resume: Callable[[], None]
-    ) -> bool:
-        """Plan the next decode iterations together with the in-flight
-        prefill job's layer groups and cover them with one stretch.
-
-        The dry run (:class:`repro.sim.fastpath.CoRunPlan`) takes over the
-        prefill lane — a group in host launch, on the device or in its
-        serialized tail, whose one live event becomes the plan's shadow —
-        and makes the server's own decisions at every completion:
-        ``observe_decode``, the decode partition and cost at each decode
-        completion, ``_group_size`` and the layer costs at each group
-        completion.  The stretch ends at the last decode completion before
-        a partition change, before the job's last group completes, at the
-        iteration a batch member finishes, at the KV page budget, and
-        strictly before the horizon, ``until`` and the event cap.
-        """
-        sim = self.sim
-        counters = sim.counters
+    def _corun_shadow(
+        self, instance: Instance, batch: list[RequestState], total_ctx: int
+    ) -> Event | None:
+        """A running prefill job, the replica in the regime the dry run
+        replicates, and the decode partition kept: the prefill lane's one
+        live event — a group's host launch finish, its device update or
+        its serialized tail's completion — is the shadow."""
+        counters = self.sim.counters
         job = self.active_job
         engine = self.engine
         device = instance.device
         host = instance.host
         decode_stream = engine.decode_stream
         prefill_stream = engine.prefill_stream
-        cache = instance.cache
         if job is None:
             # Prefill is queued, not running: the scalar step admits it.
             counters.bail_prefill += 1
-            return False
+            return None
         if (
             not self.layerwise
             or not self.query_sync
@@ -543,7 +529,7 @@ class MuxWiseServer(DecodeBatchMixin):
             or self.preempted_job is not None
             or self._preemptor_state is not None
             or self._storm_pending
-            or cache.spill is not None
+            or instance.cache.spill is not None
             or device._stalled
             or decode_stream._busy
             or decode_stream._queue
@@ -552,78 +538,70 @@ class MuxWiseServer(DecodeBatchMixin):
             or len(device._active) > 1
         ):
             counters.corun_bail_state += 1
-            return False
-        # The prefill lane: a group in host launch, on the device, or in
-        # its serialized tail; its one live event is the shadow.
+            return None
+        shadow = None
         if host._busy:
             action = host._current[0]
             if (
-                getattr(action, "func", None) != prefill_stream.submit
-                or prefill_stream._busy
-                or device._active
+                getattr(action, "func", None) == prefill_stream.submit
+                and not prefill_stream._busy
+                and not device._active
             ):
-                counters.corun_bail_state += 1
-                return False
-            group = action.args[0]
-            shadow = host._finish_event
-            kind = K_HOST
+                shadow = host._finish_event
         elif prefill_stream._busy and prefill_stream._on_done is not None:
             group = prefill_stream._task
-            if device._active:
-                if device._active[0] is not group:
-                    counters.corun_bail_state += 1
-                    return False
-                shadow = device._update_event
-                kind = K_UPDATE
-            else:
+            if not device._active:
                 shadow = group.completion
-                kind = K_COMPLETE
-        else:
-            counters.corun_bail_state += 1
-            return False
+            elif device._active[0] is group:
+                shadow = device._update_event
         if shadow is None or shadow.cancelled or shadow.owner is None:
             counters.corun_bail_state += 1
-            return False
-        now = sim.now
-        size = len(batch)
-        ctx = 0
-        for s in batch:
-            ctx += s._input_tokens + s.generated
-        sm = engine.decode_sms
-        choose = self._choose_decode_partition
-        if choose(size, float(ctx)) != sm:
+            return None
+        if self._choose_decode_partition(len(batch), float(total_ctx)) != engine.decode_sms:
             counters.corun_bail_partition += 1
-            return False
-        horizon = sim.horizon(sim.current_scope, exclude=shadow)
-        min_delta = self._fastpath_min_delta
-        if horizon <= now + min_delta:
-            counters.bail_head += 1
-            return False
-        limit = min(s.request.output_tokens - s.generated for s in batch)
-        limit = cache.extend_limit([s.lease for s in batch], limit)
-        if limit <= 0:
-            counters.corun_bail_pages += 1
-            return False
+            return None
+        return shadow
 
-        plan = CoRunPlan(sim, device, host, horizon)
-        decode_lane = plan.lane(decode_stream)
-        prefill_lane = plan.lane(prefill_stream)
+    def _corun_planner(
+        self,
+        instance: Instance,
+        plan: CoRunPlan,
+        batch: list[RequestState],
+        shadow: Event,
+        total_ctx: int,
+    ) -> tuple[Callable[[int], float | None], Callable[[], None]]:
+        """The step and resume callback of a co-run stretch: the plan
+        takes over the prefill lane whose live event is ``shadow``, and
+        the step plans each decode iteration with the job's layer groups
+        (see :mod:`repro.sim.fastpath`)."""
+        counters = self.sim.counters
+        job = self.active_job
+        engine = self.engine
+        device = instance.device
+        host = instance.host
+        decode_lane = plan.lane(engine.decode_stream)
+        prefill_lane = plan.lane(engine.prefill_stream)
         lanes = (decode_lane, prefill_lane)
-        copy = fastpath.clone_task(group)
         prefill_label = prefill_launch_label(True)
-        if kind == K_HOST:
+        if shadow is host._finish_event:
+            group = host._current[0].args[0]
+            copy = fastpath.clone_task(group)
             plan.host_busy = True
             plan.host_op = (prefill_lane, copy, prefill_label)
             plan.host_start = host._current[2]
             plan.host_entry = plan.adopt(shadow, K_HOST)
         else:
+            group = engine.prefill_stream._task
+            copy = fastpath.clone_task(group)
             prefill_lane.task = copy
-            if kind == K_UPDATE:
+            if shadow is device._update_event:
                 plan.active = [copy]
                 plan.update = plan.adopt(shadow, K_UPDATE)
             else:
                 plan.adopt(shadow, K_COMPLETE, copy)
 
+        size = len(batch)
+        sm = engine.decode_sms
         new_tokens = float(job.new_tokens)
         reused_tokens = float(job.reused_tokens)
         # The iterations' guard cells and costs, bound once: the batch, the
@@ -644,6 +622,7 @@ class MuxWiseServer(DecodeBatchMixin):
         total_sms = device.total_sms
         prefill_sms = engine.prefill_sms
         total_layers = job.total_layers
+        horizon = plan.horizon
         running = [s for s in self.running if not s.finished]
         n_running = len(running)
         running_ctx = 0
@@ -653,121 +632,107 @@ class MuxWiseServer(DecodeBatchMixin):
         def on_group_done(_t: float, j: PrefillJob = job) -> None:
             self._on_group_done(j)
 
-        def start_decode(ctx: int) -> ExecTask:
-            flops, nbytes, comm_time = cost_of(ctx)
-            task = ExecTask(flops, nbytes, fixed_time=comm_time, tag="decode-iter")
-            iters.append((float(ctx), plan.now))
-            plan.launch(launch, decode_lane, task, DECODE_LAUNCH_LABEL)
-            return task
-
+        # Submitted decode iterations: (context total, submit time).
         iters: list[tuple[float, float]] = []
-        times: list[float] = []
         layers_done = job.layers_done
         in_flight = job.group_in_flight
         current = copy
-        final = None
-        cut = True
-        try:
-            dtask = start_decode(ctx)
-            while True:
-                entry = plan.next_completion()
-                if entry.arg is dtask:
-                    end = entry.time
-                    if not (end < horizon and end <= plan.until and plan.fired + 1 <= plan.budget):
-                        counters.corun_bail_horizon += 1
-                        break
-                    plan.live.remove(entry)
-                    plan.now = end
-                    plan.fired += 1
-                    times.append(end)
-                    final = (
-                        plan.snapshot((dtask, current), lanes),
-                        layers_done, in_flight, current, len(times),
-                    )
-                    if len(times) == limit:
-                        cut = False
-                        break
-                    plan.release(decode_lane)
-                    # _on_decode_done, then _maybe_start_decode.
-                    sum_context, submitted = iters[-1]
-                    if job.new_tokens > 0:
-                        cells.observe(sum_context, end - submitted - launch)
-                    ctx += size
-                    running_ctx += size
-                    if recheck:
-                        if first_option:
-                            keeps = cells.worst_case(float(ctx)) <= tbt_budget
-                        else:
-                            keeps = fit(
-                                options, tbt_budget, size, float(ctx), new_tokens, reused_tokens
-                            ) == sm
-                        if not keeps:
-                            counters.corun_bail_partition += 1
-                            break
-                    if horizon <= end + min_delta:
-                        counters.corun_bail_horizon += 1
-                        break
-                    dtask = start_decode(ctx)
-                    continue
-                # A layer group completes: _on_group_done, then _launch_group.
-                if layers_done + in_flight >= total_layers:
-                    counters.corun_bail_group += 1
-                    break
-                plan.take(entry)
-                plan.release(prefill_lane)
-                layers_done += in_flight
-                in_flight = 0
-                if total_sms - sm != prefill_sms:
-                    counters.corun_bail_partition += 1
-                    break
-                # _group_size at the planned instant: no group in flight.
-                count = self._layer_group(
-                    job, total_layers - layers_done, n_running, running_ctx, prefill_sms
-                )
-                cost = self._layers_cost(job, count)
-                if layers_done + count >= total_layers:
-                    cost = cost + cost_model.prefill_head(len(job.states))
-                in_flight = count
-                current = ExecTask(
-                    cost.flops,
-                    cost.bytes,
-                    fixed_time=cost.comm_time,
-                    tag="prefill-group",
-                    on_complete=on_group_done,
-                )
-                plan.launch(
-                    launch_model.prefill_layers_launch(count), prefill_lane, current, prefill_label
-                )
-        except Bail:
-            counters.corun_bail_plan += 1
-        if final is None:
-            return False
-        snap, layers_done, in_flight, current, steps = final
-        plan.restore(snap)
-        # One launch per iteration: the last planned one is ``steps - 1``.
-        del times[steps:]
-        del iters[steps:]
-        counters.chains_elided += steps
-        counters.corun_stretches += 1
-        if plan.shadow not in plan.live:
-            # The plan fires or cancels the shadow inside the stretch.
-            plan.shadow.shadow.callback = None
-        state = (plan, group, copy, current, layers_done, in_flight, iters[-1], cut)
-        sim.begin_stretch(times[-1], lambda: self._finish_corun(instance, batch, times, state))
-        return True
+        #: The plan at the last accepted decode completion.
+        accepted = None
 
-    def _finish_corun(
-        self,
-        instance: Instance,
-        batch: list[RequestState],
-        times: list[float],
-        state: tuple,
+        def reject() -> None:
+            nonlocal layers_done, in_flight, current
+            if accepted is not None:
+                snap, layers_done, in_flight, current, steps = accepted
+                plan.restore(snap)
+                del iters[steps:]
+
+        def step(ctx: int) -> float | None:
+            nonlocal layers_done, in_flight, current, running_ctx, accepted
+            if accepted is not None:
+                # _on_decode_done, then _maybe_start_decode.
+                plan.release(decode_lane)
+                sum_context, submitted = iters[-1]
+                if job.new_tokens > 0:
+                    cells.observe(sum_context, plan.now - submitted - launch)
+                running_ctx += size
+                if recheck:
+                    if first_option:
+                        keeps = cells.worst_case(float(ctx)) <= tbt_budget
+                    else:
+                        keeps = fit(
+                            options, tbt_budget, size, float(ctx), new_tokens, reused_tokens
+                        ) == sm
+                    if not keeps:
+                        counters.corun_bail_partition += 1
+                        return reject()
+            try:
+                flops, nbytes, comm_time = cost_of(ctx)
+                dtask = ExecTask(flops, nbytes, fixed_time=comm_time, tag="decode-iter")
+                iters.append((float(ctx), plan.now))
+                plan.launch(launch, decode_lane, dtask, DECODE_LAUNCH_LABEL)
+                while True:
+                    entry = plan.next_completion()
+                    if entry.arg is dtask:
+                        end = entry.time
+                        if not (
+                            end < horizon and end <= plan.until and plan.fired + 1 <= plan.budget
+                        ):
+                            counters.corun_bail_horizon += 1
+                            return reject()
+                        plan.take(entry)
+                        accepted = (
+                            plan.snapshot((dtask, current), lanes),
+                            layers_done, in_flight, current, len(iters),
+                        )
+                        return end
+                    # A layer group completes: _on_group_done, then _launch_group.
+                    if layers_done + in_flight >= total_layers:
+                        counters.corun_bail_group += 1
+                        return reject()
+                    plan.take(entry)
+                    plan.release(prefill_lane)
+                    layers_done += in_flight
+                    in_flight = 0
+                    if total_sms - sm != prefill_sms:
+                        counters.corun_bail_partition += 1
+                        return reject()
+                    # _group_size at the planned instant: no group in flight.
+                    count = self._layer_group(
+                        job, total_layers - layers_done, n_running, running_ctx, prefill_sms
+                    )
+                    cost = self._layers_cost(job, count)
+                    if layers_done + count >= total_layers:
+                        cost = cost + cost_model.prefill_head(len(job.states))
+                    in_flight = count
+                    current = ExecTask(
+                        cost.flops,
+                        cost.bytes,
+                        fixed_time=cost.comm_time,
+                        tag="prefill-group",
+                        on_complete=on_group_done,
+                    )
+                    plan.launch(
+                        launch_model.prefill_layers_launch(count),
+                        prefill_lane,
+                        current,
+                        prefill_label,
+                    )
+            except Bail:
+                counters.corun_bail_plan += 1
+                return reject()
+
+        return step, lambda: self._resume_corun(
+            instance, batch, plan, (group, copy, current, layers_done, in_flight, iters[-1])
+        )
+
+    def _resume_corun(
+        self, instance: Instance, batch: list[RequestState], plan: CoRunPlan, state: tuple
     ) -> None:
-        """The co-run stretch's continuation: rebuild the replica as the
+        """The co-run stretch's resume callback: rebuild the replica as the
         scalar path holds it at the last planned decode completion, then
         run that completion's scalar tail."""
-        plan, group, copy, current, layers_done, in_flight, last_iter, cut = state
-        self._end_stretch(plan, cut)
+        group, copy, current, layers_done, in_flight, (sum_context, submitted) = state
         (_, decode_lane), (_, prefill_lane) = plan.lanes
         sim = self.sim
         now = sim.now
@@ -829,8 +794,6 @@ class MuxWiseServer(DecodeBatchMixin):
         job = self.active_job
         job.layers_done = layers_done
         job.group_in_flight = in_flight
-        sum_context, submitted = last_iter
-        self._stretch_times = times
         self._inflight = (batch, sum_context, job, submitted)
         self._decode_inflight = True
         # Device._complete -> Stream._op_done -> _on_decode_done.

@@ -16,8 +16,9 @@ prices the step and :meth:`DecodeBatchMixin.emit_decode_iteration` samples
 the accepted counts — both collapse to the historical single-token path
 when speculation is off.
 
-:meth:`DecodeBatchMixin._decode_fast_loop` is the one decode fast loop: it
-covers steady decode-only iterations with one continuation event (see
+:meth:`DecodeBatchMixin._decode_fast_loop` is the one stretch entry: it
+covers steady decode iterations, decode-only or beside a multiplexing
+server's prefill work, with one continuation event (see
 :mod:`repro.sim.fastpath`) for every server that calls it.
 """
 
@@ -31,6 +32,7 @@ from repro.kvcache.pool import PoolExhaustedError
 from repro.models.costs import DECODE_LAYER_OVERHEAD, PhaseCost, phase_latency
 from repro.serving.base import Instance, RequestState, ServingSystem
 from repro.sim import fastpath
+from repro.sim.events import Event
 from repro.sim.fastpath import CoRunPlan
 
 
@@ -45,8 +47,8 @@ class DecodeBatchMixin(ServingSystem):
     #: Token times of the stretch whose continuation is firing, for the
     #: server's completion handler (see :meth:`emit_decoded`).
     _stretch_times: list[float] | None = None
-    #: End of the last stretch whose next iteration was planned and could
-    #: not join it; that iteration runs on the scalar path.
+    #: End of the last stretch that stopped before its limit; the next
+    #: iteration runs on the scalar path.
     _stretch_cut_at = -1.0
 
     @cached_property
@@ -132,14 +134,19 @@ class DecodeBatchMixin(ServingSystem):
 
         return step
 
-    def _corun_stretch(
-        self, instance: Instance, batch: list[RequestState], resume: Callable[[], None]
-    ) -> bool:
-        """Cover the next iterations, which co-run with prefill work, with
-        one stretch (a server that multiplexes the two overrides this);
-        returns whether the continuation is scheduled."""
+    def _corun_shadow(
+        self, instance: Instance, batch: list[RequestState], total_ctx: int
+    ) -> Event | None:
+        """The co-run precondition: can the next iterations of ``batch``
+        (holding ``total_ctx`` context tokens), which co-run with prefill
+        work, join a stretch?  Returns the one live event of the prefill
+        work the stretch takes over (its *shadow*), or None — having
+        counted why.  A server that multiplexes the two overrides this and
+        defines ``_corun_planner``, the co-run stretch's step and resume
+        callback (see :meth:`_decode_fast_loop`).
+        """
         self.sim.counters.bail_prefill += 1
-        return False
+        return None
 
     def requeue(self, state: RequestState) -> None:
         """Send a request whose KV was released back to the queue head.
@@ -200,24 +207,32 @@ class DecodeBatchMixin(ServingSystem):
         batch: list[RequestState],
         resume: Callable[[], None],
     ) -> bool:
-        """Cover the next decode-only iterations of ``batch`` with one stretch.
+        """Cover the next decode iterations of ``batch`` with one stretch:
+        the one stretch entry, decode-only and co-run alike.
 
         Plans as many iterations as can be proven equivalent to the scalar
-        path (plain decode, no prefill admissible, decode path idle, each
-        completion strictly before the scope's :meth:`Simulator.horizon`)
-        and schedules one continuation at the last completion.  A stretch
-        ends at the iteration in which a batch member finishes, before KV
-        growth would exceed the free plus evictable pages, where the
-        server's plan stops (a MuxWise partition change), and where the
-        horizon, ``until`` or the event cap stops elision.  An armed
-        preemption storm, a cache ``spill`` hook or an iteration the page
-        budget cannot cover makes it a one-iteration stretch emitted
-        through :meth:`emit_decode_iteration`.
+        path (plain decode; an idle decode path, or the co-run
+        precondition :meth:`_corun_shadow`; each completion strictly
+        before the scope's :meth:`Simulator.horizon`, which excludes the
+        co-run shadow) and schedules one continuation at the last
+        completion.  Each kind's step, ``ctx -> completion | None``,
+        accepts one more iteration of a batch holding ``ctx`` context
+        tokens into the plan and returns its completion, or returns None —
+        having counted why — and leaves the plan as the last accepted
+        iteration left it (:meth:`_decode_planner`, ``_corun_planner``).
+        A stretch ends where the step stops, at the iteration in which a
+        batch member finishes (the limit), before KV growth would exceed
+        the free plus evictable pages, and where the horizon is too near
+        for one more iteration.  An armed preemption storm, a cache
+        ``spill`` hook or an iteration the page budget cannot cover makes
+        a decode-only stretch one iteration long, emitted through
+        :meth:`emit_decode_iteration`, and forms no co-run stretch.
 
         Returns True when the continuation is scheduled: when it fires it
         writes the plan back, then calls ``resume`` — the server's scalar
-        completion handler for ``batch``, whose :meth:`emit_decoded` call
-        applies the stretch's tokens.  False: the caller runs the
+        completion handler for ``batch``, after the co-run planner's
+        replica rebuild for a co-run stretch — whose :meth:`emit_decoded`
+        call applies the stretch's tokens.  False: the caller runs the
         iteration on the scalar path.
         """
         sim = self.sim
@@ -230,12 +245,19 @@ class DecodeBatchMixin(ServingSystem):
         ):
             return False
         counters = sim.counters
-        if self._fastpath_prefill_admissible(len(batch)):
-            return self._corun_stretch(instance, batch, resume)
-        if self._decode_lane_busy(instance):
+        size = len(batch)
+        total_ctx = 0
+        for s in batch:
+            total_ctx += s._input_tokens + s.generated
+        shadow = None
+        if self._fastpath_prefill_admissible(size):
+            shadow = self._corun_shadow(instance, batch, total_ctx)
+            if shadow is None:
+                return False
+        elif self._decode_lane_busy(instance):
             counters.bail_busy += 1
             return False
-        horizon = sim.horizon(sim.current_scope)
+        horizon = sim.horizon(sim.current_scope, shadow)
         # Bail before touching the cost model when an event is near: this
         # keeps the fast path near-free where elision rarely engages.
         min_delta = self._fastpath_min_delta
@@ -246,34 +268,35 @@ class DecodeBatchMixin(ServingSystem):
         # the continuation fires, so the checks above hold for every
         # iteration of the stretch.
         cache = instance.cache
-        if self._storm_pending or cache.spill is not None:
-            stretch, limit = False, 1
-        else:
+        stretch = not self._storm_pending and cache.spill is None
+        if stretch:
             limit = min(s.request.output_tokens - s.generated for s in batch)
             limit = cache.extend_limit([s.lease for s in batch], limit)
-            stretch = limit > 0
-            if not stretch:
+            if limit <= 0:
                 counters.bail_pages += 1
-                limit = 1
-        size = len(batch)
-        total_ctx = 0
-        for s in batch:
-            total_ctx += s._input_tokens + s.generated
+                if shadow is not None:
+                    return False
+                stretch = False
+        if not stretch:
+            limit = 1
         plan = CoRunPlan(sim, instance.device, instance.host, horizon)
-        step = self._decode_planner(instance, plan, size, total_ctx, limit)
-        if step is None:
-            return False
+        if shadow is None:
+            step = self._decode_planner(instance, plan, size, total_ctx, limit)
+            if step is None:
+                return False
+        else:
+            step, resume = self._corun_planner(instance, plan, batch, shadow, total_ctx)
         times: list[float] = []
-        cut = False
+        cut = True
         while True:
             end = step(total_ctx)
             if end is None:
-                cut = True
                 break
             times.append(end)
             # Every batch member grows by exactly one token.
             total_ctx += size
             if len(times) == limit:
+                cut = False
                 break
             if horizon <= end + min_delta:
                 counters.bail_head += 1
@@ -281,25 +304,16 @@ class DecodeBatchMixin(ServingSystem):
         if not times:
             return False
         counters.chains_elided += len(times)
+        if shadow is not None:
+            counters.corun_stretches += 1
+            if plan.shadow not in plan.live:
+                # The plan fires or cancels the shadow inside the stretch.
+                shadow.callback = None
         sim.begin_stretch(
             times[-1],
             lambda: self._finish_stretch(plan, times if stretch else None, resume, cut),
         )
         return True
-
-    def _end_stretch(self, plan: CoRunPlan, cut: bool) -> None:
-        """Close the stretch whose continuation is firing and write its
-        plan back (:func:`repro.sim.fastpath.commit_chain`).
-
-        ``cut``: the stretch stopped at an iteration it planned and could
-        not take, so nothing can change that plan before the server starts
-        that iteration, which then skips the loop.
-        """
-        sim = self.sim
-        sim.end_stretch()
-        if cut:
-            self._stretch_cut_at = sim.now
-        fastpath.commit_chain(sim, plan)
 
     def _finish_stretch(
         self,
@@ -308,9 +322,18 @@ class DecodeBatchMixin(ServingSystem):
         resume: Callable[[], None],
         cut: bool,
     ) -> None:
-        """The decode-only stretch's continuation: write the plan back,
-        then resume."""
-        self._end_stretch(plan, cut)
+        """A stretch's continuation: close the stretch, write its plan back
+        (:func:`repro.sim.fastpath.commit_chain`), then resume.
+
+        ``cut``: the stretch stopped before its limit, so nothing can
+        change its plan before the server starts the next iteration, which
+        then skips the loop.
+        """
+        sim = self.sim
+        sim.end_stretch()
+        if cut:
+            self._stretch_cut_at = sim.now
+        fastpath.commit_chain(sim, plan)
         self._stretch_times = times
         resume()
 

@@ -10,49 +10,52 @@ collapses a run of them into one *stretch* with one planned state,
 thread and stream lanes, read from the real objects at the stretch's start
 and written back once, by :func:`commit_chain`, when it ends.
 
-The serving loop (``DecodeBatchMixin._decode_fast_loop``) strings
-consecutive decode-only iterations into a stretch.  Each iteration is one
-*lone step*, :func:`plan_chain`: straight-line arithmetic of the device's
-fluid model for a lone task (its re-plan is :func:`lone_rates`, shared
-with the co-run dry run), on locals, reaching the plan only when the
-iteration's completion is strictly before the horizon, within ``until``
-and within the event budget.  The loop schedules **one continuation
-event** in its server's scope at the last completion ``t_K``; the clock
-never jumps.  When the continuation fires it writes the plan back (device
-integrals, host and stream busy seconds, and the elided events charged to
-the simulator's counters), applies the stretch's token effects once per
-request (through ``RadixCache.extend_many`` and
-``MetricsCollector.on_batch_tokens``) and runs the server's own scalar
-completion handler: retire, then start the next iteration.
+**One entry.**  ``DecodeBatchMixin._decode_fast_loop`` is the only way
+into a stretch, of either kind: it owns the gates, the horizon, the head
+bail, the KV page budget, the context total, the plan, the iteration loop
+(stopping at the limit and where the horizon is too near for one more
+iteration), the cut rule and the one continuation.  That event, scheduled
+in the server's scope at the last completion ``t_K`` (the clock never
+jumps), writes the plan back, applies the stretch's token effects once
+per request (``RadixCache.extend_many``,
+``MetricsCollector.on_batch_tokens``) and resumes the server's own scalar
+completion handler.  Each kind brings a precondition and a **step**,
+``ctx -> completion | None``: it accepts one more iteration of a batch
+holding ``ctx`` context tokens into the plan and returns its completion,
+or returns None — having counted why — and leaves the plan as it stood
+after the last accepted iteration.
+
+A decode-only stretch needs an idle decode path; its step is the *lone
+step*, :func:`plan_chain`: straight-line arithmetic of the device's fluid
+model for a lone task (its re-plan is :func:`lone_rates`), on locals,
+reaching the plan only when the completion is strictly before the
+horizon, within ``until`` and within the event budget.
 
 **Co-run stretches.**  MuxWise's decode iterations mostly run beside a
-prefill job's layer groups on the other green context.  At such an
-iteration's start ``MuxWiseServer._corun_stretch`` takes over the
-in-flight prefill lane (a group in host launch, on the device or in its
-serialized tail; its one live event becomes the plan's *shadow*) and
-drives the same :class:`CoRunPlan` through its general loop, one dry run
-of the replica's host FIFO, both streams and the device's lone and pair
-fluid model
-(``_reallocate_pair``'s ripple factors, ``_waterfill2``,
-``_over_request``, ``_task_horizon``; ``_advance_to_now`` with its
-phase-change snaps and compute-transition occupancy refresh; serialized
-tails), ordering its virtual events by ``(time, seq)`` as the heap does.
-The server makes its own decisions at every planned completion in scalar
-order: ``observe_decode`` (a max-merge into the guard, so the
-continuation's repeat of the last one is idempotent), the decode partition
-and cost, ``_group_size`` and the layer costs.  The stretch ends at the
-last decode completion before a partition change, before the job's last
-group completes, at the iteration a batch member finishes, at the KV page
-budget, and strictly before the horizon, ``until`` and the event cap; it
-is eligible only for layer-wise, query-synchronised MuxWise with one
-active job, no preemption pending or requested, no spec decode, no
-tracer, an unstalled device and no queued resize (``corun_bail_*``
-counts the rest).  The continuation writes the plan back as a decode-only
-one does, then rebuilds the rest of the replica as the scalar path holds
-it at ``t_K`` — the group's ``ExecTask``
-with its remaining work and rates, the pending update, host finish or
-completion at its planned time, stream op starts, ``layers_done`` and
-``group_in_flight`` — and runs ``_on_decode_done``, the scalar tail.
+prefill job's layer groups on the other green context.  Its precondition,
+``MuxWiseServer._corun_shadow``, requires the regime the dry run
+replicates — layer-wise, query-synchronised MuxWise with one active job,
+no preemption pending or requested, no storm or spill hook, an unstalled
+device, no queued launch (``corun_bail_state`` counts the rest) — and
+returns the in-flight prefill lane's one live event (a group in host
+launch, on the device or in its serialized tail): the *shadow*, which the
+horizon excludes.  ``_corun_planner``'s step drives :class:`CoRunPlan`'s
+general loop, one dry run of the replica's host FIFO, both streams and
+the device's lone and pair fluid model (``_reallocate_pair``'s ripple
+factors, ``_waterfill2``, ``_over_request``, ``_task_horizon``;
+``_advance_to_now`` with its phase-change snaps and compute-transition
+occupancy refresh; serialized tails), ordering its virtual events by
+``(time, seq)`` as the heap does, and makes the server's own decisions at
+every planned completion in scalar order: ``observe_decode`` (a max-merge
+into the guard, so the continuation's repeat of the last one is
+idempotent), the decode partition and cost, ``_group_size`` and the layer
+costs.  It stops before a partition change, before the job's last group
+completes and at a decode completion past the horizon, ``until`` or the
+event cap, restoring its snapshot of the last accepted completion.  Its
+resume callback rebuilds the replica as the scalar path holds it at
+``t_K`` — the group's ``ExecTask`` with its remaining work and rates, the
+pending update, host finish or completion, stream op starts,
+``layers_done`` and ``group_in_flight`` — then runs ``_on_decode_done``.
 
 Byte-identity contract (enforced by ``tests/sim/test_fastpath_equivalence``,
 the oracles ``tests/properties/test_vectorized_timeline`` (the lone step)

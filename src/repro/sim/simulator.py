@@ -80,7 +80,6 @@ COUNTER_NAMES = (
     "corun_bail_partition",
     "corun_bail_group",
     "corun_bail_horizon",
-    "corun_bail_pages",
     "corun_bail_plan",
 )
 
@@ -99,26 +98,28 @@ class WorkCounters:
       (``chains_elided``), stretches applied (``stretches``) and
       per-request token-ledger writes (``ledger_writes``: one per request
       per emission call, however many tokens it carries);
-    * the fast loop's bails back to the scalar path by reason: the stretch
-      horizon too near (``bail_head``), device or launch path busy
+    * the fast loop's bails back to the scalar path by reason, for both
+      kinds of stretch: the stretch horizon too near at the entry or for
+      one more iteration (``bail_head``), device or launch path busy
       (``bail_busy``), prefill admissible with no co-run stretch to take
-      it (``bail_prefill``), an iteration plan rejected or past the
-      horizon, ``until`` or the event budget (``bail_plan``), iterations
-      that fell back to per-request emission because the KV page budget
-      could not cover one more token per request (``bail_pages``), and
+      it (``bail_prefill``), a decode-only iteration plan rejected or past
+      the horizon, ``until`` or the event budget (``bail_plan``), the KV
+      page budget unable to cover one more token per request
+      (``bail_pages``: a decode-only iteration then falls back to
+      per-request emission, a co-run one to the scalar path), and
       MuxWise decode-only stretches ended by a change of decode partition
       (``bail_partition``);
     * the device's rate re-plans by path: one unstalled task
       (``realloc_lone``), two (``realloc_pair``) and the general
       water-fill (``realloc_general``);
     * MuxWise's co-run stretches (``corun_stretches``, a subset of
-      ``stretches``) and their bails: replica state outside the
-      replicated regime (``corun_bail_state``), a decode or prefill
-      partition change (``corun_bail_partition``), the job's last layer
-      group due (``corun_bail_group``), the horizon, ``until`` or the
-      event budget (``corun_bail_horizon``), the KV page budget
-      (``corun_bail_pages``) and a dry run leaving its regime
-      (``corun_bail_plan``).
+      ``stretches``) and the bails of their precondition and step:
+      replica state outside the replicated regime
+      (``corun_bail_state``), a decode or prefill partition change
+      (``corun_bail_partition``), the job's last layer group due
+      (``corun_bail_group``), a decode completion past the horizon,
+      ``until`` or the event budget (``corun_bail_horizon``) and a dry
+      run leaving its regime (``corun_bail_plan``).
 
     Turning the fast path off moves them and nothing else, so they stay
     out of result fingerprints.

@@ -110,7 +110,6 @@ GOLDEN_COUNTERS_SINGLE = {
     "corun_bail_partition": 0,
     "corun_bail_group": 0,
     "corun_bail_horizon": 0,
-    "corun_bail_pages": 0,
     "corun_bail_plan": 0,
 }
 

@@ -326,7 +326,7 @@ def test_cross_scope_schedule_into_a_pending_stretch_raises(monkeypatch):
 # --------------------------------------------------------------------- #
 
 
-def _single_both(make_server, workload, n_gpus=1, slo=None):
+def _single_both(make_server, workload, n_gpus=1, slo=None, kv_pool_limit_bytes=None):
     """Run one system fast and scalar; the two must agree byte for byte.
 
     Returns the fast run's work counters.
@@ -340,7 +340,13 @@ def _single_both(make_server, workload, n_gpus=1, slo=None):
             server.metrics.sink = sink
             return server
 
-        cfg = ServingConfig(model=LLAMA_8B, spec=A100, n_gpus=n_gpus, slo=slo)
+        cfg = ServingConfig(
+            model=LLAMA_8B,
+            spec=A100,
+            n_gpus=n_gpus,
+            slo=slo,
+            kv_pool_limit_bytes=kv_pool_limit_bytes,
+        )
         with fastpath.enabled() if on else fastpath.disabled():
             with collect_counters() as counters:
                 result = run_system(factory, cfg, workload)
@@ -373,6 +379,15 @@ def test_corun_partition_growth_matches_scalar():
     counters = _single_both(_muxwise, _rag(60), slo=SLO(tbt=0.018))
     assert counters["corun_stretches"] > 0
     assert counters["corun_bail_partition"] > 0
+
+
+def test_corun_page_budget_bails_and_matches():
+    """A 40,000-token KV pool: at some co-run stretch's start the free plus
+    evictable pages cannot cover one more token per batch member, so the
+    stretch bails on the page budget and the iteration runs scalar."""
+    counters = _single_both(_muxwise, _rag(60), kv_pool_limit_bytes=40_000 * 2**17)
+    assert counters["corun_stretches"] > 0
+    assert counters["bail_pages"] > 0
 
 
 def test_corun_fleet_matches_scalar():
