@@ -637,7 +637,7 @@ class MuxWiseServer(DecodeBatchMixin):
         layers_done = job.layers_done
         in_flight = job.group_in_flight
         current = copy
-        #: The plan at the last accepted decode completion.
+        # The plan at the last accepted decode completion, for reject().
         accepted = None
 
         def reject() -> None:
