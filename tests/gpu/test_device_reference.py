@@ -195,6 +195,15 @@ def test_pair_path_keeps_the_compute_rate_range_error():
             device.submit(task_cls(flops=FULL_FLOPS, bytes=FULL_BW, sm_count=TOTAL_SMS + 1))
 
 
+@pytest.mark.parametrize("sm_count", [0, TOTAL_SMS + 1])
+def test_lone_path_keeps_the_compute_rate_range_error(sm_count):
+    for device_cls, task_cls in ((Device, ExecTask), (ReferenceDevice, ReferenceExecTask)):
+        sim = Simulator()
+        device = device_cls(sim, A100)
+        with pytest.raises(ValueError, match="out of range"):
+            device.submit(task_cls(flops=FULL_FLOPS, bytes=FULL_BW, sm_count=sm_count))
+
+
 demands = st.one_of(
     st.just(0.0),
     st.just(math.inf),
