@@ -159,7 +159,7 @@ def run_lockstep(programme, origin: float = 0.0) -> tuple[Harness, Harness]:
 
 
 @settings(
-    max_examples=300,
+    max_examples=300 * settings.default.max_examples // 100,
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
 )
@@ -174,7 +174,7 @@ def test_device_matches_reference_bit_for_bit(programme, origin):
     assert fast.device.bandwidth_utilization() == slow.device.bandwidth_utilization()
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200 * settings.default.max_examples // 100, deadline=None)
 @given(
     st.lists(st.tuples(st.floats(0.0, 0.02), submits()), min_size=2, max_size=6),
     origins,
@@ -212,7 +212,7 @@ demands = st.one_of(
 )
 
 
-@settings(max_examples=2000, deadline=None)
+@settings(max_examples=2000 * settings.default.max_examples // 100, deadline=None)
 @given(demands, demands, st.one_of(st.just(FULL_BW), st.floats(0.0, 2.0 * FULL_BW)))
 def test_two_demand_waterfill_matches_rounds(d0, d1, capacity):
     assert _waterfill2(d0, d1, capacity) == tuple(waterfill([d0, d1], capacity))

@@ -182,7 +182,7 @@ def _planned(programme, decode_sms, spec=A100):
     return plan, states
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=150 * settings.default.max_examples // 100, deadline=None)
 @given(
     decode=lanes,
     prefill=lanes,

@@ -123,7 +123,7 @@ def _write_back(sim, plan, end):
     sim.run()
 
 
-@settings(max_examples=250, deadline=None)
+@settings(max_examples=250 * settings.default.max_examples // 100, deadline=None)
 @given(
     ctx_lens=batch_compositions,
     t0=start_times,
@@ -170,7 +170,7 @@ def test_chain_plan_equals_scalar_heap_sequence(ctx_lens, t0, sm_count, launch, 
         assert plan.lanes[0][0]._busy_seconds == scalar["stream_seconds"]
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60 * settings.default.max_examples // 100, deadline=None)
 @given(
     ctx_lens=st.lists(st.integers(min_value=1, max_value=2048), min_size=1, max_size=16),
     t0=start_times,
@@ -227,7 +227,7 @@ def test_consecutive_chains_match_scalar(ctx_lens, t0, rounds, sm_count, launch,
         assert plan.lanes[0][0]._busy_seconds == stream._busy_seconds
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60 * settings.default.max_examples // 100, deadline=None)
 @given(ctx_lens=batch_compositions, t0=start_times, launch=launches)
 def test_lone_step_beyond_the_horizon_leaves_the_plan(ctx_lens, t0, launch):
     """An iteration completing at or after the horizon is not taken, and
