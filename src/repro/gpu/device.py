@@ -266,6 +266,152 @@ def _task_horizon(task: ExecTask, horizon: float) -> float:
             horizon = t
     return horizon
 
+
+# The fluid model's re-plans of one and two tasks and its advance, shared by
+# Device and the co-run stretch planner (repro.sim.fastpath), so that a
+# change to the model reaches both.  The re-plans are bit-exact shortcuts of
+# Device._reallocate_general: the same float operations in the same order.
+
+
+def lone_rates(
+    sm: float,
+    flops_per_sm: float,
+    eff_bw: float,
+    rem_flops: float,
+    rem_bytes: float,
+    flops_floor: float,
+    bytes_floor: float,
+    max_bandwidth: float,
+) -> tuple[float, float, float, float]:
+    """The re-plan of one unstalled task on ``sm`` SMs (the caller checks
+    ``0 < sm <= total_sms``): its occupancy, compute rate, bandwidth rate
+    and seconds to its next phase change.
+
+    ``_over_request`` with factor 1.0 (dividing by it and capping again at
+    ``max_bandwidth`` are the identity), ``_waterfill_last`` and
+    ``_task_horizon`` inlined.  One task in range never oversubscribes
+    the SMs, so there is no scale.
+    """
+    flops_left = rem_flops > flops_floor
+    rate = flops_per_sm * sm
+    if rem_bytes <= bytes_floor:
+        demand = 0.0
+    elif not flops_left:
+        demand = max_bandwidth
+    else:
+        demand = rem_bytes / (rem_flops / rate)
+        if max_bandwidth < demand:
+            demand = max_bandwidth
+    if demand <= _EPS or eff_bw <= _EPS:
+        bw_rate = 0.0
+    else:
+        bw_rate = demand if demand <= eff_bw + _EPS else eff_bw
+    horizon = math.inf
+    if flops_left and rate > _EPS:
+        horizon = rem_flops / rate
+    if rem_bytes > bytes_floor and bw_rate > _EPS:
+        t = rem_bytes / bw_rate
+        if t < horizon:
+            horizon = t
+    return (sm if flops_left else 0.0), rate, bw_rate, horizon
+
+
+def pair_rates(
+    a: ExecTask,
+    b: ExecTask,
+    total_sms: int,
+    flops_per_sm: float,
+    eff_bw: float,
+    kappa: float,
+    pair: tuple[float, float, float, float],
+) -> tuple[float, float, tuple[float, float, float, float]]:
+    """The re-plan of two unstalled tasks (the caller checks both SM
+    counts are in ``(0, total_sms]``): sets their rates and returns the
+    occupancy, the seconds to the next phase change and the memo.
+
+    ``pair`` is the one-entry memo ``(sa, sb, factor_a, factor_b)`` of the
+    interference factors, a pure function of the two SM counts that serves
+    the pair in either order (a co-run's two tasks swap places as each
+    relaunches); the caller keeps the one returned.
+    """
+    sa = a.sm_count
+    sb = b.sm_count
+    demanded = sa + sb  # sum() starts from int 0, and 0 + x == x
+    scale = 1.0 if demanded <= total_sms else total_sms / demanded
+    if a.rem_flops > a._flops_floor:
+        occupied = sa + sb if b.rem_flops > b._flops_floor else sa
+    else:
+        occupied = sb if b.rem_flops > b._flops_floor else 0
+    rate_a = a.compute_rate = flops_per_sm * sa * scale
+    rate_b = b.compute_rate = flops_per_sm * sb * scale
+    if pair[0] == sa and pair[1] == sb:
+        factor_a = pair[2]
+        factor_b = pair[3]
+    elif pair[0] == sb and pair[1] == sa:
+        factor_a = pair[3]
+        factor_b = pair[2]
+    else:
+        # Device._interference_factor with one co-runner: loss = 0.0 + x == x.
+        factor_a = max(0.3, 1.0 - kappa * min(1.0, sb / total_sms) * _config_ripple(sa, sb))
+        factor_b = max(0.3, 1.0 - kappa * min(1.0, sa / total_sms) * _config_ripple(sb, sa))
+        pair = (sa, sb, factor_a, factor_b)
+    alloc_a, alloc_b = _waterfill2(
+        _over_request(a, rate_a, factor_a), _over_request(b, rate_b, factor_b), eff_bw
+    )
+    a.bw_rate = alloc_a * factor_a
+    b.bw_rate = alloc_b * factor_b
+    return occupied * scale, _task_horizon(b, _task_horizon(a, math.inf)), pair
+
+
+def advance_tasks(
+    tasks: list[ExecTask], now: float, dt: float, phase_change: bool, served: float
+) -> tuple[float, bool]:
+    """Advance ``tasks`` at their rates over the ``dt`` seconds ending at
+    ``now``; on a ``phase_change`` also snap sub-ulp residues (a re-plan
+    follows).
+
+    Returns ``served`` plus the bytes served, added task by task (float
+    addition is not associative), and whether a compute dimension crossed
+    its floor.
+    """
+    progress = dt > 0
+    compute_transition = False
+    for task in tasks:
+        rem_flops = task.rem_flops
+        rem_bytes = task.rem_bytes
+        compute_rate = task.compute_rate
+        bw_rate = task.bw_rate
+        if progress:
+            done_flops = compute_rate * dt
+            if done_flops > rem_flops:
+                done_flops = rem_flops
+            done_bytes = bw_rate * dt
+            if done_bytes > rem_bytes:
+                done_bytes = rem_bytes
+            rem_flops -= done_flops
+            rem_bytes -= done_bytes
+            if rem_flops <= task._flops_floor:
+                if task.rem_flops > task._flops_floor:
+                    compute_transition = True
+                rem_flops = 0.0
+            if rem_bytes <= task._bytes_floor:
+                rem_bytes = 0.0
+            served += done_bytes
+        if phase_change:
+            # Sub-ulp snap: a residue above its floor whose finish time
+            # ``now + rem / rate`` rounds back to ``now`` can never be
+            # advanced (every re-fire lands at the same instant, so
+            # dt == 0) and would re-fire the update forever, so it
+            # counts as finished.
+            if rem_flops > 0.0 and compute_rate > _EPS and now + rem_flops / compute_rate <= now:
+                rem_flops = 0.0
+            if rem_bytes > 0.0 and bw_rate > _EPS and now + rem_bytes / bw_rate <= now:
+                rem_bytes = 0.0
+        task.rem_flops = rem_flops
+        task.rem_bytes = rem_bytes
+    return served, compute_transition
+
+
 class Device:
     """A simulated GPU or tensor-parallel group of identical GPUs.
 
@@ -483,21 +629,25 @@ class Device:
         counters = self.sim.counters
         if n == 1 and not self._stalled:
             counters.realloc_lone += 1
-            # A lone task's interference factor is exactly 1.0 and the
-            # water-fill of one demand is min(demand, capacity).
             task = active[0]
             sm = task.sm_count
-            scale = 1.0 if sm <= self.total_sms else self.total_sms / sm
-            self._sm_occupancy = sm * scale if task.rem_flops > task._flops_floor else 0.0
-            rate = task.compute_rate = self.compute_rate(sm) * scale
-            demand = _over_request(task, rate, 1.0)
-            task.bw_rate = 0.0 if demand <= _EPS else _waterfill_last(
-                demand, self.effective_bandwidth
+            if not 0 < sm <= self.total_sms:
+                self.compute_rate(sm)  # raises the range error
+            self._sm_occupancy, task.compute_rate, task.bw_rate, horizon = lone_rates(
+                sm, self._flops_per_sm, self.effective_bandwidth, task.rem_flops,
+                task.rem_bytes, task._flops_floor, task._bytes_floor, task.max_bandwidth,
             )
-            horizon = _task_horizon(task, math.inf)
         elif n == 2 and not self._stalled:
             counters.realloc_pair += 1
-            horizon = self._reallocate_pair(active[0], active[1])
+            a, b = active
+            total_sms = self.total_sms
+            if not (0 < a.sm_count <= total_sms and 0 < b.sm_count <= total_sms):
+                self.compute_rate(a.sm_count)
+                self.compute_rate(b.sm_count)  # one of the two raises the range error
+            self._sm_occupancy, horizon, self._pair_factors = pair_rates(
+                a, b, total_sms, self._flops_per_sm, self.effective_bandwidth,
+                self.spec.contention_kappa, self._pair_factors,
+            )
         else:
             counters.realloc_general += 1
             horizon = self._reallocate_general()
@@ -507,46 +657,6 @@ class Device:
         if tracer is not None:
             self._trace_bandwidth()
         return horizon
-
-    def _reallocate_pair(self, a: ExecTask, b: ExecTask) -> float:
-        """:meth:`_reallocate_general` for exactly two unstalled tasks."""
-        total_sms = self.total_sms
-        sa = a.sm_count
-        sb = b.sm_count
-        demanded = sa + sb  # sum() starts from int 0, and 0 + x == x
-        scale = 1.0 if demanded <= total_sms else total_sms / demanded
-        if a.rem_flops > a._flops_floor:
-            occupied = sa + sb if b.rem_flops > b._flops_floor else sa
-        else:
-            occupied = sb if b.rem_flops > b._flops_floor else 0
-        self._sm_occupancy = occupied * scale
-        if not (0 < sa <= total_sms and 0 < sb <= total_sms):
-            self.compute_rate(sa)
-            self.compute_rate(sb)  # one of the two raises the range error
-        flops_per_sm = self._flops_per_sm
-        rate_a = a.compute_rate = flops_per_sm * sa * scale
-        rate_b = b.compute_rate = flops_per_sm * sb * scale
-        pair = self._pair_factors
-        if pair[0] == sa and pair[1] == sb:
-            factor_a = pair[2]
-            factor_b = pair[3]
-        elif pair[0] == sb and pair[1] == sa:
-            factor_a = pair[3]
-            factor_b = pair[2]
-        else:
-            # _interference_factor with one co-runner: loss = 0.0 + x == x.
-            kappa = self.spec.contention_kappa
-            factor_a = max(0.3, 1.0 - kappa * min(1.0, sb / total_sms) * _config_ripple(sa, sb))
-            factor_b = max(0.3, 1.0 - kappa * min(1.0, sa / total_sms) * _config_ripple(sb, sa))
-            self._pair_factors = (sa, sb, factor_a, factor_b)
-        alloc_a, alloc_b = _waterfill2(
-            _over_request(a, rate_a, factor_a),
-            _over_request(b, rate_b, factor_b),
-            self.effective_bandwidth,
-        )
-        a.bw_rate = alloc_a * factor_a
-        b.bw_rate = alloc_b * factor_b
-        return _task_horizon(b, _task_horizon(a, math.inf))
 
     def _reallocate_general(self) -> float:
         """Any active set, stalled or not: scale, occupancy, factors,
@@ -618,43 +728,9 @@ class Device:
             return
         if progress:
             self._sm_seconds += self._sm_occupancy * dt
-        served = self._bw_bytes_served
-        compute_transition = False
-        for task in active:
-            rem_flops = task.rem_flops
-            rem_bytes = task.rem_bytes
-            compute_rate = task.compute_rate
-            bw_rate = task.bw_rate
-            if progress:
-                done_flops = compute_rate * dt
-                if done_flops > rem_flops:
-                    done_flops = rem_flops
-                done_bytes = bw_rate * dt
-                if done_bytes > rem_bytes:
-                    done_bytes = rem_bytes
-                rem_flops -= done_flops
-                rem_bytes -= done_bytes
-                if rem_flops <= task._flops_floor:
-                    if task.rem_flops > task._flops_floor:
-                        compute_transition = True
-                    rem_flops = 0.0
-                if rem_bytes <= task._bytes_floor:
-                    rem_bytes = 0.0
-                served += done_bytes
-            if phase_change:
-                # Sub-ulp snap: a residue above its floor whose finish time
-                # ``now + rem / rate`` rounds back to ``now`` can never be
-                # advanced (every re-fire lands at the same instant, so
-                # dt == 0) and would re-fire the update forever, so it
-                # counts as finished.
-                if rem_flops > 0.0 and compute_rate > _EPS and now + rem_flops / compute_rate <= now:
-                    rem_flops = 0.0
-                if rem_bytes > 0.0 and bw_rate > _EPS and now + rem_bytes / bw_rate <= now:
-                    rem_bytes = 0.0
-            task.rem_flops = rem_flops
-            task.rem_bytes = rem_bytes
-        if progress:
-            self._bw_bytes_served = served
+        self._bw_bytes_served, compute_transition = advance_tasks(
+            active, now, dt, phase_change, self._bw_bytes_served
+        )
         if compute_transition and not phase_change:
             # A compute dimension crossed its floor mid-advance (the caller
             # may not reallocate, e.g. a utilisation probe): refresh the

@@ -27,47 +27,54 @@ after the last accepted iteration.
 
 A decode-only stretch needs an idle decode path; its step is the *lone
 step*, :func:`plan_chain`: straight-line arithmetic of the device's fluid
-model for a lone task (its re-plan is :func:`lone_rates`), on locals,
-reaching the plan only when the completion is strictly before the
-horizon, within ``until`` and within the event budget.
+model for a lone task on locals (its re-plan is the device's
+:func:`~repro.gpu.device.lone_rates`), reaching the plan only when the
+completion is strictly before the horizon, within ``until`` and within
+the event budget.
 
 **Co-run stretches.**  MuxWise's decode iterations mostly run beside a
-prefill job's layer groups on the other green context.  Its precondition,
-``MuxWiseServer._corun_shadow``, requires the regime the dry run
-replicates — layer-wise, query-synchronised MuxWise with one active job,
-no preemption pending or requested, no storm or spill hook, an unstalled
-device, no queued launch (``corun_bail_state`` counts the rest) — and
-returns the in-flight prefill lane's one live event (a group in host
-launch, on the device or in its serialized tail): the *shadow*, which the
-horizon excludes.  ``_corun_planner``'s step drives :class:`CoRunPlan`'s
-general loop, one dry run of the replica's host FIFO, both streams and
-the device's lone and pair fluid model (``_reallocate_pair``'s ripple
-factors, ``_waterfill2``, ``_over_request``, ``_task_horizon``;
-``_advance_to_now`` with its phase-change snaps and compute-transition
-occupancy refresh; serialized tails), ordering its virtual events by
-``(time, seq)`` as the heap does, and makes the server's own decisions at
-every planned completion in scalar order: ``observe_decode`` (a max-merge
-into the guard, so the continuation's repeat of the last one is
-idempotent), the decode partition and cost, ``_group_size`` and the layer
-costs.  It stops before a partition change, before the job's last group
-completes and at a decode completion past the horizon, ``until`` or the
-event cap, restoring its snapshot of the last accepted completion.  Its
-resume callback rebuilds the replica as the scalar path holds it at
-``t_K`` — the group's ``ExecTask`` with its remaining work and rates, the
-pending update, host finish or completion, stream op starts,
-``layers_done`` and ``group_in_flight`` — then runs ``_on_decode_done``.
+prefill job's layer groups on the other green context.  Its
+precondition, ``MuxWiseServer._corun_shadow``, requires the regime the
+dry run replicates — layer-wise, query-synchronised MuxWise with one
+active job, no preemption pending or requested, no storm or spill hook,
+an unstalled device, no queued launch (``corun_bail_state`` counts the
+rest) — and returns the in-flight prefill lane's one live event (a group
+in host launch, on the device or in its serialized tail): the *shadow*,
+which the horizon excludes.  ``_corun_planner``'s step drives
+:class:`CoRunPlan`'s general loop, one dry run of the replica's host
+FIFO, both streams and the device.  The device's fluid model is not
+copied: the loop calls the functions ``Device`` itself calls
+(:mod:`repro.gpu.device`'s ``advance_tasks``, the per-task advance with
+its phase-change snap, and the lone and pair re-plans ``lone_rates`` and
+``pair_rates``) and keeps only the device's bookkeeping around them (the
+utilisation integrals, retirement with serialized tails, the pending
+update).  It orders its virtual events by ``(time, seq)`` as the heap
+does, and makes the server's own decisions at every planned completion
+in scalar order: ``observe_decode`` (a max-merge into the guard, so the
+continuation's repeat of the last one is idempotent), the decode
+partition and cost, ``_group_size`` and the layer costs.  It stops
+before a partition change, before the job's last group completes and at
+a decode completion past the horizon, ``until`` or the event cap,
+restoring its snapshot of the last accepted completion.  Its resume
+callback rebuilds the replica as the scalar path holds it at ``t_K`` —
+the group's ``ExecTask`` with its remaining work and rates, the pending
+update, host finish or completion, stream op starts, ``layers_done`` and
+``group_in_flight`` — then runs ``_on_decode_done``.
 
 Byte-identity contract (enforced by ``tests/sim/test_fastpath_equivalence``,
 the oracles ``tests/properties/test_vectorized_timeline`` (the lone step)
 and ``tests/properties/test_corun_planner`` (the general loop, in
 lockstep) and the golden fingerprints in ``tests/bench/test_perf.py``):
 
-* The planners replicate ``HostThread`` / ``Stream`` / ``Device`` *operation
-  for operation* — same additions for the launch and the serialized tail,
-  same divisions, same comparison epsilons, same clamp and floor order —
-  so every float they produce is bit-equal to the scalar path's.
-  Accounting is accumulated as individual ``+=`` in scalar order (float
-  addition is not associative).
+* The planners call the device's fluid-model functions (the advance and
+  the lone and pair re-plans) and replicate only the host FIFO, the
+  stream accounting and the event order: the same additions for the
+  launch and the serialized tail, the same ``(time, seq)`` order, so
+  every float they produce is bit-equal to the scalar path's.  The lone
+  step's advance on locals is the one replicated piece of the model, kept
+  inline because it is the measured decode-only step.  Accounting is
+  accumulated as individual ``+=`` in scalar order (float addition is not
+  associative).
 * **Horizon.**  ``t_K`` must lie strictly before
   :meth:`Simulator.horizon` of the server's scope (excluding a co-run
   stretch's shadow), within the run's ``until`` and within its
@@ -125,7 +132,7 @@ from contextlib import contextmanager
 from operator import attrgetter
 from typing import TYPE_CHECKING, Iterator
 
-from repro.gpu.device import ExecTask, _config_ripple, _waterfill2
+from repro.gpu.device import _EPS, ExecTask, advance_tasks, lone_rates, pair_rates
 from repro.sim.simulator import SimulationError
 
 if TYPE_CHECKING:
@@ -133,10 +140,6 @@ if TYPE_CHECKING:
     from repro.gpu.host import HostThread
     from repro.gpu.stream import Stream
     from repro.sim.simulator import Simulator
-
-#: Must match ``repro.gpu.device._EPS`` — the planner replicates the
-#: device's comparisons bit-for-bit.
-_EPS = 1e-9
 
 #: Safety valve: a solo chain retires in one or two phase changes; float
 #: residue can stretch that by a step or two.  Longer means something is
@@ -244,7 +247,7 @@ def plan_chain(
     cur = now
     for _ in range(_MAX_CHAIN_ROUNDS):
         occ, rate, bw_rate, horizon = lone_rates(
-            sm, total, fps, eff_bw, rem_flops, rem_bytes, flops_floor, bytes_floor, math.inf
+            sm, fps, eff_bw, rem_flops, rem_bytes, flops_floor, bytes_floor, math.inf
         )
         if not horizon < math.inf:
             return None
@@ -295,50 +298,6 @@ def plan_chain(
         # Stream._pump at the submit, Stream._op_done at the completion.
         lane.seconds += completion - now
     return completion
-
-
-def lone_rates(
-    sm: float,
-    total: float,
-    flops_per_sm: float,
-    eff_bw: float,
-    rem_flops: float,
-    rem_bytes: float,
-    flops_floor: float,
-    bytes_floor: float,
-    max_bandwidth: float,
-) -> tuple[float, float, float, float]:
-    """``Device._reallocate``'s lone path for one unstalled task on ``sm``
-    SMs: its occupancy, compute rate, bandwidth rate and horizon.
-
-    ``_over_request`` with factor 1.0 (dividing by it and capping again at
-    ``max_bandwidth`` are the identity), ``_waterfill_last`` and
-    ``_task_horizon`` inlined: the same operations in the same order.
-    """
-    scale = 1.0 if sm <= total else total / sm
-    flops_left = rem_flops > flops_floor
-    occ = sm * scale if flops_left else 0.0
-    rate = flops_per_sm * sm * scale
-    if rem_bytes <= bytes_floor:
-        demand = 0.0
-    elif not flops_left:
-        demand = max_bandwidth
-    else:
-        demand = rem_bytes / (rem_flops / rate)
-        if max_bandwidth < demand:
-            demand = max_bandwidth
-    if demand <= _EPS or eff_bw <= _EPS:
-        bw_rate = 0.0
-    else:
-        bw_rate = demand if demand <= eff_bw + _EPS else eff_bw
-    horizon = math.inf
-    if flops_left and rate > _EPS:
-        horizon = rem_flops / rate
-    if rem_bytes > bytes_floor and bw_rate > _EPS:
-        t = rem_bytes / bw_rate
-        if t < horizon:
-            horizon = t
-    return occ, rate, bw_rate, horizon
 
 
 def commit_chain(sim: "Simulator", plan: CoRunPlan) -> None:
@@ -446,12 +405,13 @@ class CoRunPlan:
     A decode-only stretch advances it one lone iteration at a time
     (:func:`plan_chain`: no virtual queue, no task objects).  A co-run
     stretch replays ``HostThread._pump``/``_finish``,
-    ``Stream._pump``/``_op_done`` and ``Device.submit``/``_on_update``/
-    ``_reschedule``/``_advance_to_now``/``_reallocate`` (lone and pair
-    paths) for at most two unstalled tasks, operation for operation, on
-    copies: virtual events are ordered by ``(time, seq)`` exactly as the
-    heap orders them; ``live`` holds those still queued (a cancelled one
-    is simply dropped: the heap's shape is no result).  The caller
+    ``Stream._pump``/``_op_done`` and the event order of
+    ``Device.submit``/``_on_update``/``_reschedule`` for at most two
+    unstalled tasks, on copies, and advances and re-plans them with the
+    device's own functions (``advance_tasks``, ``lone_rates``,
+    ``pair_rates``): virtual events are ordered by ``(time, seq)`` exactly
+    as the heap orders them; ``live`` holds those still queued (a
+    cancelled one is simply dropped: the heap's shape is no result).  The caller
     launches tasks (:meth:`launch`), runs the plan to the next task
     completion (:meth:`next_completion`), pops it (:meth:`take`,
     :meth:`release`) and decides what the server does there.
@@ -540,12 +500,12 @@ class CoRunPlan:
         completion, and return it (still queued; the caller decides).
 
         One loop on local variables does what the scalar path does per
-        event: ``HostThread._finish``/``_pump`` and ``Stream._pump``,
-        ``Device.submit``/``_on_update``, ``_advance_to_now``,
-        ``_reschedule`` and ``_reallocate``'s lone and pair paths (with
-        ``_over_request``, ``_waterfill_last`` and ``_task_horizon``
-        inlined: the same operations in the same order).  On :class:`Bail`
-        the plan is left inconsistent; the caller restores or drops it.
+        event: ``HostThread._finish``/``_pump``, ``Stream._pump`` and
+        ``Device.submit``/``_on_update``/``_reschedule``.  The device's
+        integrals, retirement and pending update are kept here; the
+        per-task advance and the lone and pair re-plans are the device's
+        own functions.  On :class:`Bail` the plan is left inconsistent; the
+        caller restores or drops it.
         """
         live = self.live
         fps = self.fps
@@ -608,52 +568,16 @@ class CoRunPlan:
                 lane.task = task
                 task.sm_count = lane.sms
                 phase_change = False
-            # Device._advance_to_now.
+            # Device._advance_to_now (a re-plan follows, so the occupancy
+            # refresh after a compute transition is moot).
             dt = now - last
             last = now
-            progress = dt > 0
-            if progress:
+            if dt > 0:
                 bw_cap += eff_bw * dt
-            if (progress or phase_change) and active:
-                if progress:
+                if active:
                     sm_sec += occ * dt
-                compute_transition = False
-                for t in active:
-                    rem_flops = t.rem_flops
-                    rem_bytes = t.rem_bytes
-                    compute_rate = t.compute_rate
-                    bw_rate = t.bw_rate
-                    if progress:
-                        done_flops = compute_rate * dt
-                        if done_flops > rem_flops:
-                            done_flops = rem_flops
-                        done_bytes = bw_rate * dt
-                        if done_bytes > rem_bytes:
-                            done_bytes = rem_bytes
-                        rem_flops -= done_flops
-                        rem_bytes -= done_bytes
-                        if rem_flops <= t._flops_floor:
-                            if t.rem_flops > t._flops_floor:
-                                compute_transition = True
-                            rem_flops = 0.0
-                        if rem_bytes <= t._bytes_floor:
-                            rem_bytes = 0.0
-                        served += done_bytes
-                    if phase_change:
-                        if (
-                            rem_flops > 0.0
-                            and compute_rate > _EPS
-                            and now + rem_flops / compute_rate <= now
-                        ):
-                            rem_flops = 0.0
-                        if rem_bytes > 0.0 and bw_rate > _EPS and now + rem_bytes / bw_rate <= now:
-                            rem_bytes = 0.0
-                    t.rem_flops = rem_flops
-                    t.rem_bytes = rem_bytes
-                if compute_transition and not phase_change:
-                    demanded = sum(x.sm_count for x in active)
-                    scale = 1.0 if demanded <= total else total / demanded
-                    occ = sum(x.sm_count for x in active if not x.flops_done) * scale
+            if active and (dt > 0 or phase_change):
+                served = advance_tasks(active, now, dt, phase_change, served)[0]
             if task is not None:
                 task.start_time = now
                 if task.flops <= _EPS and task.bytes <= _EPS:
@@ -679,110 +603,30 @@ class CoRunPlan:
                             still.append(x)
                     active = still
                     break
+            # Device._reallocate's lone and pair paths.
             if not active:
                 occ = 0.0
+                horizon = inf
             elif len(active) == 1:
                 a = active[0]
                 sa = a.sm_count
                 if not 0 < sa <= total:
                     raise Bail
                 occ, a.compute_rate, a.bw_rate, horizon = lone_rates(
-                    sa, total, fps, eff_bw, a.rem_flops, a.rem_bytes,
+                    sa, fps, eff_bw, a.rem_flops, a.rem_bytes,
                     a._flops_floor, a._bytes_floor, a.max_bandwidth,
                 )
-                if horizon < inf:
-                    seq += 1
-                    update = VirtualEntry(now + horizon, seq, K_UPDATE, None)
-                    live.append(update)
             elif len(active) == 2:
                 a, b = active
-                sa = a.sm_count
-                sb = b.sm_count
-                demanded = sa + sb
-                scale = 1.0 if demanded <= total else total / demanded
-                a_flops = a.rem_flops
-                a_bytes = a.rem_bytes
-                b_flops = b.rem_flops
-                b_bytes = b.rem_bytes
-                a_left = a_flops > a._flops_floor
-                b_left = b_flops > b._flops_floor
-                if a_left:
-                    occupied = sa + sb if b_left else sa
-                else:
-                    occupied = sb if b_left else 0
-                occ = occupied * scale
-                if not (0 < sa <= total and 0 < sb <= total):
+                if not (0 < a.sm_count <= total and 0 < b.sm_count <= total):
                     raise Bail
-                rate_a = a.compute_rate = fps * sa * scale
-                rate_b = b.compute_rate = fps * sb * scale
-                if pair[0] == sa and pair[1] == sb:
-                    factor_a = pair[2]
-                    factor_b = pair[3]
-                elif pair[0] == sb and pair[1] == sa:
-                    factor_a = pair[3]
-                    factor_b = pair[2]
-                else:
-                    # Device._reallocate_pair's one-entry memo.
-                    kappa = self.kappa
-                    factor_a = max(
-                        0.3, 1.0 - kappa * min(1.0, sb / total) * _config_ripple(sa, sb)
-                    )
-                    factor_b = max(
-                        0.3, 1.0 - kappa * min(1.0, sa / total) * _config_ripple(sb, sa)
-                    )
-                    pair = (sa, sb, factor_a, factor_b)
-                # _over_request(a, rate_a, factor_a), then b's.
-                max_bandwidth = a.max_bandwidth
-                if a_bytes <= a._bytes_floor:
-                    demand_a = 0.0
-                elif not a_left:
-                    demand_a = max_bandwidth
-                else:
-                    demand_a = a_bytes / (a_flops / rate_a)
-                    if max_bandwidth < demand_a:
-                        demand_a = max_bandwidth
-                if factor_a > 0 and demand_a < inf:
-                    demand_a = demand_a / factor_a
-                    if max_bandwidth < demand_a:
-                        demand_a = max_bandwidth
-                max_bandwidth = b.max_bandwidth
-                if b_bytes <= b._bytes_floor:
-                    demand_b = 0.0
-                elif not b_left:
-                    demand_b = max_bandwidth
-                else:
-                    demand_b = b_bytes / (b_flops / rate_b)
-                    if max_bandwidth < demand_b:
-                        demand_b = max_bandwidth
-                if factor_b > 0 and demand_b < inf:
-                    demand_b = demand_b / factor_b
-                    if max_bandwidth < demand_b:
-                        demand_b = max_bandwidth
-                alloc_a, alloc_b = _waterfill2(demand_a, demand_b, eff_bw)
-                bw_a = a.bw_rate = alloc_a * factor_a
-                bw_b = b.bw_rate = alloc_b * factor_b
-                # _task_horizon(b, _task_horizon(a, inf)).
-                horizon = inf
-                if a_left and rate_a > _EPS:
-                    horizon = a_flops / rate_a
-                if a_bytes > a._bytes_floor and bw_a > _EPS:
-                    t = a_bytes / bw_a
-                    if t < horizon:
-                        horizon = t
-                if b_left and rate_b > _EPS:
-                    t = b_flops / rate_b
-                    if t < horizon:
-                        horizon = t
-                if b_bytes > b._bytes_floor and bw_b > _EPS:
-                    t = b_bytes / bw_b
-                    if t < horizon:
-                        horizon = t
-                if horizon < inf:
-                    seq += 1
-                    update = VirtualEntry(now + horizon, seq, K_UPDATE, None)
-                    live.append(update)
+                occ, horizon, pair = pair_rates(a, b, total, fps, eff_bw, self.kappa, pair)
             else:
                 raise Bail
+            if horizon < inf:
+                seq += 1
+                update = VirtualEntry(now + horizon, seq, K_UPDATE, None)
+                live.append(update)
             if kind == K_HOST and self.host_queue:
                 # HostThread._finish ends with _pump: a queued launch starts.
                 self.now = now
