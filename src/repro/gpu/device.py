@@ -453,10 +453,7 @@ class Device:
         # skip the O(n^2) ripple recompute.
         self._factors_key: tuple[ExecTask, ...] = ()
         self._factors: list[float] = []
-        # The two-task path's factors are a pure function of the two SM
-        # counts, so its single entry (sa, sb, factor_a, factor_b) is keyed on
-        # them (and serves the pair in either order: a co-run's two tasks
-        # swap places in ``_active`` as each relaunches).
+        # The two-task path's factor memo (see :func:`pair_rates`).
         self._pair_factors = (math.nan, math.nan, 1.0, 1.0)
 
         # Memory accounting (one shared space across the group).
