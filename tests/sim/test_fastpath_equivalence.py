@@ -28,7 +28,8 @@ A fourth layer covers MuxWise's co-run stretches, which plan decode
 iterations together with the prefill layer groups beside them: a single
 replica under prefill load, the 4-replica RAG co-run fleet, Fig. 20's
 preemption setup, a 2-GPU replica (whose prefill groups have a serialized
-communication tail), the layer-wise and query-sync ablations (which must
+communication tail), one on a slow interconnect (where a stretch can end
+before that tail does), the layer-wise and query-sync ablations (which must
 bail and still match) and a planted cross-replica event into a co-run
 stretch, which must raise.
 """
@@ -326,7 +327,9 @@ def test_cross_scope_schedule_into_a_pending_stretch_raises(monkeypatch):
 # --------------------------------------------------------------------- #
 
 
-def _single_both(make_server, workload, n_gpus=1, slo=None, kv_pool_limit_bytes=None):
+def _single_both(
+    make_server, workload, n_gpus=1, slo=None, kv_pool_limit_bytes=None, spec=A100
+):
     """Run one system fast and scalar; the two must agree byte for byte.
 
     Returns the fast run's work counters.
@@ -342,7 +345,7 @@ def _single_both(make_server, workload, n_gpus=1, slo=None, kv_pool_limit_bytes=
 
         cfg = ServingConfig(
             model=LLAMA_8B,
-            spec=A100,
+            spec=spec,
             n_gpus=n_gpus,
             slo=slo,
             kv_pool_limit_bytes=kv_pool_limit_bytes,
@@ -423,6 +426,34 @@ def test_corun_two_gpu_replica_matches_scalar():
     # so stretches start with a group's completion pending.
     counters = _single_both(_muxwise, _rag(40), n_gpus=2)
     assert counters["corun_stretches"] > 0
+
+
+def test_corun_shadow_pending_at_resume_matches_scalar(monkeypatch):
+    """A 2-GPU replica on a 4 GB/s interconnect: a prefill group's
+    all-reduce tail outlasts a decode iteration, so some co-run stretches
+    end with the group's completion (the shadow) still pending, and the
+    rebuilt replica must leave that real event to fire."""
+    shadows = {}
+    pending = [0]
+    corun_shadow = MuxWiseServer._corun_shadow
+    resume_corun = MuxWiseServer._resume_corun
+
+    def recording_shadow(self, instance, batch, total_ctx):
+        shadows[self] = corun_shadow(self, instance, batch, total_ctx)
+        return shadows[self]
+
+    def counting_resume(self, instance, batch, plan, state):
+        # A shadow the plan fired or cancelled lost its callback.
+        if shadows[self].callback is not None:
+            pending[0] += 1
+        return resume_corun(self, instance, batch, plan, state)
+
+    monkeypatch.setattr(MuxWiseServer, "_corun_shadow", recording_shadow)
+    monkeypatch.setattr(MuxWiseServer, "_resume_corun", counting_resume)
+    slow_link = A100.with_overrides(name="A100-80GB-4GBps-link", nvlink_bandwidth=4e9)
+    counters = _single_both(_muxwise, _rag(40), n_gpus=2, spec=slow_link)
+    assert counters["corun_stretches"] > 0
+    assert pending[0] > 0
 
 
 def test_cross_scope_schedule_into_a_corun_stretch_raises(monkeypatch):
