@@ -320,8 +320,10 @@ def callback_kind(callback: Callable | None) -> str:
 
 
 @contextmanager
-def count_by_kind() -> Iterator[dict[str, Counter]]:
-    """Tally heap pushes and cancels by callback kind inside the block.
+def count_by_kind(counted: list[WorkCounters]) -> Iterator[dict[str, Counter]]:
+    """Tally heap pushes and cancels by callback kind inside the block, on
+    the simulators whose counters are in ``counted`` (a
+    :func:`collect_counters` list), so the tally sums to their counters.
 
     Wraps ``Simulator.schedule_at`` (every counted push goes through it)
     and ``Simulator._note_cancelled`` (every counted cancel), and restores
@@ -333,13 +335,18 @@ def count_by_kind() -> Iterator[dict[str, Counter]]:
     pushes = tally["pushes"]
     cancels = tally["cancels"]
 
+    def tallied(sim: Simulator) -> bool:
+        return any(sim.counters is each for each in counted)
+
     def counted_schedule_at(self, time, callback, *args, **kwargs):
         event = schedule_at(self, time, callback, *args, **kwargs)
-        pushes[callback_kind(callback)] += 1
+        if tallied(self):
+            pushes[callback_kind(callback)] += 1
         return event
 
     def counted_note_cancelled(self, event):
-        cancels[callback_kind(event.callback)] += 1
+        if tallied(self):
+            cancels[callback_kind(event.callback)] += 1
         note_cancelled(self, event)
 
     Simulator.schedule_at = counted_schedule_at
@@ -376,6 +383,7 @@ def run_perf(
         if tier not in TIER_SCALES:
             raise ValueError(f"unknown tier {tier!r}; choose from {sorted(TIER_SCALES)}")
     names = list(SCENARIOS) if scenarios is None else scenarios
+    tally_kinds = count_by_kind if by_kind else lambda _counted: nullcontext({})
     report = PerfReport(scale=scale)
     for name in names:
         try:
@@ -384,8 +392,7 @@ def run_perf(
             raise ValueError(f"unknown scenario {name!r}; choose from {sorted(SCENARIOS)}")
         best: ScenarioTiming | None = None
         for _ in range(repeats):
-            tally_kinds = count_by_kind() if by_kind else nullcontext({})
-            with collect_counters() as counters, tally_kinds as kinds:
+            with collect_counters() as counters, tally_kinds(counters) as kinds:
                 start = time.perf_counter()
                 payload, extras = scenario(scale)
                 wall = time.perf_counter() - start

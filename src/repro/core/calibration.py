@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from repro.core.estimator import ContentionTolerantEstimator, SoloRunPredictor
 from repro.serving.config import ServingConfig
+from repro.sim.simulator import uncounted
 
 _PREDICTOR_CACHE: dict[tuple[str, str, int], SoloRunPredictor] = {}
 
@@ -23,8 +24,11 @@ def calibrated_predictor(cfg: ServingConfig) -> SoloRunPredictor:
         from repro.profiling.solo import profile_decode, profile_prefill
 
         predictor = SoloRunPredictor()
-        predictor.fit_prefill(profile_prefill(cfg))
-        predictor.fit_decode(profile_decode(cfg))
+        # The profiling simulators' work is no part of the run that
+        # happens to need the predictor first.
+        with uncounted():
+            predictor.fit_prefill(profile_prefill(cfg))
+            predictor.fit_decode(profile_decode(cfg))
         _PREDICTOR_CACHE[key] = predictor
     return predictor
 

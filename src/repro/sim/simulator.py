@@ -169,6 +169,19 @@ def collect_counters() -> Iterator[list[WorkCounters]]:
         _counter_collectors.remove(built)
 
 
+@contextmanager
+def uncounted() -> Iterator[None]:
+    """Simulators built inside join no open :func:`collect_counters` block:
+    one-time work, such as the estimator's calibration, is no part of the
+    run that happens to trigger it."""
+    open_blocks = _counter_collectors[:]
+    _counter_collectors.clear()
+    try:
+        yield
+    finally:
+        _counter_collectors[:] = open_blocks
+
+
 class Simulator:
     """A minimal, deterministic discrete-event simulator.
 

@@ -162,7 +162,6 @@ def _muxwise_fleet_counters() -> dict[str, int]:
     from repro.bench.fleet import run_fleet
     from repro.cluster import FleetConfig
     from repro.core import MuxWiseServer
-    from repro.core.calibration import calibrated_estimator
     from repro.gpu.specs import A100
     from repro.models.config import LLAMA_8B
     from repro.serving.config import ServingConfig
@@ -170,10 +169,6 @@ def _muxwise_fleet_counters() -> dict[str, int]:
     from repro.workloads import sharegpt_workload
 
     cfg = ServingConfig(model=LLAMA_8B, spec=A100, n_gpus=1)
-    # The estimator's calibration is memoised per process and runs its own
-    # simulator: warm it first, so the counts are the fleet's alone
-    # whichever test ran first.
-    calibrated_estimator(cfg)
     with collect_counters() as counters:
         run_fleet(
             MuxWiseServer,
@@ -224,6 +219,30 @@ class TestWorkCounters:
             }
         for name, golden in GOLDEN_FLEET_COUNTERS.items():
             assert {key: measured[name][key] for key in golden} == golden, name
+
+    def test_counters_are_equal_with_a_cold_and_a_warm_predictor_cache(self, monkeypatch):
+        """The estimator's one-time calibration runs its own simulators;
+        they join no open counter block, so a run's counters do not
+        depend on whether it was the first to need the predictor."""
+        from repro.bench.runner import run_system
+        from repro.core import MuxWiseServer, calibration
+        from repro.gpu.specs import A100
+        from repro.models.config import LLAMA_8B
+        from repro.serving.config import ServingConfig
+        from repro.sim import WorkCounters, collect_counters
+        from repro.workloads import sharegpt_workload
+
+        cfg = ServingConfig(model=LLAMA_8B, spec=A100, n_gpus=1)
+        monkeypatch.setattr(calibration, "_PREDICTOR_CACHE", {})
+        measured = []
+        for _ in ("cold", "warm"):
+            with collect_counters() as counters:
+                run_system(MuxWiseServer, cfg, sharegpt_workload(10, rate=6.0, seed=13))
+            measured.append(WorkCounters.total(counters))
+        assert calibration._PREDICTOR_CACHE
+        cold, warm = measured
+        assert cold == warm
+        assert warm["pushes"] > 0
 
     def test_pushes_and_cancels_by_kind_sum_to_the_totals(self):
         # agentic_rag runs MuxWise co-run stretches and cancels device updates.
