@@ -133,11 +133,6 @@ class RequestState:
         #: when speculation is off or this request's tier is gated out.
         self.spec_session = None
 
-    @property
-    def remaining_output(self) -> int:
-        """Tokens still to generate."""
-        return self.request.output_tokens - self.generated
-
     def cache_path(self) -> list[Segment]:
         """Radix path for this (possibly resumed) request.
 
