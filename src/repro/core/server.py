@@ -21,7 +21,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import partial
-from operator import attrgetter
 from typing import Callable
 
 from repro.core.engine import MultiplexEngine
@@ -34,7 +33,7 @@ from repro.serving.base import Instance, RequestState, build_instance
 from repro.serving.batching import DecodeBatchMixin
 from repro.serving.config import ServingConfig
 from repro.sim import Event, Simulator, fastpath
-from repro.sim.fastpath import K_COMPLETE, K_HOST, K_UPDATE, Bail, CoRunPlan
+from repro.sim.fastpath import Bail, CoRunPlan
 from repro.trace.tracer import CAT_SCHED
 
 #: Share of the TBT SLO a decode partition is sized against; the rest is
@@ -581,24 +580,24 @@ class MuxWiseServer(DecodeBatchMixin):
         host = instance.host
         decode_lane = plan.lane(engine.decode_stream)
         prefill_lane = plan.lane(engine.prefill_stream)
-        lanes = (decode_lane, prefill_lane)
         prefill_label = prefill_launch_label(True)
+        # The shadow fills its kind's slot with its real (time, seq).
+        plan.shadow = shadow
+        at = (shadow.time, shadow.seq)
         if shadow is host._finish_event:
             group = host._current[0].args[0]
             copy = fastpath.clone_task(group)
-            plan.host_busy = True
-            plan.host_op = (prefill_lane, copy, prefill_label)
-            plan.host_start = host._current[2]
-            plan.host_entry = plan.adopt(shadow, K_HOST)
+            plan.host_op = (prefill_lane, copy, prefill_label, host._current[2])
+            plan.host_at = at
         else:
             group = engine.prefill_stream._task
             copy = fastpath.clone_task(group)
             prefill_lane.task = copy
             if shadow is device._update_event:
-                plan.active = [copy]
-                plan.update = plan.adopt(shadow, K_UPDATE)
+                plan.active = (copy,)
+                plan.update_at = at
             else:
-                plan.adopt(shadow, K_COMPLETE, copy)
+                plan.group_at = at
 
         size = len(batch)
         sm = engine.decode_sms
@@ -672,25 +671,19 @@ class MuxWiseServer(DecodeBatchMixin):
                 iters.append((float(ctx), plan.now))
                 plan.launch(launch, decode_lane, dtask, DECODE_LAUNCH_LABEL)
                 while True:
-                    entry = plan.next_completion()
-                    if entry.arg is dtask:
-                        end = entry.time
-                        if not (
-                            end < horizon and end <= plan.until and plan.fired + 1 <= plan.budget
-                        ):
+                    if plan.next_completion() is decode_lane:
+                        end = plan.now
+                        if not (end < horizon and end <= plan.until and plan.fired <= plan.budget):
                             counters.corun_bail_horizon += 1
                             return reject()
-                        plan.take(entry)
                         accepted = (
-                            plan.snapshot((dtask, current), lanes),
-                            layers_done, in_flight, current, len(iters),
+                            plan.snapshot(current), layers_done, in_flight, current, len(iters)
                         )
                         return end
                     # A layer group completes: _on_group_done, then _launch_group.
                     if layers_done + in_flight >= total_layers:
                         counters.corun_bail_group += 1
                         return reject()
-                    plan.take(entry)
                     plan.release(prefill_lane)
                     layers_done += in_flight
                     in_flight = 0
@@ -741,21 +734,20 @@ class MuxWiseServer(DecodeBatchMixin):
         engine = self.engine
         decode_stream = engine.decode_stream
         prefill_stream = engine.prefill_stream
-        shadow = plan.shadow
 
         def real(task: ExecTask) -> ExecTask:
             # The plan advanced a clone of the group in flight at its start.
             return group if task is copy else task
 
         if current is copy:
-            for name in fastpath._TASK_STATE:
-                setattr(group, name, getattr(copy, name))
+            fastpath.set_task_state(group, fastpath.task_state(copy))
         # Device, host thread and streams beyond their accounting.
         device._active = [real(task) for task in plan.active]
-        host._busy = plan.host_busy
-        if plan.host_busy:
-            _, task, label = plan.host_op
-            host._current = (partial(prefill_stream.submit, real(task)), label, plan.host_start)
+        device._update_event = None
+        host._busy = plan.host_op is not None
+        if host._busy:
+            _, task, label, start = plan.host_op
+            host._current = (partial(prefill_stream.submit, real(task)), label, start)
         else:
             host._current = None
             host._finish_event = None
@@ -775,22 +767,32 @@ class MuxWiseServer(DecodeBatchMixin):
         decode_stream._busy = True
         decode_stream._current_op_start = decode_lane.op_start
         decode_stream._on_done = self._on_decode_done
-        # The replica's live events, in the plan's push order.
-        if plan.update is None or plan.update is shadow:
-            device._update_event = None if plan.update is None else shadow.shadow
-        if shadow.time > now and shadow not in plan.live:
+
+        # The replica's live events, pushed in the plan's (time, seq) order.
+        # Only a group completion can be the shadow still pending here: a
+        # host-finish shadow fires before the decode launch queued behind
+        # it, and an update shadow fires or is cancelled by the decode
+        # iteration's submit.  A pending shadow stays in the heap as it is.
+        def update(time: float) -> None:
+            device._update_event = sim.schedule_at(time, device._on_update)
+
+        def host_finish(time: float) -> None:
+            host._finish_event = sim.schedule_at(time, host._finish)
+
+        def group_done(time: float) -> None:
+            task = real(prefill_lane.task)
+            task.completion = sim.schedule_at(time, partial(device._complete, task))
+
+        shadow = plan.shadow
+        group_at = plan.group_at
+        if group_at == (shadow.time, shadow.seq):
+            group_at = None
+        elif shadow.time > now:
             # The plan cancelled the shadow; the scalar path never fires it.
-            shadow.shadow.cancel()
-        for entry in sorted(plan.live, key=attrgetter("time", "seq")):
-            if entry is shadow:
-                continue
-            if entry.kind == K_UPDATE:
-                device._update_event = sim.schedule_at(entry.time, device._on_update)
-            elif entry.kind == K_HOST:
-                host._finish_event = sim.schedule_at(entry.time, host._finish)
-            else:
-                task = real(entry.arg)
-                task.completion = sim.schedule_at(entry.time, partial(device._complete, task))
+            shadow.cancel()
+        live = ((plan.update_at, update), (plan.host_at, host_finish), (group_at, group_done))
+        for (time, _), push in sorted(each for each in live if each[0] is not None):
+            push(time)
         job = self.active_job
         job.layers_done = layers_done
         job.group_in_flight = in_flight

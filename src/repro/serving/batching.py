@@ -306,7 +306,7 @@ class DecodeBatchMixin(ServingSystem):
         counters.chains_elided += len(times)
         if shadow is not None:
             counters.corun_stretches += 1
-            if plan.shadow not in plan.live:
+            if not plan.holds(shadow):
                 # The plan fires or cancels the shadow inside the stretch.
                 shadow.callback = None
         sim.begin_stretch(

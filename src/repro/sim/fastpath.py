@@ -41,35 +41,42 @@ an unstalled device, no queued launch (``corun_bail_state`` counts the
 rest) — and returns the in-flight prefill lane's one live event (a group
 in host launch, on the device or in its serialized tail): the *shadow*,
 which the horizon excludes.  ``_corun_planner``'s step drives
-:class:`CoRunPlan`'s general loop, one dry run of the replica's host
-FIFO, both streams and the device.  The device's fluid model is not
-copied: the loop calls the functions ``Device`` itself calls
-(:mod:`repro.gpu.device`'s ``advance_tasks``, the per-task advance with
-its phase-change snap, and the lone and pair re-plans ``lone_rates`` and
-``pair_rates``) and keeps only the device's bookkeeping around them (the
-utilisation integrals, retirement with serialized tails, the pending
-update).  It orders its virtual events by ``(time, seq)`` as the heap
-does, and makes the server's own decisions at every planned completion
-in scalar order: ``observe_decode`` (a max-merge into the guard, so the
-continuation's repeat of the last one is idempotent), the decode
-partition and cost, ``_group_size`` and the layer costs.  It stops
-before a partition change, before the job's last group completes and at
-a decode completion past the horizon, ``until`` or the event cap,
-restoring its snapshot of the last accepted completion.  Its resume
-callback rebuilds the replica as the scalar path holds it at ``t_K`` —
-the group's ``ExecTask`` with its remaining work and rates, the pending
-update, host finish or completion, stream op starts, ``layers_done`` and
-``group_in_flight`` — then runs ``_on_decode_done``.
+:meth:`CoRunPlan.next_completion`, one dry run of the replica's host
+thread, both streams and the device.  In this regime the scalar path
+holds at most one live event of each kind — a host finish, a device
+update, the decode lane's completion and the prefill lane's — and at
+most one launch waiting on the host, so the plan keeps a fixed slot for
+each, not a queue, and fires the earliest filled slot by ``(time, seq)``
+as the heap does.  The device's fluid model is not copied: the loop
+calls the functions ``Device`` itself calls (:mod:`repro.gpu.device`'s
+``advance_tasks``, the per-task advance with its phase-change snap, and
+the lone and pair re-plans ``lone_rates`` and ``pair_rates``) and keeps
+only the device's bookkeeping around them (the utilisation integrals,
+retirement with serialized tails, the pending update).  At every planned
+completion it makes the server's own decisions in scalar order:
+``observe_decode`` (a max-merge into the guard, so the continuation's
+repeat of the last one is idempotent), the decode partition and cost,
+``_group_size`` and the layer costs.  It stops before a partition
+change, before the job's last group completes and at a decode completion
+past the horizon, ``until`` or the event cap, restoring its snapshot of
+the last accepted completion (the plan's fields, the group task's and
+the two lanes').  Its resume callback rebuilds the replica as the scalar
+path holds it at ``t_K`` — the group's ``ExecTask`` with its remaining
+work and rates, the pending update, host finish or completion, stream op
+starts, ``layers_done`` and ``group_in_flight`` — then runs
+``_on_decode_done``.
 
 Byte-identity contract (enforced by ``tests/sim/test_fastpath_equivalence``,
 the oracles ``tests/properties/test_vectorized_timeline`` (the lone step)
-and ``tests/properties/test_corun_planner`` (the general loop, in
-lockstep) and the golden fingerprints in ``tests/bench/test_perf.py``):
+and ``tests/properties/test_corun_planner`` (the co-run dry run, in
+lockstep with the heap) and the golden fingerprints in
+``tests/bench/test_perf.py``):
 
 * The planners call the device's fluid-model functions (the advance and
   the lone and pair re-plans) and replicate only the host FIFO, the
   stream accounting and the event order: the same additions for the
-  launch and the serialized tail, the same ``(time, seq)`` order, so
+  launch and the serialized tail, the same ``(time, seq)`` order (the
+  shadow keeps its real seq, which orders before every planned one), so
   every float they produce is bit-equal to the scalar path's.  The lone
   step's advance on locals is the one replicated piece of the model, kept
   inline because it is the measured decode-only step.  Accounting is
@@ -129,7 +136,6 @@ from __future__ import annotations
 import math
 import os
 from contextlib import contextmanager
-from operator import attrgetter
 from typing import TYPE_CHECKING, Iterator
 
 from repro.gpu.device import _EPS, ExecTask, advance_tasks, lone_rates, pair_rates
@@ -139,6 +145,7 @@ if TYPE_CHECKING:
     from repro.gpu.device import Device
     from repro.gpu.host import HostThread
     from repro.gpu.stream import Stream
+    from repro.sim.events import Event
     from repro.sim.simulator import Simulator
 
 #: Safety valve: a solo chain retires in one or two phase changes; float
@@ -327,7 +334,7 @@ def commit_chain(sim: "Simulator", plan: CoRunPlan) -> None:
     now = sim.now
     charge = plan.fired - 1
     shadow = plan.shadow
-    if shadow is not None and shadow.shadow.callback is None and shadow.time <= now:
+    if shadow is not None and shadow.callback is None and shadow.time <= now:
         charge -= 1
     sim._event_count += charge
     sim._fired_in_run += charge
@@ -343,9 +350,6 @@ def commit_chain(sim: "Simulator", plan: CoRunPlan) -> None:
 # Co-run stretches: the dry run of one replica's host, streams and device
 # ---------------------------------------------------------------------- #
 
-#: Virtual event kinds of a :class:`CoRunPlan`.
-K_HOST, K_UPDATE, K_COMPLETE = range(3)
-
 #: Virtual events are numbered after every real one, so an event the plan
 #: takes over (numbered by the simulator) orders before all of them.
 _VIRTUAL_SEQ0 = 1 << 62
@@ -353,24 +357,6 @@ _VIRTUAL_SEQ0 = 1 << 62
 
 class Bail(Exception):
     """The dry run left the regime it replicates; the caller bails."""
-
-
-class VirtualEntry:
-    """One heap entry of the scalar path inside a co-run stretch.
-
-    ``shadow`` marks an entry that is really in the heap too (an event the
-    stretch took over, left live with its callback removed when the plan
-    fires or cancels it); every other entry exists only in the plan.
-    """
-
-    __slots__ = ("time", "seq", "kind", "arg", "shadow")
-
-    def __init__(self, time: float, seq: int, kind: int, arg, shadow=None) -> None:
-        self.time = time
-        self.seq = seq
-        self.kind = kind
-        self.arg = arg
-        self.shadow = shadow
 
 
 class Lane:
@@ -386,10 +372,6 @@ class Lane:
         self.task = task
 
 
-#: The ``ExecTask`` fields the device advances (see :meth:`CoRunPlan.snapshot`).
-_TASK_STATE = ("rem_flops", "rem_bytes", "compute_rate", "bw_rate", "sm_count", "start_time")
-
-
 def clone_task(task: ExecTask) -> ExecTask:
     """A copy of ``task`` the dry run may advance."""
     copy = ExecTask.__new__(ExecTask)
@@ -398,23 +380,46 @@ def clone_task(task: ExecTask) -> ExecTask:
     return copy
 
 
+def task_state(task: ExecTask) -> tuple:
+    """The ``ExecTask`` fields the device advances and re-plans."""
+    return (
+        task.rem_flops, task.rem_bytes, task.compute_rate, task.bw_rate,
+        task.sm_count, task.start_time,
+    )
+
+
+def set_task_state(task: ExecTask, state: tuple) -> None:
+    """Give ``task`` the fields :func:`task_state` read."""
+    (
+        task.rem_flops, task.rem_bytes, task.compute_rate, task.bw_rate,
+        task.sm_count, task.start_time,
+    ) = state
+
+
 class CoRunPlan:
     """The planned state of one stretch: a dry run of one replica's host
     thread, streams and device.
 
     A decode-only stretch advances it one lone iteration at a time
-    (:func:`plan_chain`: no virtual queue, no task objects).  A co-run
-    stretch replays ``HostThread._pump``/``_finish``,
-    ``Stream._pump``/``_op_done`` and the event order of
-    ``Device.submit``/``_on_update``/``_reschedule`` for at most two
-    unstalled tasks, on copies, and advances and re-plans them with the
-    device's own functions (``advance_tasks``, ``lone_rates``,
-    ``pair_rates``): virtual events are ordered by ``(time, seq)`` exactly
-    as the heap orders them; ``live`` holds those still queued (a
-    cancelled one is simply dropped: the heap's shape is no result).  The caller
-    launches tasks (:meth:`launch`), runs the plan to the next task
-    completion (:meth:`next_completion`), pops it (:meth:`take`,
-    :meth:`release`) and decides what the server does there.
+    (:func:`plan_chain`: no events, no task objects).  A co-run stretch
+    replays ``HostThread._pump``/``_finish``, ``Stream._pump``/``_op_done``
+    and the event order of ``Device.submit``/``_on_update``/``_reschedule``
+    for the two lanes its :meth:`lane` calls made (the decode stream's,
+    then the prefill stream's), on copies of their tasks, and advances and
+    re-plans them with the device's own functions (``advance_tasks``,
+    ``lone_rates``, ``pair_rates``).
+
+    The scalar path holds at most four live events for such a replica,
+    one of each kind, so the plan keeps one *slot* per kind, each the
+    event's ``(time, seq)`` or None: the host finish (``host_at``), the
+    device update (``update_at``) and the decode and prefill lanes'
+    completions (``decode_at``, ``group_at``).  It fires the earliest
+    filled slot by ``(time, seq)``, as the heap orders them; a re-plan
+    empties the update slot (the heap's cancel).  The host thread runs
+    ``host_op`` and holds at most one queued launch, ``host_next``.  The
+    caller launches tasks (:meth:`launch`), runs the plan to the next task
+    completion (:meth:`next_completion`), releases its lane
+    (:meth:`release`) and decides what the server does there.
 
     Either way the real objects are read at the start and left untouched
     until the continuation writes the plan back (:func:`commit_chain`).
@@ -431,33 +436,35 @@ class CoRunPlan:
         self.until = sim._run_until
         self.budget = sim._run_cap - sim._fired_in_run
         self.seq = _VIRTUAL_SEQ0
-        self.live: list[VirtualEntry] = []
         #: Scalar events fired so far (the shadow included).
         self.fired = 0
-        self.shadow: VirtualEntry | None = None
+        #: The real event a co-run stretch took over (see :meth:`holds`).
+        self.shadow: "Event | None" = None
         #: The streams whose busy seconds the plan accounts, with their lanes.
         self.lanes: list[tuple["Stream", Lane]] = []
+        # The scalar path's live events, one slot per kind.
+        self.host_at: tuple[float, int] | None = None
+        self.update_at: tuple[float, int] | None = None
+        self.decode_at: tuple[float, int] | None = None
+        self.group_at: tuple[float, int] | None = None
         # Device.
         self.device = device
         self.eff_bw = device.effective_bandwidth
         self.fps = device._flops_per_sm
         self.total = device.total_sms
         self.kappa = device.spec.contention_kappa
-        self.active: list = []
+        self.active: tuple[ExecTask, ...] = ()
         self.last = device._last_advance
         self.occ = device._sm_occupancy
-        self.update: VirtualEntry | None = None
         self.bw_cap = device._bw_capacity_seconds
         self.sm_sec = device._sm_seconds
         self.served = device._bw_bytes_served
         self.pair = device._pair_factors
-        # Host thread.
+        # Host thread: the running launch ``(lane, task, label, start)``
+        # and the queued one ``(duration, lane, task, label)``.
         self.host = host
-        self.host_busy = False
         self.host_op: tuple | None = None
-        self.host_start = 0.0
-        self.host_entry: VirtualEntry | None = None
-        self.host_queue: list[tuple] = []
+        self.host_next: tuple | None = None
         self.host_seconds = host._busy_seconds
 
     def lane(self, stream: "Stream") -> Lane:
@@ -469,35 +476,16 @@ class CoRunPlan:
         self.lanes.append((stream, lane))
         return lane
 
-    # -------------------------------------------------------------- #
-    # Virtual queue
-    # -------------------------------------------------------------- #
+    def holds(self, event: "Event") -> bool:
+        """Whether a slot still holds the real ``event`` (the shadow): the
+        plan neither fired nor cancelled it."""
+        key = (event.time, event.seq)
+        return key == self.host_at or key == self.update_at or key == self.group_at
 
-    def schedule(self, time: float, kind: int, arg=None) -> VirtualEntry:
-        now = self.now
-        if time <= now:
-            time = now
-        self.seq += 1
-        entry = VirtualEntry(time, self.seq, kind, arg)
-        self.live.append(entry)
-        return entry
-
-    def adopt(self, event, kind: int, arg=None) -> VirtualEntry:
-        """Take over a live real event of the replica (the shadow)."""
-        entry = VirtualEntry(event.time, event.seq, kind, arg, shadow=event)
-        self.live.append(entry)
-        self.shadow = entry
-        return entry
-
-    def take(self, entry: VirtualEntry) -> None:
-        """Pop ``entry`` (the head) and move the clock to it."""
-        self.live.remove(entry)
-        self.now = entry.time
-        self.fired += 1
-
-    def next_completion(self) -> VirtualEntry:
+    def next_completion(self) -> Lane:
         """Fire host finishes and device updates up to the next task
-        completion, and return it (still queued; the caller decides).
+        completion, fire that too and return its lane (the caller
+        releases it and decides what the server does there).
 
         One loop on local variables does what the scalar path does per
         event: ``HostThread._finish``/``_pump``, ``Stream._pump`` and
@@ -507,60 +495,66 @@ class CoRunPlan:
         own functions.  On :class:`Bail` the plan is left inconsistent; the
         caller restores or drops it.
         """
-        live = self.live
         fps = self.fps
         eff_bw = self.eff_bw
         total = self.total
         inf = math.inf
+        (_, decode_lane), (_, group_lane) = self.lanes
         now = self.now
         seq = self.seq
         fired = self.fired
+        host_at = self.host_at
+        update_at = self.update_at
+        decode_at = self.decode_at
+        group_at = self.group_at
         active = self.active
         last = self.last
         occ = self.occ
-        update = self.update
         bw_cap = self.bw_cap
         sm_sec = self.sm_sec
         served = self.served
         pair = self.pair
         while True:
-            # The earliest live entry.
-            if not live:
-                raise Bail
-            best = live[0]
-            best_time = best.time
-            for entry in live:
-                time = entry.time
-                if time < best_time or (time == best_time and entry.seq < best.seq):
-                    best = entry
-                    best_time = time
-            kind = best.kind
-            if kind == K_COMPLETE:
+            # The earliest filled slot, by (time, seq) as the heap pops.
+            done = decode_at
+            if group_at is not None and (done is None or group_at < done):
+                done = group_at
+            is_host = host_at is not None and (update_at is None or host_at < update_at)
+            head = host_at if is_host else update_at
+            if head is None or (done is not None and done < head):
+                if done is None:
+                    raise Bail
+                # Device._complete: the caller runs the task's callback.
+                now = done[0]
+                fired += 1
+                if done is decode_at:
+                    decode_at = None
+                    lane = decode_lane
+                else:
+                    group_at = None
+                    lane = group_lane
                 self.now = now
                 self.seq = seq
                 self.fired = fired
+                self.host_at = host_at
+                self.update_at = update_at
+                self.decode_at = decode_at
+                self.group_at = group_at
                 self.active = active
                 self.last = last
                 self.occ = occ
-                self.update = update
                 self.bw_cap = bw_cap
                 self.sm_sec = sm_sec
                 self.served = served
                 self.pair = pair
-                return best
-            live.remove(best)
-            now = best_time
+                return lane
+            now = head[0]
             fired += 1
-            if kind == K_UPDATE:
-                update = None
-                task = None
-                phase_change = True
-            else:
+            if is_host:
                 # HostThread._finish -> Stream._pump -> Device.submit.
-                self.host_busy = False
-                lane, task, _ = self.host_op
+                host_at = None
+                lane, task, _, _ = self.host_op
                 self.host_op = None
-                self.host_entry = None
                 if lane.busy:
                     raise Bail
                 lane.busy = True
@@ -568,6 +562,11 @@ class CoRunPlan:
                 lane.task = task
                 task.sm_count = lane.sms
                 phase_change = False
+            else:
+                task = None
+                phase_change = True
+            # Device._reschedule cancels the pending update (or it fired).
+            update_at = None
             # Device._advance_to_now (a re-plan follows, so the occupancy
             # refresh after a compute transition is moot).
             dt = now - last
@@ -582,11 +581,8 @@ class CoRunPlan:
                 task.start_time = now
                 if task.flops <= _EPS and task.bytes <= _EPS:
                     raise Bail  # completes synchronously inside submit()
-                active.append(task)
-            # Device._reschedule.
-            if update is not None:
-                live.remove(update)
-                update = None
+                active = (*active, task)
+            # Device._reschedule's retirement.
             for t in active:
                 if t.rem_flops <= t._flops_floor and t.rem_bytes <= t._bytes_floor:
                     still = []
@@ -595,13 +591,14 @@ class CoRunPlan:
                             # Device._finish_task.
                             fixed_time = x.fixed_time
                             seq += 1
-                            entry = VirtualEntry(
-                                now + fixed_time if fixed_time > 0 else now, seq, K_COMPLETE, x
-                            )
-                            live.append(entry)
+                            at = (now + fixed_time if fixed_time > 0 else now, seq)
+                            if x is decode_lane.task:
+                                decode_at = at
+                            else:
+                                group_at = at
                         else:
                             still.append(x)
-                    active = still
+                    active = tuple(still)
                     break
             # Device._reallocate's lone and pair paths.
             if not active:
@@ -625,14 +622,12 @@ class CoRunPlan:
                 raise Bail
             if horizon < inf:
                 seq += 1
-                update = VirtualEntry(now + horizon, seq, K_UPDATE, None)
-                live.append(update)
-            if kind == K_HOST and self.host_queue:
-                # HostThread._finish ends with _pump: a queued launch starts.
-                self.now = now
-                self.seq = seq
-                self.host_pump()
-                seq = self.seq
+                update_at = (now + horizon, seq)
+            if is_host and self.host_next is not None:
+                # HostThread._finish ends with _pump: the queued launch starts.
+                seq += 1
+                host_at = self._host_run(self.host_next, now, seq)
+                self.host_next = None
 
     # -------------------------------------------------------------- #
     # Host thread and streams
@@ -640,19 +635,22 @@ class CoRunPlan:
 
     def launch(self, duration: float, lane: Lane, task, label: str) -> None:
         """``HostThread.enqueue(duration, partial(stream.submit, task))``."""
-        self.host_queue.append((duration, lane, task, label))
-        self.host_pump()
+        launch = (duration, lane, task, label)
+        if self.host_op is None:
+            self.seq += 1
+            self.host_at = self._host_run(launch, self.now, self.seq)
+        elif self.host_next is None:
+            self.host_next = launch
+        else:
+            raise Bail  # a second queued launch: outside the replicated regime
 
-    def host_pump(self) -> None:
-        if self.host_busy or not self.host_queue:
-            return
-        duration, lane, task, label = self.host_queue.pop(0)
-        self.host_busy = True
+    def _host_run(self, launch: tuple, now: float, seq: int) -> tuple[float, int]:
+        """``HostThread._pump``: ``launch`` runs from ``now``; returns the
+        slot of its finish, numbered ``seq``."""
+        duration, lane, task, label = launch
         self.host_seconds += duration
-        now = self.now
-        self.host_op = (lane, task, label)
-        self.host_start = now
-        self.host_entry = self.schedule(now + duration, K_HOST)
+        self.host_op = (lane, task, label, now)
+        return (now + duration, seq)
 
     def release(self, lane: Lane) -> None:
         """``Stream._op_done``'s accounting, before the task's callback."""
@@ -665,42 +663,23 @@ class CoRunPlan:
     # Snapshots (a stretch ends at its last accepted decode completion)
     # -------------------------------------------------------------- #
 
-    def snapshot(self, tasks: tuple, lanes: tuple[Lane, ...]) -> tuple:
-        """The plan's state, for :meth:`restore` (``tasks``: every task the
-        plan may still advance; ``lanes``: the streams)."""
+    def snapshot(self, task: ExecTask) -> tuple:
+        """The plan's state, for :meth:`restore`: its own fields (every
+        one a scalar or a tuple), the two lanes' and those of ``task``, the
+        one task it may still advance (the decode task has retired)."""
+        (_, decode), (_, prefill) = self.lanes
         return (
-            _plan_state(self),
-            self.live[:],
-            self.active[:],
-            self.host_queue[:],
-            [(task, _task_state(task)) for task in tasks],
-            [(lane, _lane_state(lane)) for lane in lanes],
+            vars(self).copy(),
+            task,
+            task_state(task),
+            (decode.busy, decode.op_start, decode.seconds, decode.task),
+            (prefill.busy, prefill.op_start, prefill.seconds, prefill.task),
         )
 
     def restore(self, snap: tuple) -> None:
-        fields, live, active, host_queue, tasks, lanes = snap
-        for name, value in zip(_PLAN_STATE, fields):
-            setattr(self, name, value)
-        self.live = live
-        self.active = active
-        self.host_queue = host_queue
-        for task, state in tasks:
-            for name, value in zip(_TASK_STATE, state):
-                setattr(task, name, value)
-        for lane, (busy, op_start, seconds, task) in lanes:
-            lane.busy = busy
-            lane.op_start = op_start
-            lane.seconds = seconds
-            lane.task = task
-
-
-#: The plan's scalar state (its lists are copied separately).
-_PLAN_STATE = (
-    "now", "seq", "fired", "shadow",
-    "last", "occ", "update", "bw_cap", "sm_sec", "served", "pair",
-    "host_busy", "host_op", "host_start", "host_entry", "host_seconds",
-)
-_plan_state = attrgetter(*_PLAN_STATE)
-_task_state = attrgetter(*_TASK_STATE)
-_lane_state = attrgetter("busy", "op_start", "seconds", "task")
-
+        fields, task, state, decode_state, prefill_state = snap
+        vars(self).update(fields)
+        set_task_state(task, state)
+        (_, decode), (_, prefill) = self.lanes
+        decode.busy, decode.op_start, decode.seconds, decode.task = decode_state
+        prefill.busy, prefill.op_start, prefill.seconds, prefill.task = prefill_state

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -31,7 +32,7 @@ from repro.gpu.host import HostThread
 from repro.gpu.specs import A100
 from repro.gpu.stream import Stream
 from repro.sim import Simulator
-from repro.sim.fastpath import K_HOST, K_UPDATE, CoRunPlan, Lane
+from repro.sim.fastpath import CoRunPlan
 from tests.gpu.reference_device import ReferenceDevice, ReferenceExecTask
 
 FULL_FLOPS = A100.effective_flops
@@ -66,28 +67,42 @@ class ReferenceStreamTask(ExecTask):
         self.task_id = next(_reference_ids)
 
 
-class FiredLog(list):
-    """The plan's live entries, logging the time of each one that fires.
+class FiredLog:
+    """The time of every scalar event the plan fires, read from
+    :meth:`CoRunPlan.next_completion`'s locals by a line tracer: each
+    event moves the loop's clock ``now`` and then increments its ``fired``
+    count, and the time is logged at that increment.  Tracing is this
+    test's own and is off outside the block, so the plan pays nothing for
+    it."""
 
-    An entry leaves the list when it fires, or when it is a device update
-    the host finish just fired re-plans (cancels): that removal comes
-    directly after the host entry's, with no entry queued in between.
-    """
+    code = CoRunPlan.next_completion.__code__
 
     def __init__(self) -> None:
-        super().__init__()
         self.fired: list[float] = []
-        self._last_removed = None
 
-    def append(self, entry) -> None:
-        self._last_removed = None
-        super().append(entry)
+    def __enter__(self) -> "FiredLog":
+        self._previous = sys.gettrace()
+        sys.settrace(self._call)
+        return self
 
-    def remove(self, entry) -> None:
-        previous, self._last_removed = self._last_removed, entry
-        super().remove(entry)
-        if not (entry.kind == K_UPDATE and previous is not None and previous.kind == K_HOST):
-            self.fired.append(entry.time)
+    def __exit__(self, *exc) -> None:
+        sys.settrace(self._previous)
+
+    def _call(self, frame, event, arg):
+        if frame.f_code is not self.code:
+            return None
+        seen = [None]
+
+        def line(frame, event, arg):
+            fired = frame.f_locals.get("fired")
+            if fired is not None:
+                if seen[0] is not None and fired != seen[0]:
+                    assert fired == seen[0] + 1
+                    self.fired.append(frame.f_locals["now"])
+                seen[0] = fired
+            return line
+
+        return line
 
 
 def _reference(programme, decode_sms, until=math.inf, spec=A100):
@@ -138,13 +153,14 @@ def _reference(programme, decode_sms, until=math.inf, spec=A100):
 
 
 def _planned(programme, decode_sms, spec=A100):
-    """Run the programme through the dry run; returns what it recorded."""
+    """Run the programme through the dry run; returns the plan, the times
+    of the events it fired and the state at each completion."""
     sim = Simulator()
-    plan = CoRunPlan(sim, Device(sim, spec), HostThread(sim), math.inf)
-    plan.live = FiredLog()
+    device = Device(sim, spec)
+    plan = CoRunPlan(sim, device, HostThread(sim), math.inf)
     lane_of = [
-        Lane(decode_sms, False, None, 0.0, None),
-        Lane(spec.sms - decode_sms, False, None, 0.0, None),
+        plan.lane(Stream(device, decode_sms, name="decode")),
+        plan.lane(Stream(device, spec.sms - decode_sms, name="prefill")),
     ]
     which: dict[int, tuple[int, int]] = {}
 
@@ -158,28 +174,27 @@ def _planned(programme, decode_sms, spec=A100):
         launch(lane, 0)
     states: list[tuple] = []
     remaining = sum(len(tasks) for tasks in programme)
-    while remaining:
-        entry = plan.next_completion()
-        plan.take(entry)
-        lane, index = which[id(entry.arg)]
-        plan.release(lane_of[lane])
-        states.append(
-            (
-                lane,
-                plan.now,
-                plan.last,
-                plan.bw_cap,
-                plan.sm_sec,
-                plan.served,
-                plan.occ,
-                plan.host_seconds,
-                tuple(each.seconds for each in lane_of),
+    with FiredLog() as log:
+        while remaining:
+            lane, index = which[id(plan.next_completion().task)]
+            plan.release(lane_of[lane])
+            states.append(
+                (
+                    lane,
+                    plan.now,
+                    plan.last,
+                    plan.bw_cap,
+                    plan.sm_sec,
+                    plan.served,
+                    plan.occ,
+                    plan.host_seconds,
+                    tuple(each.seconds for each in lane_of),
+                )
             )
-        )
-        remaining -= 1
-        if index + 1 < len(programme[lane]):
-            launch(lane, index + 1)
-    return plan, states
+            remaining -= 1
+            if index + 1 < len(programme[lane]):
+                launch(lane, index + 1)
+    return plan, log.fired, states
 
 
 @settings(max_examples=150 * settings.default.max_examples // 100, deadline=None)
@@ -191,10 +206,9 @@ def _planned(programme, decode_sms, spec=A100):
 )
 def test_dry_run_matches_the_heap_in_lockstep(decode, prefill, decode_sms, interrupts):
     programme = (decode, prefill)
-    plan, planned_states = _planned(programme, decode_sms)
+    plan, planned_fired, planned_states = _planned(programme, decode_sms)
     _, fired, states = _reference(programme, decode_sms)
     assert planned_states == states
-    planned_fired = plan.live.fired
     assert planned_fired == fired
     assert plan.fired == len(fired)
     # Stop the heap at, just before and just after planned instants.
@@ -215,6 +229,6 @@ def test_pair_factors_follow_each_devices_contention():
     programme = ([task, task], [task, task])
     for kappa in (A100.contention_kappa, 2.5 * A100.contention_kappa):
         spec = A100.with_overrides(contention_kappa=kappa)
-        _, planned_states = _planned(programme, 16, spec)
+        _, _, planned_states = _planned(programme, 16, spec)
         _, _, states = _reference(programme, 16, spec=spec)
         assert planned_states == states
