@@ -581,23 +581,24 @@ class MuxWiseServer(DecodeBatchMixin):
         decode_lane = plan.lane(engine.decode_stream)
         prefill_lane = plan.lane(engine.prefill_stream)
         prefill_label = prefill_launch_label(True)
-        # The shadow fills its kind's slot with its real (time, seq).
+        # The shadow fills its kind's slot with its real (time, seq).  The
+        # plan advances the group in flight itself; a dropped plan puts
+        # back the fields it advanced.
         plan.shadow = shadow
         at = (shadow.time, shadow.seq)
         if shadow is host._finish_event:
             group = host._current[0].args[0]
-            copy = fastpath.clone_task(group)
-            plan.host_op = (prefill_lane, copy, prefill_label, host._current[2])
+            plan.host_op = (prefill_lane, group, prefill_label, host._current[2])
             plan.host_at = at
         else:
             group = engine.prefill_stream._task
-            copy = fastpath.clone_task(group)
-            prefill_lane.task = copy
+            prefill_lane.task = group
             if shadow is device._update_event:
-                plan.active = (copy,)
+                plan.active = (group,)
                 plan.update_at = at
             else:
                 plan.group_at = at
+        initial = fastpath.task_state(group)
 
         size = len(batch)
         sm = engine.decode_sms
@@ -635,13 +636,15 @@ class MuxWiseServer(DecodeBatchMixin):
         iters: list[tuple[float, float]] = []
         layers_done = job.layers_done
         in_flight = job.group_in_flight
-        current = copy
+        current = group
         # The plan at the last accepted decode completion, for reject().
         accepted = None
 
         def reject() -> None:
             nonlocal layers_done, in_flight, current
-            if accepted is not None:
+            if accepted is None:
+                fastpath.set_task_state(group, initial)
+            else:
                 snap, layers_done, in_flight, current, steps = accepted
                 plan.restore(snap)
                 del iters[steps:]
@@ -716,7 +719,7 @@ class MuxWiseServer(DecodeBatchMixin):
                 return reject()
 
         return step, lambda: self._resume_corun(
-            instance, batch, plan, (group, copy, current, layers_done, in_flight, iters[-1])
+            instance, batch, plan, (layers_done, in_flight, iters[-1])
         )
 
     def _resume_corun(
@@ -725,7 +728,7 @@ class MuxWiseServer(DecodeBatchMixin):
         """The co-run stretch's resume callback: rebuild the replica as the
         scalar path holds it at the last planned decode completion, then
         run that completion's scalar tail."""
-        group, copy, current, layers_done, in_flight, (sum_context, submitted) = state
+        layers_done, in_flight, (sum_context, submitted) = state
         (_, decode_lane), (_, prefill_lane) = plan.lanes
         sim = self.sim
         now = sim.now
@@ -734,20 +737,13 @@ class MuxWiseServer(DecodeBatchMixin):
         engine = self.engine
         decode_stream = engine.decode_stream
         prefill_stream = engine.prefill_stream
-
-        def real(task: ExecTask) -> ExecTask:
-            # The plan advanced a clone of the group in flight at its start.
-            return group if task is copy else task
-
-        if current is copy:
-            fastpath.set_task_state(group, fastpath.task_state(copy))
         # Device, host thread and streams beyond their accounting.
-        device._active = [real(task) for task in plan.active]
+        device._active = list(plan.active)
         device._update_event = None
         host._busy = plan.host_op is not None
         if host._busy:
             _, task, label, start = plan.host_op
-            host._current = (partial(prefill_stream.submit, real(task)), label, start)
+            host._current = (partial(prefill_stream.submit, task), label, start)
         else:
             host._current = None
             host._finish_event = None
@@ -756,7 +752,7 @@ class MuxWiseServer(DecodeBatchMixin):
         prefill_stream._busy = prefill_lane.busy
         prefill_stream._current_op_start = prefill_lane.op_start
         if prefill_lane.busy:
-            task = real(prefill_lane.task)
+            task = prefill_lane.task
             prefill_stream._task = task
             if task.on_complete != prefill_stream._op_done:
                 task.trace_track = prefill_stream.trace_track
@@ -767,32 +763,23 @@ class MuxWiseServer(DecodeBatchMixin):
         decode_stream._busy = True
         decode_stream._current_op_start = decode_lane.op_start
         decode_stream._on_done = self._on_decode_done
-
         # The replica's live events, pushed in the plan's (time, seq) order.
-        # Only a group completion can be the shadow still pending here: a
-        # host-finish shadow fires before the decode launch queued behind
-        # it, and an update shadow fires or is cancelled by the decode
-        # iteration's submit.  A pending shadow stays in the heap as it is.
-        def update(time: float) -> None:
-            device._update_event = sim.schedule_at(time, device._on_update)
-
-        def host_finish(time: float) -> None:
-            host._finish_event = sim.schedule_at(time, host._finish)
-
-        def group_done(time: float) -> None:
-            task = real(prefill_lane.task)
-            task.completion = sim.schedule_at(time, partial(device._complete, task))
-
+        # A pending shadow stays in the heap as it is; only a group
+        # completion can be one here: a host-finish shadow fires before the
+        # decode launch queued behind it, and an update shadow fires or is
+        # cancelled by the decode iteration's submit.
         shadow = plan.shadow
-        group_at = plan.group_at
-        if group_at == (shadow.time, shadow.seq):
-            group_at = None
-        elif shadow.time > now:
+        if shadow.time > now and not plan.holds(shadow):
             # The plan cancelled the shadow; the scalar path never fires it.
             shadow.cancel()
-        live = ((plan.update_at, update), (plan.host_at, host_finish), (group_at, group_done))
-        for (time, _), push in sorted(each for each in live if each[0] is not None):
-            push(time)
+        for at in sorted(at for at in (plan.update_at, plan.host_at, plan.group_at) if at):
+            if at is plan.update_at:
+                device._update_event = sim.schedule_at(at[0], device._on_update)
+            elif at is plan.host_at:
+                host._finish_event = sim.schedule_at(at[0], host._finish)
+            elif at[1] != shadow.seq:
+                task = prefill_lane.task
+                task.completion = sim.schedule_at(at[0], partial(device._complete, task))
         job = self.active_job
         job.layers_done = layers_done
         job.group_in_flight = in_flight

@@ -43,26 +43,25 @@ in host launch, on the device or in its serialized tail): the *shadow*,
 which the horizon excludes.  ``_corun_planner``'s step drives
 :meth:`CoRunPlan.next_completion`, one dry run of the replica's host
 thread, both streams and the device.  In this regime the scalar path
-holds at most one live event of each kind — a host finish, a device
-update, the decode lane's completion and the prefill lane's — and at
-most one launch waiting on the host, so the plan keeps a fixed slot for
-each, not a queue, and fires the earliest filled slot by ``(time, seq)``
-as the heap does.  The device's fluid model is not copied: the loop
-calls the functions ``Device`` itself calls (:mod:`repro.gpu.device`'s
-``advance_tasks``, the per-task advance with its phase-change snap, and
-the lone and pair re-plans ``lone_rates`` and ``pair_rates``) and keeps
-only the device's bookkeeping around them (the utilisation integrals,
-retirement with serialized tails, the pending update).  At every planned
-completion it makes the server's own decisions in scalar order:
-``observe_decode`` (a max-merge into the guard, so the continuation's
-repeat of the last one is idempotent), the decode partition and cost,
-``_group_size`` and the layer costs.  It stops before a partition
-change, before the job's last group completes and at a decode completion
-past the horizon, ``until`` or the event cap, restoring its snapshot of
-the last accepted completion (the plan's fields, the group task's and
-the two lanes').  Its resume callback rebuilds the replica as the scalar
-path holds it at ``t_K`` — the group's ``ExecTask`` with its remaining
-work and rates, the pending update, host finish or completion, stream op
+holds at most one live event of each kind (a host finish, a device
+update, each lane's completion) and at most one launch waiting on the
+host, so the plan keeps a slot for each, not a queue, and fires the
+earliest filled slot by ``(time, seq)`` as the heap pops.  The device's
+fluid model is not copied: the loop calls the functions ``Device``
+itself calls (:mod:`repro.gpu.device`'s ``advance_tasks``, the per-task
+advance with its phase-change snap, and the lone and pair re-plans
+``lone_rates`` and ``pair_rates``) and keeps only the device's
+bookkeeping around them (the utilisation integrals, retirement with
+serialized tails, the pending update).  At every planned completion it
+makes the server's own decisions in scalar order: ``observe_decode`` (a
+max-merge into the guard, so the continuation's repeat of the last one
+is idempotent), the decode partition and cost, ``_group_size`` and the
+layer costs.  It stops before a partition change, before the job's last
+group completes and at a decode completion past the horizon, ``until``
+or the event cap, restoring its snapshot of the last accepted
+completion.  Its resume callback rebuilds the replica as the scalar path
+holds it at ``t_K`` — the group's ``ExecTask`` with its remaining work
+and rates, the pending update, host finish or completion, stream op
 starts, ``layers_done`` and ``group_in_flight`` — then runs
 ``_on_decode_done``.
 
@@ -372,14 +371,6 @@ class Lane:
         self.task = task
 
 
-def clone_task(task: ExecTask) -> ExecTask:
-    """A copy of ``task`` the dry run may advance."""
-    copy = ExecTask.__new__(ExecTask)
-    for name in ExecTask.__slots__:
-        setattr(copy, name, getattr(task, name))
-    return copy
-
-
 def task_state(task: ExecTask) -> tuple:
     """The ``ExecTask`` fields the device advances and re-plans."""
     return (
@@ -404,27 +395,24 @@ class CoRunPlan:
     (:func:`plan_chain`: no events, no task objects).  A co-run stretch
     replays ``HostThread._pump``/``_finish``, ``Stream._pump``/``_op_done``
     and the event order of ``Device.submit``/``_on_update``/``_reschedule``
-    for the two lanes its :meth:`lane` calls made (the decode stream's,
-    then the prefill stream's), on copies of their tasks, and advances and
-    re-plans them with the device's own functions (``advance_tasks``,
-    ``lone_rates``, ``pair_rates``).
+    for the two lanes of its :meth:`lane` calls (the decode stream's, then
+    the prefill stream's), advancing and re-planning their tasks with the
+    device's own functions (``advance_tasks``, ``lone_rates``,
+    ``pair_rates``).  The scalar path's live events are four slots, each
+    ``(time, seq)`` or None — the host finish ``host_at``, the device
+    update ``update_at`` and the two lanes' completions ``decode_at`` and
+    ``group_at`` — and the host runs ``host_op`` with at most one launch
+    queued, ``host_next``.  The caller launches tasks (:meth:`launch`),
+    runs the plan to the next task completion (:meth:`next_completion`),
+    releases its lane (:meth:`release`) and decides what the server does
+    there.
 
-    The scalar path holds at most four live events for such a replica,
-    one of each kind, so the plan keeps one *slot* per kind, each the
-    event's ``(time, seq)`` or None: the host finish (``host_at``), the
-    device update (``update_at``) and the decode and prefill lanes'
-    completions (``decode_at``, ``group_at``).  It fires the earliest
-    filled slot by ``(time, seq)``, as the heap orders them; a re-plan
-    empties the update slot (the heap's cancel).  The host thread runs
-    ``host_op`` and holds at most one queued launch, ``host_next``.  The
-    caller launches tasks (:meth:`launch`), runs the plan to the next task
-    completion (:meth:`next_completion`), releases its lane
-    (:meth:`release`) and decides what the server does there.
-
-    Either way the real objects are read at the start and left untouched
-    until the continuation writes the plan back (:func:`commit_chain`).
-    A stretch takes an iteration only if its completion is strictly
-    before ``horizon``, no later than the run's ``until`` and within its
+    The real device, host and streams are read at the start and left
+    untouched until the continuation writes the plan back
+    (:func:`commit_chain`); a task the plan advances is the caller's to
+    put back (:func:`set_task_state`) if it drops the plan.  A stretch
+    takes an iteration only if its completion is strictly before
+    ``horizon``, no later than the run's ``until`` and within its
     remaining event ``budget``.
     """
 
@@ -438,11 +426,11 @@ class CoRunPlan:
         self.seq = _VIRTUAL_SEQ0
         #: Scalar events fired so far (the shadow included).
         self.fired = 0
-        #: The real event a co-run stretch took over (see :meth:`holds`).
+        #: The real event a co-run stretch took over, in its kind's slot.
         self.shadow: "Event | None" = None
         #: The streams whose busy seconds the plan accounts, with their lanes.
         self.lanes: list[tuple["Stream", Lane]] = []
-        # The scalar path's live events, one slot per kind.
+        # The scalar path's live events, one slot per kind: (time, seq).
         self.host_at: tuple[float, int] | None = None
         self.update_at: tuple[float, int] | None = None
         self.decode_at: tuple[float, int] | None = None
